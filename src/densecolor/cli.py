@@ -63,7 +63,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         density_max_n=getattr(args, "max_n", None),
         node_budget=getattr(args, "budget", None),
         seed=getattr(args, "seed", None),
-        output_format=getattr(args, "format", None),
     )
 
 
@@ -151,10 +150,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
             f"  exchange: removed {move.removed}, added {move.added[0]} {move.added[1]}"
         )
     lines.append(f"final n = {report.final_n}, final m = {report.final_m}")
-    lines.append(f"dense check: {report.dense_check}")
-    lines.append(
-        f"chi' check: {report.chi_prime_check} ({report.chi_prime_mode})"
-    )
     _emit(args, doc, lines)
     return EXIT_OK
 
@@ -165,7 +160,6 @@ def cmd_totalize(args: argparse.Namespace) -> int:
     doc = cert.to_doc(include_witness=args.witness)
     lines = [
         f"chi'' = chi' = {cert.k}",
-        f"verified: {cert.pipeline.verified}",
         f"embedding added {len(cert.pipeline.embedding.added_edges)} edges "
         f"(parity vertex: {cert.pipeline.embedding.parity_vertex_added})",
     ] + _coloring_lines(coloring_to_doc(cert.coloring))

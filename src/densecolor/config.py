@@ -1,4 +1,4 @@
-"""Run configuration: enumeration caps, search budget, seed, output format.
+"""Run configuration: enumeration caps, search budget, seed.
 
 Every cap is enforced with an explicit error; no oracle ever degrades to an
 approximate answer when an instance is too large.
@@ -17,7 +17,6 @@ class RunConfig:
     embed_exact_max_n: int = 12      # branch-and-bound embedding fallback cap
     node_budget: int = 5_000_000     # backtracking nodes per oracle call
     seed: int = 0
-    output_format: str = "text"
 
     def __post_init__(self) -> None:
         for name in (
@@ -29,8 +28,6 @@ class RunConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.output_format not in ("text", "json"):
-            raise ValueError("output_format must be 'text' or 'json'")
 
     def with_overrides(self, **kwargs: object) -> "RunConfig":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})

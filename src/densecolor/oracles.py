@@ -364,7 +364,7 @@ def chromatic_index(
     budget = _Budget(config.node_budget)
     upper = delta + graph.multiplicity()  # Vizing's bound for multigraphs
     for k in range(lower, upper + 1):
-        assignment = _edge_color_search(graph, k, budget)
+        assignment = _color(graph, k, budget)
         if assignment is not None:
             if k == delta:
                 reason = "max-degree"
@@ -481,21 +481,28 @@ def _dense_class_search(
     return assign if build_class(1, 0) else None
 
 
+def _color(graph: Multigraph, k: int, budget: _Budget) -> list[int] | None:
+    """Exhaustive k-edge-coloring search, or None when none exists.
+
+    A k-dense graph is decomposed into exact near-perfect matching classes,
+    which handles the large dense hosts produced by the embedding and
+    refutes k on dense class-2 graphs in few nodes; any other graph goes to
+    the generic edge-by-edge search.
+    """
+    if is_k_dense(graph, range(graph.n), k):
+        return _dense_class_search(graph, k, budget)
+    return _edge_color_search(graph, k, budget)
+
+
 def find_k_edge_coloring(
     graph: Multigraph, k: int, config: RunConfig = DEFAULT_CONFIG
 ) -> EdgeColoring | None:
     """Feasibility-only search for a proper k-edge-coloring.
 
     Unlike :func:`chromatic_index` this has no edge cap (only the node
-    budget) and proves nothing about k-1.  For k-dense inputs the search
-    decomposes the edges into exact near-perfect matching classes, which
-    handles the large dense hosts produced by the embedding.
+    budget) and proves nothing about k-1.
     """
-    budget = _Budget(config.node_budget)
-    if is_k_dense(graph, range(graph.n), k):
-        assignment = _dense_class_search(graph, k, budget)
-    else:
-        assignment = _edge_color_search(graph, k, budget)
+    assignment = _color(graph, k, _Budget(config.node_budget))
     if assignment is None:
         return None
     return EdgeColoring(k, tuple(assignment))

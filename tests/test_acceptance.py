@@ -87,7 +87,6 @@ def test_criterion_01_fat_triangle_end_to_end():
     elapsed = time.perf_counter() - t0
     ok = (
         cert.k == 6
-        and cert.pipeline.verified
         and is_proper_total_coloring(t2, cert.coloring)
         and chromatic_index(t2).k == 6
         and cross_check == 6
@@ -106,8 +105,8 @@ def test_criterion_02_nontrivial_embedding():
         cert.k == 6
         and len(emb.added_edges) == 6
         and (emb.final_n, emb.final_m) == (5, 12)
-        and emb.dense_check
-        and cert.pipeline.verified
+        and is_k_dense(cert.g_prime, range(5), 6)
+        and chromatic_index(cert.g_prime).k == 6
         and is_proper_total_coloring(g, cert.coloring)
         and elapsed < 5.0
     )
@@ -126,7 +125,7 @@ def test_criterion_03_parity_step():
     ok = (
         emb.parity_vertex_added
         and cert.k == 6
-        and cert.pipeline.verified
+        and is_k_dense(cert.g_prime, range(5), 6)
         and is_proper_total_coloring(g, cert.coloring)
     )
     report(3, ok, "even-order T2+K1 triggers the isolated-vertex parity step, k=6")
@@ -142,7 +141,6 @@ def test_criterion_04_fat_c5_mult_4():
         g.max_degree() == 8
         and dens.value == 10
         and cert.k == 10
-        and cert.pipeline.verified
         and cert.g_prime == g
         and is_k_dense(g, range(5), 10)
         and is_proper_total_coloring(g, cert.coloring)
@@ -307,7 +305,9 @@ def test_criterion_10_corollary_arithmetic_and_spanning_case():
     end_to_end = True
     if critical:
         cert = totalize(t2)
-        end_to_end = cert.k == chromatic_index(t2).k and cert.pipeline.verified
+        end_to_end = cert.k == chromatic_index(t2).k and is_proper_total_coloring(
+            t2, cert.coloring
+        )
     ok = (
         arithmetic
         and not small_h.applicable

@@ -9,9 +9,11 @@ from densecolor import (
     cycle,
     density,
     embed_k_dense,
+    find_k_edge_coloring,
     fixture,
     gen_fat_cycle,
     is_k_dense,
+    is_proper_edge_coloring,
 )
 from densecolor.config import DEFAULT_CONFIG
 from densecolor.embed import (
@@ -58,16 +60,15 @@ class TestEmbed:
         g_prime, report = embed_k_dense(T2, 6)
         assert g_prime == T2
         assert report.added_edges == ()
-        assert report.dense_check
+        assert is_k_dense(g_prime, range(3), 6)
         assert not report.parity_vertex_added
-        assert report.chi_prime_mode == "exact"
+        assert chromatic_index(g_prime).k == 6
 
     def test_two_isolated_vertices(self):
         g = fixture("t2-2k1")
         g_prime, report = embed_k_dense(g, 6)
         assert len(report.added_edges) == 6
         assert (report.final_n, report.final_m) == (5, 12)
-        assert report.dense_check and report.chi_prime_check
         assert is_k_dense(g_prime, range(5), 6)
         assert chromatic_index(g_prime).k == 6
 
@@ -76,7 +77,8 @@ class TestEmbed:
         g_prime, report = embed_k_dense(g, 6)
         assert report.parity_vertex_added
         assert (report.final_n, report.final_m) == (5, 12)
-        assert report.dense_check
+        assert is_k_dense(g_prime, range(5), 6)
+        assert chromatic_index(g_prime).k == 6
 
     def test_hypothesis_rejected(self):
         with pytest.raises(HypothesisNotMetError):
@@ -164,7 +166,8 @@ class TestExactFallback:
         monkeypatch.setattr(embed_mod, "_find_exchange", lambda *a, **kw: None)
         g = fixture("t2-2k1")
         g_prime, report = embed_k_dense(g, 6)
-        assert report.dense_check and report.final_m == 12
+        assert is_k_dense(g_prime, range(5), 6) and report.final_m == 12
+        assert chromatic_index(g_prime).k == 6
         assert report.exchange_moves == ()
         with pytest.raises(InstanceTooLargeError):
             embed_k_dense(g, 6, RunConfig(embed_exact_max_n=3))
@@ -182,16 +185,16 @@ class TestExactFallback:
         assert info.value.certificate.startswith("p multigraph 5 6")
 
 
-class TestByDensityCertification:
+class TestLargeHost:
     def test_host_beyond_oracle_cap(self):
         # fat triangle (mult 4) plus six isolated vertices: the 12-dense
-        # host needs 48 edges, past the exact chromatic-index cap, so the
-        # re-check falls back to the density argument
+        # host needs 48 edges, past the exact chromatic-index cap; a
+        # 12-edge-coloring of it still exists
         base = Multigraph(9, gen_fat_cycle(3, 4).edges)
         assert chromatic_index(base).k == 12
         g_prime, report = embed_k_dense(base, 12)
-        assert report.chi_prime_mode == "by-density"
-        assert report.chi_prime_check and report.dense_check
         assert (report.final_n, report.final_m) == (9, 48)
         assert is_k_dense(g_prime, range(9), 12)
         assert density(g_prime).value == 12
+        phi = find_k_edge_coloring(g_prime, 12)
+        assert phi is not None and is_proper_edge_coloring(g_prime, phi)

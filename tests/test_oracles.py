@@ -36,6 +36,14 @@ from brute import (
 T2 = gen_fat_cycle(3, 2)
 C5 = cycle(5)
 K2 = complete(2)
+# the Petersen graph (outer 5-cycle, spokes i-(i+5), inner pentagram) less
+# vertex 9: 3-dense (n = 9, m = 12) and class 2
+PETERSEN_LESS_VERTEX = Multigraph(
+    9,
+    ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
+    + ((0, 5), (1, 6), (2, 7), (3, 8))
+    + ((5, 7), (6, 8), (8, 5)),
+)
 
 
 class TestDensity:
@@ -134,10 +142,31 @@ class TestChromaticIndex:
         assert cert.k == 3
         assert cert.lower_bound_reason == "exhaustion"
 
+    def test_dense_class_two_refuted_by_exhaustion(self):
+        # k = 3 = Delta = ceil(rho) and the graph is 3-dense, so the
+        # refutation of 3 runs through the class-by-class search
+        assert is_k_dense(PETERSEN_LESS_VERTEX, range(9), 3)
+        cert = chromatic_index(PETERSEN_LESS_VERTEX)
+        assert cert.k == 4
+        assert cert.lower_bound_reason == "exhaustion"
+        assert is_proper_edge_coloring(PETERSEN_LESS_VERTEX, cert.witness)
+
     @pytest.mark.parametrize(
         "graph",
-        [cycle(4), cycle(6), complete(3), complete(4), gen_fat_cycle(3, 3)],
-        ids=["c4", "c6", "k3", "k4", "fat-c3-m3"],
+        [
+            cycle(4),
+            cycle(6),
+            complete(3),
+            complete(4),
+            gen_fat_cycle(3, 3),
+            complete(5),
+            gen_fat_cycle(5, 2),
+            PETERSEN_LESS_VERTEX,
+        ],
+        ids=[
+            "c4", "c6", "k3", "k4", "fat-c3-m3", "k5", "fat-c5-m2",
+            "petersen-less-vertex",
+        ],
     )
     def test_matches_brute(self, graph):
         assert chromatic_index(graph).k == brute_chromatic_index(graph)

@@ -7,14 +7,18 @@ from densecolor import (
     GuaranteeViolationError,
     HypothesisNotMetError,
     Multigraph,
+    RunConfig,
     TotalColoring,
     chromatic_index,
+    complete,
     corollary_applicable,
     corollary_inequality,
     cycle,
     extend_to_total,
     fixture,
     gen_fat_cycle,
+    is_k_dense,
+    is_proper_edge_coloring,
     is_proper_total_coloring,
     missing_colors,
     restrict_total,
@@ -120,7 +124,6 @@ class TestTotalize:
     def test_fat_triangle(self):
         cert = totalize(T2)
         assert cert.k == 6
-        assert cert.pipeline.verified
         assert is_proper_total_coloring(T2, cert.coloring)
         assert total_chromatic_number(T2).k == 6
 
@@ -128,7 +131,7 @@ class TestTotalize:
         g = gen_fat_cycle(5, 4)
         cert = totalize(g)
         assert cert.k == 10
-        assert cert.pipeline.verified
+        assert is_proper_total_coloring(g, cert.coloring)
         # already 10-dense: the embedding adds nothing
         assert cert.g_prime == g
         assert cert.pipeline.embedding.added_edges == ()
@@ -143,7 +146,6 @@ class TestTotalize:
         g = fixture("t2-2k1")
         cert = totalize(g)
         assert cert.k == 6
-        assert cert.pipeline.verified
         assert is_proper_total_coloring(g, cert.coloring)
         assert brute_total_chromatic(g) == 6
 
@@ -155,14 +157,15 @@ class TestTotalize:
                 cert.g_prime, cert.g_prime_coloring, v
             )
 
-    def test_by_density_pipeline_still_fully_verified(self):
-        # host graph exceeds the exact oracle cap, but a found k-coloring
-        # plus monotonicity from the input still pins chi'(G') = k
+    def test_host_beyond_oracle_cap(self):
+        # the 48-edge host exceeds the exact oracle cap, but a found
+        # k-coloring plus monotonicity from the input still pins chi'(G) = k
         g = Multigraph(9, gen_fat_cycle(3, 4).edges)
         cert = totalize(g)
         assert cert.k == 12
-        assert cert.pipeline.verified
-        assert cert.pipeline.embedding.chi_prime_mode == "by-density"
+        assert cert.g_prime.m > RunConfig().chi_index_max_edges
+        assert is_k_dense(cert.g_prime, range(cert.g_prime.n), 12)
+        assert is_proper_edge_coloring(cert.g_prime, cert.g_prime_coloring)
         assert is_proper_total_coloring(g, cert.coloring)
 
     def test_heavy_parallel_core_beyond_cap(self):
@@ -170,9 +173,22 @@ class TestTotalize:
         g = Multigraph(6, ((0, 1),) * 7 + ((0, 2),) * 7 + ((1, 2),) * 5)
         cert = totalize(g)
         assert cert.k == 19
-        assert cert.pipeline.verified
-        assert cert.pipeline.embedding.chi_prime_mode == "by-density"
+        assert cert.g_prime.m > RunConfig().chi_index_max_edges
+        assert is_k_dense(cert.g_prime, range(cert.g_prime.n), 19)
         assert is_proper_total_coloring(g, cert.coloring)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [Multigraph(5, complete(5).edges * 4), gen_fat_cycle(5, 8)],
+        ids=["k5x4", "fat-c5-m8"],
+    )
+    def test_dense_input_within_small_budget(self, graph):
+        # already 20-dense: chi'(G) and the host coloring both go through
+        # the class-by-class search, where edge-at-a-time backtracking
+        # spends hundreds of thousands of nodes
+        cert = totalize(graph, RunConfig(node_budget=10_000))
+        assert cert.k == 20
+        assert is_proper_total_coloring(graph, cert.coloring)
 
     def test_matches_exhaustive_total_oracle(self):
         for name in ("t2", "t2-k1", "t2-2k1"):
