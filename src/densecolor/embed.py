@@ -12,7 +12,22 @@ fallback at small n.
 Throughout, feasibility of adding an edge uv means: both endpoint degrees
 stay below k, and no odd vertex set exceeds density k afterwards.  Since
 parallel additions only raise the ratio of sets containing both endpoints,
-the incremental check enumerates just those sets.
+the incremental check enumerates just those sets.  One checker,
+``_density_violation``, serves every caller.  It grows a partial set P
+vertex by vertex and drops a branch once even its best completion stays
+within density k: with t(w) the edges from a candidate w into P, any set
+P + R has 2|E(P + R)| <= 2|E(P)| + sum over w in R of (t(w) + d(w)),
+because an edge inside R is counted at both of its ends, each time among
+the d(w) - t(w) edges of that end that do not go into P.  The bound never
+drops a branch that holds a violating set, so the checker's answers, and
+with them the greedy's choices and the host, are those of plain
+enumeration.
+
+Greedy saturation keeps the host's degrees and pair counts in mutable
+lists, adds each chosen edge in place, and builds the host Multigraph once
+when it stops.  Adding edges never makes an unaddable pair addable again,
+so a pair that fails once is not re-checked until an exchange move removes
+an edge.
 """
 
 from __future__ import annotations
@@ -62,8 +77,34 @@ class EmbeddingReport:
         }
 
 
+class _Tally:
+    """Degrees and pair counts of a growing host, edited in place.
+
+    Holds the three attributes ``_density_violation`` reads from a
+    Multigraph, so greedy saturation adds an edge in O(1) instead of
+    rebuilding and re-validating the whole graph.  ``live`` lists, in
+    lexicographic order, the vertex pairs not yet found unaddable: edges
+    are only ever added, so degrees and the edge count of every vertex set
+    only grow, and a pair once unaddable stays so.
+    """
+
+    def __init__(self, graph: Multigraph) -> None:
+        self.n = graph.n
+        self.m = graph.m
+        self.degrees = list(graph.degrees)
+        self.adjacency_counts = [list(row) for row in graph.adjacency_counts]
+        self.live = [(u, v) for u in range(self.n) for v in range(u + 1, self.n)]
+
+    def add(self, u: int, v: int) -> None:
+        self.m += 1
+        self.degrees[u] += 1
+        self.degrees[v] += 1
+        self.adjacency_counts[u][v] += 1
+        self.adjacency_counts[v][u] += 1
+
+
 def _density_violation(
-    graph: Multigraph,
+    graph: Multigraph | _Tally,
     k: int,
     *,
     extra: tuple[int, int] | None = None,
@@ -71,65 +112,60 @@ def _density_violation(
 ) -> bool:
     """True when some odd vertex set of size >= 3 (containing ``forced``)
     has 2|E| > k(|S|-1), counting ``extra`` as one additional edge when both
-    its ends lie in the set."""
-    n = graph.n
+    its ends lie in the set.
+
+    Reads only ``n``, ``degrees`` and ``adjacency_counts`` of ``graph``;
+    vertices are not range-checked.  The sets are enumerated depth first
+    from the partial set P = ``forced``, adding vertices in index order.  A
+    branch is pruned when no set it can reach violates the bound: for the
+    remaining candidates R and t(w) the edges from w into P,
+
+        2|E(P + R)| <= 2|E(P)| + sum over w in R of (t(w) + d(w)),
+
+    since an edge inside R is counted at both of its ends, each time among
+    the d(w) - t(w) edges of that end that do not go into P.  So
+    2(|E| + extra) - k(|S| - 1) is at most
+    2(|E(P)| + 1) - k(|P| - 1) + sum of (t(w) + d(w) - k) over R, and the
+    branch is dropped when that is <= 0 even with R holding exactly the
+    candidates whose term is positive.
+    """
     cnt = graph.adjacency_counts
     deg = graph.degrees
-    forced_set = sorted(graph._vertex_set(forced))
-    candidates = [v for v in range(n) if v not in set(forced_set)]
-    to_subset = [0] * n
-    inner0 = graph.edges_inside(forced_set)
-    for v in candidates:
-        to_subset[v] = sum(cnt[v][w] for w in forced_set)
-    bonus = 0
-    if extra is not None:
-        eu, ev = extra
-        graph._check_vertex(eu)
-        graph._check_vertex(ev)
-        bonus = 1  # admissible in bounds; exact when both ends are inside
-    subset = list(forced_set)
+    forced_set = sorted(set(forced))
+    candidates = [v for v in range(graph.n) if v not in forced_set]
+    to_subset = [sum(row[w] for w in forced_set) for row in cnt]
+    ends = () if extra is None else extra
+    bonus = 0 if extra is None else 1  # exact once both ends are inside
+    last = len(candidates)
 
-    def extra_inside() -> int:
-        if extra is None:
-            return 0
-        inside = set(subset)
-        return 1 if extra[0] in inside and extra[1] in inside else 0
-
-    def walk(idx: int, inner: int) -> bool:
-        size = len(subset)
+    def walk(idx: int, size: int, inner: int, ends_in: int) -> bool:
         if size >= 3 and size % 2 == 1:
-            if 2 * (inner + extra_inside()) > k * (size - 1):
+            if 2 * (inner + (ends_in == 2)) > k * (size - 1):
                 return True
-        if idx == len(candidates):
+        if idx == last:
             return False
-        pool = sorted((deg[candidates[i]] for i in range(idx, len(candidates))), reverse=True)
-        gain = 0
-        reachable = False
-        for more in range(len(pool) + 1):
-            total = size + more
-            if total >= 3 and total % 2 == 1 and 2 * (inner + gain + bonus) > k * (total - 1):
-                reachable = True
-                break
-            if more < len(pool):
-                gain += pool[more]
-        if not reachable:
+        reach = 2 * (inner + bonus) - k * (size - 1)
+        for i in range(idx, last):
+            w = candidates[i]
+            gain = to_subset[w] + deg[w] - k
+            if gain > 0:
+                reach += gain
+        if reach <= 0:
             return False
-        for i in range(idx, len(candidates)):
+        for i in range(idx, last):
             v = candidates[i]
-            added = to_subset[v]
-            subset.append(v)
             row = cnt[v]
-            for j in range(i + 1, len(candidates)):
+            for j in range(i + 1, last):
                 to_subset[candidates[j]] += row[candidates[j]]
-            hit = walk(i + 1, inner + added)
-            for j in range(i + 1, len(candidates)):
+            hit = walk(i + 1, size + 1, inner + to_subset[v], ends_in + (v in ends))
+            for j in range(i + 1, last):
                 to_subset[candidates[j]] -= row[candidates[j]]
-            subset.pop()
             if hit:
                 return True
         return False
 
-    return walk(0, inner0)
+    inner0 = sum(to_subset[v] for v in forced_set) // 2
+    return walk(0, len(forced_set), inner0, sum(1 for v in forced_set if v in ends))
 
 
 def can_add_edge(
@@ -149,28 +185,25 @@ def can_add_edge(
     return not _density_violation(graph, k, extra=(u, v))
 
 
-def _cheapest_addable_pair(
-    cur: Multigraph, k: int
-) -> tuple[int, int] | None:
+def _cheapest_addable_pair(host: _Tally, k: int) -> tuple[int, int] | None:
     """The addable pair minimizing its endpoint degree sum (ties: lexicographic).
 
     Uses the incremental density test: only odd sets containing both new
-    endpoints can change, so only those are enumerated.
+    endpoints can change, so only those are enumerated.  A pair found not
+    addable leaves ``host.live`` and is not tried again.
     """
-    deg = cur.degrees
-    pairs = sorted(
-        ((u, v) for u in range(cur.n) for v in range(u + 1, cur.n)),
-        key=lambda p: (deg[p[0]] + deg[p[1]], p[0], p[1]),
-    )
-    for u, v in pairs:
-        if deg[u] >= k - 1 or deg[v] >= k - 1:
-            continue
-        if not _density_violation(cur, k, extra=(u, v), forced=(u, v)):
-            return (u, v)
+    deg = host.degrees
+    while host.live:
+        # the first minimum of the lexicographically ordered list
+        sums = [deg[u] + deg[v] for u, v in host.live]
+        pair = host.live[sums.index(min(sums))]
+        if _addable_incremental(host, *pair, k):
+            return pair
+        host.live.remove(pair)
     return None
 
 
-def _addable_incremental(cur: Multigraph, u: int, v: int, k: int) -> bool:
+def _addable_incremental(cur: Multigraph | _Tally, u: int, v: int, k: int) -> bool:
     if cur.degrees[u] >= k - 1 or cur.degrees[v] >= k - 1:
         return False
     return not _density_violation(cur, k, extra=(u, v), forced=(u, v))
@@ -306,16 +339,17 @@ def embed_k_dense(
     target = k * (work_n - 1)
     added: list[tuple[int, int]] = []
     moves: list[ExchangeMove] = []
-    cur = start
     seen: set[tuple[tuple[int, int], ...]] = {tuple(sorted(added))}
+    host = _Tally(start)
 
-    while 2 * cur.m < target:
-        pair = _cheapest_addable_pair(cur, k)
+    while 2 * host.m < target:
+        pair = _cheapest_addable_pair(host, k)
         if pair is not None:
             added.append(pair)
-            cur = Multigraph(work_n, base_edges + tuple(added))
+            host.add(*pair)
             seen.add(tuple(sorted(added)))
             continue
+        cur = Multigraph(work_n, base_edges + tuple(added))
         move = _find_exchange(cur, k, base_edges, added, seen, config)
         if move is None:
             break
@@ -323,9 +357,10 @@ def embed_k_dense(
         added.remove(e1)
         added.extend((e2, e3))
         moves.append(ExchangeMove(e1, (e2, e3)))
-        cur = Multigraph(work_n, base_edges + tuple(added))
+        host = _Tally(Multigraph(work_n, base_edges + tuple(added)))
         seen.add(tuple(sorted(added)))
 
+    cur = Multigraph(work_n, base_edges + tuple(added))
     if 2 * cur.m < target:
         if work_n > config.embed_exact_max_n:
             raise InstanceTooLargeError(

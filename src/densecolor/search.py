@@ -24,7 +24,7 @@ from .errors import (
 )
 from .multigraph import Multigraph, serialize
 from .oracles import chromatic_index, total_chromatic_number
-from .totalize import totalize
+from .totalize import _totalize_with
 
 __all__ = ["InstanceRecord", "CounterexampleCertificate", "SearchOutcome", "search_goldberg"]
 
@@ -142,7 +142,7 @@ def _evaluate(
         )
         return rec, cert
     try:
-        totalize(graph, config)
+        _totalize_with(graph, chi_cert, config)
     except HypothesisNotMetError as exc:
         rec = InstanceRecord(
             name, graph.n, graph.m, delta, k, None, "skipped", "totalize",

@@ -27,6 +27,7 @@ from .embed import EmbeddingReport, embed_k_dense
 from .errors import GuaranteeViolationError, HypothesisNotMetError
 from .multigraph import Multigraph, serialize
 from .oracles import (
+    ChromaticCertificate,
     chromatic_index,
     find_k_edge_coloring,
     is_edge_critical,
@@ -156,7 +157,15 @@ def totalize(
     GuaranteeViolationError, carrying the host, when no k-edge-coloring of
     the host is found; all oracle and embedding errors propagate.
     """
-    cert = chromatic_index(graph, config)
+    return _totalize_with(graph, chromatic_index(graph, config), config)
+
+
+def _totalize_with(
+    graph: Multigraph, cert: ChromaticCertificate, config: RunConfig
+) -> TotalizeCertificate:
+    """``totalize`` after its first step: ``cert`` is the caller's
+    certificate of chi'(graph), so a caller that already holds one does not
+    pay for the search twice."""
     k = cert.k
     delta_plus_2 = graph.max_degree() + 2
     n_plus_1 = graph.n + 1

@@ -22,7 +22,34 @@ from densecolor.embed import (
     _find_exchange,
 )
 
+from brute import brute_density
+
 T2 = gen_fat_cycle(3, 2)
+
+
+def naive_greedy(graph, k):
+    """Reference greedy saturation from the definitions: pad to an odd
+    vertex count, then repeatedly add the first pair, by endpoint degree sum
+    and then lexicographically, whose addition keeps every degree below k
+    and the brute-force density at most k."""
+    n = graph.n + 1 - graph.n % 2
+    cur = Multigraph(n, graph.edges)
+    added = []
+    while 2 * cur.m < k * (n - 1):
+        deg = cur.degrees
+        pairs = sorted(
+            ((u, v) for u in range(n) for v in range(u + 1, n)),
+            key=lambda p: (deg[p[0]] + deg[p[1]], p),
+        )
+        for u, v in pairs:
+            bigger = cur.with_edge(u, v)
+            if bigger.max_degree() < k and brute_density(bigger)[0] <= k:
+                break
+        else:
+            break
+        added.append((u, v))
+        cur = bigger
+    return tuple(added)
 
 
 class TestCanAddEdge:
@@ -111,6 +138,22 @@ class TestEmbed:
             deficient = [v for v in range(g_prime.n) if g_prime.degrees[v] < k - 1]
             assert len(deficient) <= 1 or is_k_dense(g_prime, range(g_prime.n), k)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            fixture("t2-2k1"),
+            fixture("t2-k1"),
+            fixture("fat-c5-m4"),
+            Multigraph(7, gen_fat_cycle(3, 3).edges),
+        ],
+        ids=["t2-2k1", "t2-k1", "fat-c5-m4", "fat-c3-m3-n7"],
+    )
+    def test_matches_naive_greedy(self, graph):
+        k = chromatic_index(graph).k
+        _, report = embed_k_dense(graph, k)
+        assert report.exchange_moves == ()
+        assert report.added_edges == naive_greedy(graph, k)
+
     def test_density_never_exceeded(self):
         g = fixture("t2-2k1")
         partial = list(g.edges)
@@ -198,3 +241,12 @@ class TestLargeHost:
         assert density(g_prime).value == 12
         phi = find_k_edge_coloring(g_prime, 12)
         assert phi is not None and is_proper_edge_coloring(g_prime, phi)
+
+    def test_padded_fat_triangle_saturates_greedily(self):
+        # fat triangle (mult 13) plus sixteen isolated vertices: greedy
+        # saturation alone reaches the 39-dense host on 19 vertices
+        base = Multigraph(19, gen_fat_cycle(3, 13).edges)
+        g_prime, report = embed_k_dense(base, 39)
+        assert report.final_m == 39 * (19 - 1) // 2
+        assert is_k_dense(g_prime, range(19), 39)
+        assert report.exchange_moves == ()

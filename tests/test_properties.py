@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from densecolor import (
     Multigraph,
     boundary_colors,
+    can_add_edge,
     chromatic_index,
     density,
     find_k_edge_coloring,
@@ -26,6 +27,8 @@ from densecolor import (
     serialize,
     total_chromatic_number,
 )
+
+from densecolor.embed import _density_violation
 
 from brute import brute_density, count_edges_inside
 
@@ -218,3 +221,26 @@ class TestOracleInvariants:
         assert is_elementary(graph, cert.witness, range(n))
         assert is_strongly_closed(graph, cert.witness, range(n))
         assert math.ceil(rho) == cert.k
+
+
+class TestFeasibilityChecker:
+    @settings(max_examples=60, deadline=None)
+    @given(multigraphs())
+    def test_matches_brute_density(self, graph):
+        # the embedding's one checker, unforced and forced to the new pair,
+        # against recounting every odd set of the graph with the edge added
+        delta = graph.max_degree()
+        for k in range(delta + 1, delta + 5):
+            within = brute_density(graph)[0] <= k
+            for u in range(graph.n):
+                for v in range(u + 1, graph.n):
+                    fits = brute_density(graph.with_edge(u, v))[0] <= k
+                    caps = graph.degrees[u] < k - 1 and graph.degrees[v] < k - 1
+                    assert can_add_edge(graph, u, v, k) == (caps and fits)
+                    violated = _density_violation(graph, k, extra=(u, v))
+                    assert violated == (not fits)
+                    if within:
+                        violated = _density_violation(
+                            graph, k, extra=(u, v), forced=(u, v)
+                        )
+                        assert violated == (not fits)
