@@ -12,16 +12,12 @@ fallback at small n.
 Throughout, feasibility of adding an edge uv means: both endpoint degrees
 stay below k, and no odd vertex set exceeds density k afterwards.  Since
 parallel additions only raise the ratio of sets containing both endpoints,
-the incremental check enumerates just those sets.  One checker,
-``_density_violation``, serves every caller.  It grows a partial set P
-vertex by vertex and drops a branch once even its best completion stays
-within density k: with t(w) the edges from a candidate w into P, any set
-P + R has 2|E(P + R)| <= 2|E(P)| + sum over w in R of (t(w) + d(w)),
-because an edge inside R is counted at both of its ends, each time among
-the d(w) - t(w) edges of that end that do not go into P.  The bound never
-drops a branch that holds a violating set, so the checker's answers, and
-with them the greedy's choices and the host, are those of plain
-enumeration.
+the incremental check looks at just those sets.  Every check, the premise
+check included, is ``_density_violation``: the odd-set walk of
+``oracles._walk_odd_sets`` at threshold k, stopped at its first violating
+set.  The walk's pruning never drops a violating set, so the checker's
+answers, and with them the greedy's choices and the host, are those of
+plain enumeration.
 
 Greedy saturation keeps the host's degrees and pair counts in mutable
 lists, adds each chosen edge in place, and builds the host Multigraph once
@@ -41,7 +37,7 @@ from .errors import (
     InstanceTooLargeError,
 )
 from .multigraph import Multigraph, serialize
-from .oracles import maximal_k_dense_subgraphs
+from .oracles import _walk_odd_sets, maximal_k_dense_subgraphs
 
 __all__ = ["ExchangeMove", "EmbeddingReport", "can_add_edge", "embed_k_dense"]
 
@@ -80,7 +76,8 @@ class EmbeddingReport:
 class _Tally:
     """Degrees and pair counts of a growing host, edited in place.
 
-    Holds the three attributes ``_density_violation`` reads from a
+    Holds the three attributes ``n``, ``degrees`` and ``adjacency_counts``
+    that the odd-set walk behind ``_density_violation`` reads from a
     Multigraph, so greedy saturation adds an edge in O(1) instead of
     rebuilding and re-validating the whole graph.  ``live`` lists, in
     lexicographic order, the vertex pairs not yet found unaddable: edges
@@ -112,60 +109,10 @@ def _density_violation(
 ) -> bool:
     """True when some odd vertex set of size >= 3 (containing ``forced``)
     has 2|E| > k(|S|-1), counting ``extra`` as one additional edge when both
-    its ends lie in the set.
-
-    Reads only ``n``, ``degrees`` and ``adjacency_counts`` of ``graph``;
-    vertices are not range-checked.  The sets are enumerated depth first
-    from the partial set P = ``forced``, adding vertices in index order.  A
-    branch is pruned when no set it can reach violates the bound: for the
-    remaining candidates R and t(w) the edges from w into P,
-
-        2|E(P + R)| <= 2|E(P)| + sum over w in R of (t(w) + d(w)),
-
-    since an edge inside R is counted at both of its ends, each time among
-    the d(w) - t(w) edges of that end that do not go into P.  So
-    2(|E| + extra) - k(|S| - 1) is at most
-    2(|E(P)| + 1) - k(|P| - 1) + sum of (t(w) + d(w) - k) over R, and the
-    branch is dropped when that is <= 0 even with R holding exactly the
-    candidates whose term is positive.
-    """
-    cnt = graph.adjacency_counts
-    deg = graph.degrees
-    forced_set = sorted(set(forced))
-    candidates = [v for v in range(graph.n) if v not in forced_set]
-    to_subset = [sum(row[w] for w in forced_set) for row in cnt]
-    ends = () if extra is None else extra
-    bonus = 0 if extra is None else 1  # exact once both ends are inside
-    last = len(candidates)
-
-    def walk(idx: int, size: int, inner: int, ends_in: int) -> bool:
-        if size >= 3 and size % 2 == 1:
-            if 2 * (inner + (ends_in == 2)) > k * (size - 1):
-                return True
-        if idx == last:
-            return False
-        reach = 2 * (inner + bonus) - k * (size - 1)
-        for i in range(idx, last):
-            w = candidates[i]
-            gain = to_subset[w] + deg[w] - k
-            if gain > 0:
-                reach += gain
-        if reach <= 0:
-            return False
-        for i in range(idx, last):
-            v = candidates[i]
-            row = cnt[v]
-            for j in range(i + 1, last):
-                to_subset[candidates[j]] += row[candidates[j]]
-            hit = walk(i + 1, size + 1, inner + to_subset[v], ends_in + (v in ends))
-            for j in range(i + 1, last):
-                to_subset[candidates[j]] -= row[candidates[j]]
-            if hit:
-                return True
-        return False
-
-    inner0 = sum(to_subset[v] for v in forced_set) // 2
-    return walk(0, len(forced_set), inner0, sum(1 for v in forced_set if v in ends))
+    its ends lie in the set.  Stops the odd-set walk at its first hit."""
+    return _walk_odd_sets(
+        graph, k, 1, 1, lambda subset, edges: None, extra=extra, forced=forced
+    )
 
 
 def can_add_edge(
@@ -214,15 +161,13 @@ def _find_exchange(
     k: int,
     base_edges: tuple[tuple[int, int], ...],
     added: list[tuple[int, int]],
-    seen: set[tuple[tuple[int, int], ...]],
     config: RunConfig,
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None:
     """One accepted exchange move, or None.
 
     Removes a previously added edge (x, y) with both ends outside every
     maximal k-dense set, then adds (x, a) and (y, b) toward deficient
-    vertices; both additions must be feasible and the resulting edge
-    multiset must be unseen.
+    vertices; both additions must be feasible.
     """
     dense_sets = maximal_k_dense_subgraphs(cur, k, config)
     covered: set[int] = set()
@@ -248,12 +193,8 @@ def _find_exchange(
             for b in range(cur.n):
                 if b == y or g2.degrees[b] >= k - 1:
                     continue
-                if not _addable_incremental(g2, y, b, k):
-                    continue
-                outcome = tuple(sorted(trimmed + [(x, a), (y, b)]))
-                if outcome in seen:
-                    continue
-                return e1, (x, a), (y, b)
+                if _addable_incremental(g2, y, b, k):
+                    return e1, (x, a), (y, b)
     return None
 
 
@@ -339,7 +280,6 @@ def embed_k_dense(
     target = k * (work_n - 1)
     added: list[tuple[int, int]] = []
     moves: list[ExchangeMove] = []
-    seen: set[tuple[tuple[int, int], ...]] = {tuple(sorted(added))}
     host = _Tally(start)
 
     while 2 * host.m < target:
@@ -347,10 +287,9 @@ def embed_k_dense(
         if pair is not None:
             added.append(pair)
             host.add(*pair)
-            seen.add(tuple(sorted(added)))
             continue
         cur = Multigraph(work_n, base_edges + tuple(added))
-        move = _find_exchange(cur, k, base_edges, added, seen, config)
+        move = _find_exchange(cur, k, base_edges, added, config)
         if move is None:
             break
         e1, e2, e3 = move
@@ -358,7 +297,6 @@ def embed_k_dense(
         added.extend((e2, e3))
         moves.append(ExchangeMove(e1, (e2, e3)))
         host = _Tally(Multigraph(work_n, base_edges + tuple(added)))
-        seen.add(tuple(sorted(added)))
 
     cur = Multigraph(work_n, base_edges + tuple(added))
     if 2 * cur.m < target:

@@ -6,6 +6,9 @@ by exhaustive backtracking, enumerates k-dense vertex sets, tests edge
 criticality, and cross-checks the density identity chi' = ceil(rho) for
 graphs with chi' > Delta + 1.
 
+Every odd-set question (density, k-dense sets, the embedding's feasibility
+check) goes through one pruned lexicographic walk, ``_walk_odd_sets``.
+
 Every returned number comes with a machine-checkable witness, and every
 "no smaller palette exists" claim is certified by an exhausted search (or by
 a bound that makes the search unnecessary: the max degree or the density).
@@ -15,6 +18,7 @@ Caps and the node budget are explicit errors, never silent truncation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,68 +130,106 @@ class DensityIdentityReport:
         }
 
 
+def _walk_odd_sets(
+    graph,
+    num: int,
+    den: int,
+    slack: int,
+    on_hit: Callable[[list[int], int], tuple[int, int] | None],
+    *,
+    extra: tuple[int, int] | None = None,
+    forced: tuple[int, ...] = (),
+) -> bool:
+    """Report the odd vertex sets whose ratio reaches the threshold num/den.
+
+    Walks the odd sets S, |S| >= 3, that contain ``forced``, adding the
+    other vertices depth first in index order (lexicographic order when
+    nothing is forced).  Let e be the edges inside S, plus one when both
+    ends of ``extra`` lie in S.  S is a hit when
+    den * 2e - num * (|S| - 1) >= ``slack``, and then ``on_hit(S, e)``
+    returns the threshold (num, den) for the rest of the walk, or None to
+    stop it.  Returns True when ``on_hit`` stopped the walk.
+
+    A branch at the partial set P is dropped when no set it reaches can be
+    a hit.  With t(w) the edges from a remaining candidate w into P, any
+    P + R has 2|E(P + R)| <= 2|E(P)| + sum over w in R of (t(w) + d(w)):
+    an edge inside R is counted at both ends, each time among the
+    d(w) - t(w) edges of that end not into P.  So no hit is left when
+    den * 2(|E(P)| + x) - num * (|P| - 1), with x = 1 if ``extra`` is given,
+    plus the positive terms den * (t(w) + d(w)) - num, stays below
+    ``slack``.  Reads only ``n``, ``degrees`` and ``adjacency_counts``;
+    vertices are not range-checked.
+    """
+    cnt = graph.adjacency_counts
+    deg = graph.degrees
+    subset = sorted(set(forced))
+    candidates = [v for v in range(graph.n) if v not in subset]
+    to_subset = [sum(row[w] for w in subset) for row in cnt]
+    ends = () if extra is None else extra
+    bonus = 0 if extra is None else 1  # exact once both ends are inside
+    last = len(candidates)
+
+    def walk(idx: int, size: int, inner: int, ends_in: int) -> bool:
+        nonlocal num, den
+        if size >= 3 and size % 2 == 1:
+            edges = inner + (ends_in == 2)
+            if den * 2 * edges - num * (size - 1) >= slack:
+                threshold = on_hit(subset, edges)
+                if threshold is None:
+                    return True
+                num, den = threshold
+        if idx == last:
+            return False
+        cut = num // den  # den * x > num exactly when x > cut, x integral
+        top, picked = 2 * (inner + bonus), 0
+        for i in range(idx, last):
+            w = candidates[i]
+            x = to_subset[w] + deg[w]
+            if x > cut:
+                top += x
+                picked += 1
+        if den * top - num * (size - 1 + picked) < slack:
+            return False
+        for i in range(idx, last):
+            v = candidates[i]
+            row = cnt[v]
+            for j in range(i + 1, last):
+                to_subset[candidates[j]] += row[candidates[j]]
+            subset.append(v)
+            hit = walk(i + 1, size + 1, inner + to_subset[v], ends_in + (v in ends))
+            subset.pop()
+            for j in range(i + 1, last):
+                to_subset[candidates[j]] -= row[candidates[j]]
+            if hit:
+                return True
+        return False
+
+    inner0 = sum(to_subset[v] for v in subset) // 2
+    return walk(0, len(subset), inner0, sum(1 for v in subset if v in ends))
+
+
 def density(graph: Multigraph, config: RunConfig = DEFAULT_CONFIG) -> DensityWitness:
     """Maximize 2|E(G[S])|/(|S|-1) over odd subsets S with |S| >= 3.
 
-    Depth-first lexicographic enumeration with an admissible completion
-    bound: a partial subset is abandoned when even adding the highest-degree
-    remaining vertices cannot beat the incumbent.  The first maximizer found
-    is kept, which makes the witness the lexicographically smallest one.
+    One lexicographic walk over the odd sets: each set strictly denser than
+    the best so far becomes the best and raises the walk's threshold to its
+    own ratio, so the walk keeps only branches that can still beat it.  A
+    later set of equal ratio is no hit, which makes the witness the
+    lexicographically smallest maximizer.
     """
     n = graph.n
     if n > config.density_max_n:
         raise InstanceTooLargeError(
             f"density enumeration capped at n = {config.density_max_n}, got {n}"
         )
-    if n < 3:
-        return DensityWitness(Fraction(0), None)
-    cnt = graph.adjacency_counts
-    deg = graph.degrees
-    best_num, best_den = 0, 1
-    best: tuple[int, ...] | None = None
-    subset: list[int] = []
-    to_subset = [0] * n  # parallel-edge count from each vertex into the subset
+    best: list = [Fraction(0), None]
 
-    def walk(start: int, inner: int) -> None:
-        nonlocal best_num, best_den, best
-        size = len(subset)
-        if size >= 3 and size % 2 == 1:
-            num, den = 2 * inner, size - 1
-            if num * best_den > best_num * den:
-                best_num, best_den, best = num, den, tuple(subset)
-        if start == n:
-            return
-        pool = sorted((deg[v] for v in range(start, n)), reverse=True)
-        gain = 0
-        promising = False
-        for extra in range(len(pool) + 1):
-            total = size + extra
-            if (
-                total >= 3
-                and total % 2 == 1
-                and 2 * (inner + gain) * best_den > best_num * (total - 1)
-            ):
-                promising = True
-                break
-            if extra < len(pool):
-                gain += pool[extra]
-        if not promising:
-            return
-        for v in range(start, n):
-            added = to_subset[v]
-            subset.append(v)
-            row = cnt[v]
-            for w in range(v + 1, n):
-                to_subset[w] += row[w]
-            walk(v + 1, inner + added)
-            for w in range(v + 1, n):
-                to_subset[w] -= row[w]
-            subset.pop()
+    def beat(subset: list[int], edges: int) -> tuple[int, int]:
+        best[:] = [Fraction(2 * edges, len(subset) - 1), tuple(subset)]
+        return 2 * edges, len(subset) - 1
 
-    walk(0, 0)
-    if best is None:
-        return DensityWitness(Fraction(0), None)
-    return DensityWitness(Fraction(best_num, best_den), best)
+    _walk_odd_sets(graph, 0, 1, 1, beat)
+    return DensityWitness(*best)
 
 
 def is_k_dense(graph: Multigraph, vertices, k: int) -> bool:
@@ -208,50 +250,17 @@ def maximal_k_dense_subgraphs(
         raise InstanceTooLargeError(
             f"k-dense enumeration capped at n = {config.density_max_n}, got {n}"
         )
-    cnt = graph.adjacency_counts
-    deg = graph.degrees
-    found: list[tuple[int, ...]] = []
-    subset: list[int] = []
-    to_subset = [0] * n
+    found: list[frozenset[int]] = []
 
-    def walk(start: int, inner: int) -> None:
-        size = len(subset)
-        if size >= 3 and size % 2 == 1 and 2 * inner == k * (size - 1):
-            found.append(tuple(subset))
-        if start == n:
-            return
-        # completion bound: can any extension still reach density exactly k?
-        pool = sorted((deg[v] for v in range(start, n)), reverse=True)
-        gain = 0
-        reachable = False
-        for extra in range(len(pool) + 1):
-            total = size + extra
-            if total >= 3 and total % 2 == 1 and 2 * (inner + gain) >= k * (total - 1):
-                reachable = True
-                break
-            if extra < len(pool):
-                gain += pool[extra]
-        if not reachable:
-            return
-        for v in range(start, n):
-            added = to_subset[v]
-            subset.append(v)
-            row = cnt[v]
-            for w in range(v + 1, n):
-                to_subset[w] += row[w]
-            walk(v + 1, inner + added)
-            for w in range(v + 1, n):
-                to_subset[w] -= row[w]
-            subset.pop()
+    def collect(subset: list[int], edges: int) -> tuple[int, int]:
+        if 2 * edges == k * (len(subset) - 1):
+            found.append(frozenset(subset))
+        return k, 1
 
-    walk(0, 0)
-    sets = [frozenset(s) for s in found]
-    maximal = [
-        tuple(sorted(s))
-        for s in sets
-        if not any(s < other for other in sets)
-    ]
-    return sorted(set(maximal))
+    _walk_odd_sets(graph, k, 1, 0, collect)
+    return sorted(
+        tuple(sorted(s)) for s in found if not any(s < other for other in found)
+    )
 
 
 def _edge_color_search(

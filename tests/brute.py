@@ -31,6 +31,23 @@ def brute_density(graph: Multigraph) -> tuple[Fraction, tuple[int, ...] | None]:
     return best, witness
 
 
+def brute_smallest_maximizer(graph: Multigraph) -> tuple[int, ...] | None:
+    """The smallest tuple, in Python's tuple order, among the odd sets of
+    maximum density; None when that density is zero."""
+    odd_sets = [
+        subset
+        for size in range(3, graph.n + 1, 2)
+        for subset in combinations(range(graph.n), size)
+    ]
+    value = {
+        s: Fraction(2 * count_edges_inside(graph, s), len(s) - 1) for s in odd_sets
+    }
+    best = max(value.values(), default=Fraction(0))
+    if best == 0:
+        return None
+    return min(s for s in odd_sets if value[s] == best)
+
+
 def _edges_share_endpoint(graph: Multigraph, i: int, j: int) -> bool:
     return bool(set(graph.edges[i]) & set(graph.edges[j]))
 

@@ -171,18 +171,14 @@ class TestExchangeMove:
         # drops one and attaches both ends to deficient triangle vertices
         added = [(3, 4)] * 5
         cur = Multigraph(5, T2.edges + tuple(added))
-        move = _find_exchange(
-            cur, 6, T2.edges, added, {tuple(sorted(added))}, DEFAULT_CONFIG
-        )
+        move = _find_exchange(cur, 6, T2.edges, added, DEFAULT_CONFIG)
         assert move == ((3, 4), (3, 0), (4, 1))
 
     def test_no_move_from_dense_graph(self):
         g_prime, _ = embed_k_dense(fixture("t2-2k1"), 6)
         added = list(g_prime.edges[6:])
         assert (
-            _find_exchange(
-                g_prime, 6, T2.edges, added, {tuple(sorted(added))}, DEFAULT_CONFIG
-            )
+            _find_exchange(g_prime, 6, T2.edges, added, DEFAULT_CONFIG)
             is None
         )
 

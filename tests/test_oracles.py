@@ -30,6 +30,7 @@ from brute import (
     brute_chromatic_index,
     brute_density,
     brute_maximal_k_dense,
+    brute_smallest_maximizer,
     brute_total_chromatic,
 )
 
@@ -288,7 +289,10 @@ class TestRandomizedCrossValidation:
             chi = chromatic_index(g).k
             assert chi == brute_chromatic_index(g)
             assert density(g).value == brute_density(g)[0]
-            for k in (chi, chi + 1):
+            assert density(g).witness == brute_smallest_maximizer(g)
+            # at chi - 1 sets denser than k can exist; none may be reported
+            below = [chi - 1] if chi - 1 >= 1 else []
+            for k in below + [chi, chi + 1]:
                 assert maximal_k_dense_subgraphs(g, k) == brute_maximal_k_dense(g, k)
 
     def test_total_solver_matches_brute_on_seeded_multigraphs(self):
