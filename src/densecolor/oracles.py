@@ -164,7 +164,8 @@ def _walk_odd_sets(
     deg = graph.degrees
     subset = sorted(set(forced))
     candidates = [v for v in range(graph.n) if v not in subset]
-    to_subset = [sum(row[w] for w in subset) for row in cnt]
+    # pair counts are symmetric: sum the forced vertices' own rows
+    to_subset = [sum(col) for col in zip([0] * graph.n, *(cnt[w] for w in subset))]
     ends = () if extra is None else extra
     bonus = 0 if extra is None else 1  # exact once both ends are inside
     last = len(candidates)

@@ -78,6 +78,17 @@ class TestEmbedCommand:
         assert doc["report"]["final_m"] == 12
         assert len(doc["graph"]["edges"]) == 12
 
+    def test_embed_json_reports_exchange_move(self):
+        result = run_cli(
+            "embed", "--format", "json", stdin=serialize(fixture("2k1-t2"))
+        )
+        assert result.returncode == 0
+        report = json.loads(result.stdout)["report"]
+        assert report["exchange_moves"] == [
+            {"removed": [0, 1], "added": [[0, 2], [1, 3]]}
+        ]
+        assert report["final_m"] == 12
+
 
 class TestTotalizeCommand:
     def test_success(self):

@@ -1,3 +1,6 @@
+import random
+from math import ceil
+
 import pytest
 
 from densecolor import (
@@ -12,15 +15,12 @@ from densecolor import (
     find_k_edge_coloring,
     fixture,
     gen_fat_cycle,
+    gen_random_multigraph,
     is_k_dense,
     is_proper_edge_coloring,
 )
 from densecolor.config import DEFAULT_CONFIG
-from densecolor.embed import (
-    _density_violation,
-    _exact_max_augmentation,
-    _find_exchange,
-)
+from densecolor.embed import ExchangeMove, _find_exchange
 
 from brute import brute_density
 
@@ -182,46 +182,86 @@ class TestExchangeMove:
             is None
         )
 
+    def test_no_move_when_every_added_edge_touches_a_dense_set(self):
+        # three 10-dense triangles on 9 vertices: the second and third are
+        # full and joined by 7 edges, three of them added; every pair is
+        # blocked and every added edge has an end in a 10-dense set
+        def triangle(o):
+            return ((o, o + 1),) * 3 + ((o + 1, o + 2),) * 3 + ((o, o + 2),) * 4
 
-class TestExactFallback:
-    def test_reaches_dense_count(self):
-        start = Multigraph(5, T2.edges)
-        adds, best_m = _exact_max_augmentation(start, 6, 24)
-        assert best_m == 12
-        result = Multigraph(5, T2.edges + tuple(adds))
-        assert is_k_dense(result, range(5), 6)
-        assert not _density_violation(result, 6)
-
-    def test_reports_true_maximum_when_short(self):
-        adds, best_m = _exact_max_augmentation(T2, 6, 14)
-        assert adds == [] and best_m == 6
-
-    def test_fallback_wiring(self, monkeypatch):
-        import densecolor.embed as embed_mod
-        from densecolor import RunConfig, InstanceTooLargeError
-
-        # with both heuristics disabled the exact search does all the work
-        monkeypatch.setattr(embed_mod, "_cheapest_addable_pair", lambda cur, k: None)
-        monkeypatch.setattr(embed_mod, "_find_exchange", lambda *a, **kw: None)
-        g = fixture("t2-2k1")
-        g_prime, report = embed_k_dense(g, 6)
-        assert is_k_dense(g_prime, range(5), 6) and report.final_m == 12
-        assert chromatic_index(g_prime).k == 6
-        assert report.exchange_moves == ()
-        with pytest.raises(InstanceTooLargeError):
-            embed_k_dense(g, 6, RunConfig(embed_exact_max_n=3))
-
-    def test_shortfall_emits_certificate(self, monkeypatch):
-        import densecolor.embed as embed_mod
-
-        monkeypatch.setattr(embed_mod, "_cheapest_addable_pair", lambda cur, k: None)
-        monkeypatch.setattr(embed_mod, "_find_exchange", lambda *a, **kw: None)
-        monkeypatch.setattr(
-            embed_mod, "_exact_max_augmentation", lambda base, k, t: ([], base.m)
+        joins = ((3, 6), (4, 7), (4, 7), (5, 8))
+        base = triangle(0) + triangle(3) + triangle(6) + joins
+        added = [(3, 6), (4, 7), (5, 8)]
+        host = Multigraph(9, base + tuple(added))
+        assert density(host).value == 10 and host.max_degree() == 9
+        assert host.m < 10 * 8 // 2
+        assert not any(
+            can_add_edge(host, u, v, 10) for u in range(9) for v in range(u + 1, 9)
         )
+        assert _find_exchange(host, 10, base, added, DEFAULT_CONFIG) is None
+
+
+class TestShortfall:
+    @pytest.mark.parametrize(
+        "graph,k,header",
+        [
+            (fixture("t2-2k1"), 6, "p multigraph 5 6"),
+            (Multigraph(13, T2.edges), 14, "p multigraph 13 "),
+        ],
+        ids=["n5", "n13"],
+    )
+    def test_shortfall_emits_certificate(self, monkeypatch, graph, k, header):
+        import densecolor.embed as embed_mod
+
+        # a stall is the same guarantee violation at every n
+        monkeypatch.setattr(embed_mod, "_cheapest_addable_pair", lambda cur, k: None)
+        monkeypatch.setattr(embed_mod, "_find_exchange", lambda *a, **kw: None)
         with pytest.raises(GuaranteeViolationError, match="saturation") as info:
-            embed_k_dense(fixture("t2-2k1"), 6)
-        assert info.value.certificate.startswith("p multigraph 5 6")
+            embed_k_dense(graph, k)
+        assert info.value.certificate.startswith(header)
+
+
+def displaced_core(rng):
+    """A random core on 3-6 vertices placed on random ids of an n-vertex
+    graph, with k = max(Delta, ceil rho) meeting the embedding hypothesis
+    and n <= 11."""
+    while True:
+        c = rng.randint(3, 6)
+        m = rng.randint(c, (c - 1) * 13 // 2 + c)
+        cap = rng.randint(2, m)
+        if m > cap * c * (c - 1) // 2:
+            continue
+        core = gen_random_multigraph(c, m, cap, rng.getrandbits(32))
+        delta = core.max_degree()
+        k = max(delta, ceil(density(core).value))
+        if k < max(delta + 2, c + 1):
+            continue
+        n = rng.randint(c, min(11, k - 1))
+        ids = rng.sample(range(n), c)
+        return Multigraph(n, tuple((ids[u], ids[v]) for u, v in core.edges)), k
+
+
+class TestStalls:
+    def test_pinned_stall_needs_one_exchange(self):
+        g = fixture("2k1-t2")
+        g_prime, report = embed_k_dense(g, 6)
+        assert report.exchange_moves == (ExchangeMove((0, 1), ((0, 2), (1, 3))),)
+        assert report.added_edges == ((0, 1),) * 4 + ((0, 2), (1, 3))
+        assert report.final_m == 12
+        assert is_k_dense(g_prime, range(5), 6)
+
+    def test_displaced_core_sweep(self):
+        # about 3 % of these embeddings stall in greedy saturation; each
+        # stall must be finished by exchange moves
+        rng = random.Random(4)
+        moves = 0
+        for _ in range(500):
+            g, k = displaced_core(rng)
+            g_prime, report = embed_k_dense(g, k)
+            assert g_prime.edges[: g.m] == g.edges
+            assert is_k_dense(g_prime, range(g_prime.n), k)
+            moves += len(report.exchange_moves)
+        assert moves >= 1
 
 
 class TestLargeHost:

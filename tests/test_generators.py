@@ -77,6 +77,7 @@ class TestFixtures:
             "t2-k1": (4, 6),
             "t2-2k1": (5, 6),
             "t2-t2": (6, 12),
+            "2k1-t2": (5, 6),
         }
         assert set(expectations) == set(fixture_names())
         for name, (n, m) in expectations.items():

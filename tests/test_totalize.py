@@ -149,6 +149,13 @@ class TestTotalize:
         assert is_proper_total_coloring(g, cert.coloring)
         assert brute_total_chromatic(g) == 6
 
+    def test_host_finished_by_exchange_move(self):
+        g = fixture("2k1-t2")
+        cert = totalize(g)
+        assert cert.k == 6
+        assert is_proper_total_coloring(g, cert.coloring)
+        assert len(cert.pipeline.embedding.exchange_moves) == 1
+
     def test_vertex_colors_come_from_host_missing_sets(self):
         g = fixture("t2-k1")
         cert = totalize(g)
