@@ -1,14 +1,16 @@
 """Embed a qualifying multigraph into a k-dense supergraph.
 
-Given chi'(G) = k >= max(Delta(G)+2, n+1), constructs a supergraph G' on an
-odd vertex count with exactly k(n'-1)/2 edges, maximum degree at most k-1
-and density at most k, keeping G's vertex and edge ids as a prefix; the
-caller's k-edge-coloring of G' settles chi'(G') = k.  The construction has
-one path: a parity vertex when n is even, greedy saturation, and exchange
-moves when greedy is stuck (drop one previously added edge whose ends
-avoid every maximal k-dense set, add two edges toward deficient vertices).
-A host that neither step can extend raises ``GuaranteeViolationError``
-with that host as certificate, at every n.
+Given k >= max(Delta(G)+2, n+1) with density(G) <= k (the theorem's k is
+chi'(G)), constructs a supergraph G' on an odd vertex count with exactly
+k(n'-1)/2 edges, maximum degree at most k-1 and density at most k, keeping
+G's vertex and edge ids as a prefix.  A k-edge-coloring of G', found by
+the caller, settles chi'(G') = chi'(G) = k whenever k is a lower bound on
+chi'(G).  The construction has one path: a parity vertex when n is even,
+greedy saturation, and exchange moves when greedy is stuck (drop one
+previously added edge whose ends avoid every maximal k-dense set, add two
+edges toward deficient vertices).  A host that neither step can extend
+raises ``GuaranteeViolationError`` with that host as certificate, at
+every n.
 
 Throughout, feasibility of adding an edge uv means: both endpoint degrees
 stay below k, and no odd vertex set exceeds density k afterwards.  Since
@@ -211,8 +213,8 @@ def embed_k_dense(
 ) -> tuple[Multigraph, EmbeddingReport]:
     """Construct a k-dense supergraph of ``graph`` with maximum degree < k.
 
-    Requires chi'(graph) = k (caller-certified) and
-    k >= max(Delta + 2, n + 1).  Steps:
+    Checks k >= max(Delta + 2, n + 1) and density(graph) <= k; the caller's
+    k is otherwise taken as given.  Steps:
 
     1. If n is even, append one isolated vertex (highest index).
     2. Greedily add the cheapest feasible edge until 2m = k(n-1) or stuck.

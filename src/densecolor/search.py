@@ -10,7 +10,6 @@ counterexample certificate carrying the graph and both exact certificates.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .coloring import is_proper_edge_coloring, is_proper_total_coloring
@@ -142,7 +141,7 @@ def _evaluate(
         )
         return rec, cert
     try:
-        _totalize_with(graph, chi_cert, config)
+        _totalize_with(graph, k, config)
     except HypothesisNotMetError as exc:
         rec = InstanceRecord(
             name, graph.n, graph.m, delta, k, None, "skipped", "totalize",
@@ -174,6 +173,10 @@ def search_goldberg(
     """
     items = [(name, graph, config) for name, graph in instances]
     if jobs > 1:
+        # imported here so that ``import densecolor`` stays free of
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_evaluate, items))
     else:

@@ -1,16 +1,26 @@
 """Total-coloring extension, restriction, and the certification pipeline.
 
-The pipeline computes k = chi'(G) exactly, checks the hypothesis
+The pipeline settles k = chi'(G), checks the hypothesis
 k >= max(Delta+2, n+1), embeds G into a k-dense supergraph G', k-edge-colors
-G' (G is a subgraph, so this also settles chi'(G') = k), extends that
-coloring to a total k-coloring by giving each vertex its smallest missing
-color (the k-dense structure makes the missing sets pairwise disjoint), and
-restricts back to G.  The extension and the restriction verify their
-output, so the result witnesses chi''(G) = chi'(G) = k.
+G', extends that coloring to a total k-coloring by giving each vertex its
+smallest missing color (the k-dense structure makes the missing sets
+pairwise disjoint), and restricts back to G.  The extension and the
+restriction verify their output, so the result witnesses
+chi''(G) = chi'(G) = k.
+
+chi'(G) comes from the host coloring whenever it can.  L = max(Delta,
+ceil(rho)) is a lower bound on chi'(G), and G is a subgraph of G', so a
+found L-edge-coloring of G' restricts to an L-edge-coloring of G and
+certifies chi'(G) = chi'(G') = L.  When L meets the hypothesis the pipeline
+runs at k = L without any chi'(G) search.  Otherwise (n above
+``density_max_n``, or L below the hypothesis) the exact ``chromatic_index``
+search runs first, so ``HypothesisNotMetError`` carries the exact chi'(G)
+and no answer rests on Goldberg-Seymour alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +37,8 @@ from .embed import EmbeddingReport, embed_k_dense
 from .errors import GuaranteeViolationError, HypothesisNotMetError
 from .multigraph import Multigraph, serialize
 from .oracles import (
-    ChromaticCertificate,
     chromatic_index,
+    density,
     find_k_edge_coloring,
     is_edge_critical,
     is_k_dense,
@@ -153,20 +163,31 @@ def totalize(
 ) -> TotalizeCertificate:
     """Produce a verified total chi'(G)-coloring of G via dense embedding.
 
+    chi'(G) is certified by the lower bound L = max(Delta, ceil(rho)) plus
+    the host's L-edge-coloring restricted to G whenever n <= density_max_n
+    and L >= max(Delta+2, n+1); only then is the exact chi'(G) search, with
+    its ``chi_index_max_edges`` cap, skipped.  Every other input runs
+    ``chromatic_index`` first.
+
     Raises HypothesisNotMetError when chi'(G) < max(Delta+2, n+1), and
     GuaranteeViolationError, carrying the host, when no k-edge-coloring of
     the host is found; all oracle and embedding errors propagate.
     """
-    return _totalize_with(graph, chromatic_index(graph, config), config)
+    delta = graph.max_degree()
+    if graph.n <= config.density_max_n:
+        lower = max(delta, math.ceil(density(graph, config).value))
+        if lower >= max(delta + 2, graph.n + 1):
+            return _totalize_with(graph, lower, config)
+    return _totalize_with(graph, chromatic_index(graph, config).k, config)
 
 
 def _totalize_with(
-    graph: Multigraph, cert: ChromaticCertificate, config: RunConfig
+    graph: Multigraph, k: int, config: RunConfig
 ) -> TotalizeCertificate:
-    """``totalize`` after its first step: ``cert`` is the caller's
-    certificate of chi'(graph), so a caller that already holds one does not
-    pay for the search twice."""
-    k = cert.k
+    """``totalize`` after its first step: ``k`` is chi'(graph) as settled by
+    the caller, or a proved lower bound on it that the host coloring then
+    attains, so a caller that already holds chi' does not pay for the
+    search twice."""
     delta_plus_2 = graph.max_degree() + 2
     n_plus_1 = graph.n + 1
     if k < max(delta_plus_2, n_plus_1):

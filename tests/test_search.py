@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
+import densecolor
 from densecolor import (
     Multigraph,
     cycle,
@@ -85,3 +89,22 @@ class TestViolationPlumbing:
         assert cert.graph_text.startswith("p multigraph 3 9")
         assert cert.chi_prime_doc["k"] == 9
         assert cert.chi_total_doc["k"] == 10
+
+
+class TestImport:
+    def test_package_import_leaves_multiprocessing_unloaded(self):
+        # the process pool of ``jobs > 1`` is imported only when used
+        src = os.path.dirname(os.path.dirname(densecolor.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, densecolor; print('multiprocessing' in sys.modules)",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from densecolor import (
     EdgeColoring,
     GuaranteeViolationError,
     HypothesisNotMetError,
+    InstanceTooLargeError,
     Multigraph,
     RunConfig,
     TotalColoring,
@@ -14,6 +17,7 @@ from densecolor import (
     corollary_applicable,
     corollary_inequality,
     cycle,
+    density,
     extend_to_total,
     fixture,
     gen_fat_cycle,
@@ -26,7 +30,9 @@ from densecolor import (
     totalize,
 )
 
-from brute import brute_total_chromatic
+from densecolor.totalize import _totalize_with
+
+from brute import brute_chromatic_index, brute_total_chromatic
 
 T2 = gen_fat_cycle(3, 2)
 C5 = cycle(5)
@@ -185,17 +191,62 @@ class TestTotalize:
         assert is_proper_total_coloring(g, cert.coloring)
 
     @pytest.mark.parametrize(
-        "graph",
-        [Multigraph(5, complete(5).edges * 4), gen_fat_cycle(5, 8)],
-        ids=["k5x4", "fat-c5-m8"],
+        ("graph", "k"),
+        [
+            (Multigraph(5, complete(5).edges * 4), 20),
+            (gen_fat_cycle(5, 8), 20),
+            (Multigraph(9, gen_fat_cycle(5, 7).edges), 18),
+            (Multigraph(11, gen_fat_cycle(5, 8).edges), 20),
+        ],
+        ids=["k5x4", "fat-c5-m8", "fat-c5-m7-n9", "fat-c5-m8-n11"],
     )
-    def test_dense_input_within_small_budget(self, graph):
-        # already 20-dense: chi'(G) and the host coloring both go through
-        # the class-by-class search, where edge-at-a-time backtracking
-        # spends hundreds of thousands of nodes
+    def test_dense_input_within_small_budget(self, graph, k):
+        # the first two are already k-dense, so the host is G itself and the
+        # class-by-class search colors it; the padded ones are not k-dense,
+        # and an exact chi'(G) search would backtrack edge at a time through
+        # tens of thousands of nodes before the host is even built
         cert = totalize(graph, RunConfig(node_budget=10_000))
-        assert cert.k == 20
+        assert cert.k == k
         assert is_proper_total_coloring(graph, cert.coloring)
+
+    def test_in_hypothesis_beyond_chi_index_cap(self):
+        # m = 49 > chi_index_max_edges, but L = ceil(rho) = 17 meets the
+        # hypothesis, so the host's 17-coloring certifies chi'(G) = 17
+        g = gen_fat_cycle(7, 7)
+        cert = totalize(g)
+        assert cert.k == 17
+        assert is_proper_total_coloring(g, cert.coloring)
+        with pytest.raises(InstanceTooLargeError):
+            chromatic_index(g)
+
+    def test_host_route_matches_exact_chi_prime(self):
+        # random 3-4 vertex multigraphs on which L = max(Delta, ceil(rho))
+        # meets the hypothesis: the host route gives the same certificate
+        # as the pipeline run at the exact chi'(G)
+        rng = random.Random(11)
+        config = RunConfig()
+        checked = brute_checked = 0
+        while checked < 100:
+            n = rng.choice((3, 4))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = tuple(
+                pair for pair in pairs for _ in range(rng.randint(0, 3))
+            )
+            g = Multigraph(n, edges)
+            delta = g.max_degree()
+            lower = max(delta, math.ceil(density(g).value))
+            if lower < max(delta + 2, n + 1):
+                continue
+            checked += 1
+            cert = totalize(g, config)
+            exact = _totalize_with(g, chromatic_index(g, config).k, config)
+            assert cert.to_doc(include_witness=True) == exact.to_doc(
+                include_witness=True
+            )
+            if g.m <= 7:
+                brute_checked += 1
+                assert cert.k == brute_chromatic_index(g)
+        assert brute_checked >= 20
 
     def test_matches_exhaustive_total_oracle(self):
         for name in ("t2", "t2-k1", "t2-2k1"):
