@@ -4,7 +4,8 @@ Graphs are read from a file path (or standard input with ``-``) in the
 line-oriented text format.  Output is human-readable text by default;
 ``--format json`` switches to the structured documents.  Exit codes:
 0 success, 1 failed verification, 2 hypothesis not met, 3 instance too
-large or budget exhausted, 4 input error, 5 internal guarantee violation.
+large or budget exhausted, 4 input error (usage errors included), 5 internal
+guarantee violation.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return DEFAULT_CONFIG.with_overrides(
         density_max_n=getattr(args, "max_n", None),
         node_budget=getattr(args, "budget", None),
-        seed=getattr(args, "seed", None),
     )
 
 
@@ -276,7 +276,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.random_count:
         import random as _random
 
-        rng = _random.Random(config.seed)
+        rng = _random.Random(args.seed)
         for i in range(args.random_count):
             n = rng.randint(2, args.random_n)
             cap = rng.randint(1, args.random_mult_cap)
@@ -318,42 +318,59 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    sub.add_argument("--max-n", type=int, default=None, help="subset-enumeration cap")
-    sub.add_argument("--budget", type=int, default=None, help="search-node budget")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the input-error code; argparse's own 2 is
+    this tool's "hypothesis not met"."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+# each subcommand takes only the settings it reads
+_SETTINGS = {
+    "--max-n": {"type": int, "default": None, "help": "subset-enumeration cap"},
+    "--budget": {"type": int, "default": None, "help": "search-node budget"},
+    "--seed": {"type": int, "default": 0, "help": "64-bit RNG seed"},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="densecolor",
         description="Exact density, chromatic-index and total-coloring "
         "toolkit for loopless multigraphs.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, graph_arg: bool = True):
+    def add(name: str, handler, help_text: str, *settings: str, graph_arg=True):
         sub = subs.add_parser(name, help=help_text)
         if graph_arg:
             sub.add_argument(
                 "graph", nargs="?", default="-", help="graph file (default: stdin)"
             )
-        _add_common(sub)
+        sub.add_argument("--format", choices=("text", "json"), default="text")
+        for flag in settings:
+            sub.add_argument(flag, **_SETTINGS[flag])
         sub.set_defaults(handler=handler)
         return sub
 
-    add("density", cmd_density, "exact density with a maximizing odd vertex set")
-    add("chi-index", cmd_chi_index, "exact chromatic index with witness coloring")
-    add("chi-total", cmd_chi_total, "exact total chromatic number with witness")
-    add("embed", cmd_embed, "embed into a chi'-dense supergraph")
-    tot = add("totalize", cmd_totalize, "verified total chi'-coloring via embedding")
+    add("density", cmd_density, "exact density with a maximizing odd vertex set",
+        "--max-n")
+    add("chi-index", cmd_chi_index, "exact chromatic index with witness coloring",
+        "--max-n", "--budget")
+    add("chi-total", cmd_chi_total, "exact total chromatic number with witness",
+        "--budget")
+    add("embed", cmd_embed, "embed into a chi'-dense supergraph", "--max-n", "--budget")
+    tot = add("totalize", cmd_totalize, "verified total chi'-coloring via embedding",
+              "--max-n", "--budget")
     tot.add_argument(
         "--witness", action="store_true", help="also emit the host graph and its coloring"
     )
     ver = add("verify", cmd_verify, "re-verify a coloring document against a graph")
     ver.add_argument("coloring", help="coloring document (JSON)")
-    gen = add("gen", cmd_gen, "emit a corpus or generated graph", graph_arg=False)
+    gen = add("gen", cmd_gen, "emit a corpus or generated graph", "--seed",
+              graph_arg=False)
     gen.add_argument("--fixture", help="named corpus graph")
     gen.add_argument("--list-fixtures", action="store_true")
     gen.add_argument(
@@ -362,7 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--random", nargs=3, type=int, metavar=("N", "M", "MULT_CAP"), default=None
     )
-    sea = add("search", cmd_search, "scan instances for chi' >= Delta+3 and check chi'' = chi'", graph_arg=False)
+    sea = add("search", cmd_search,
+              "scan instances for chi' >= Delta+3 and check chi'' = chi'",
+              "--max-n", "--budget", "--seed", graph_arg=False)
     sea.add_argument("--corpus", default=None, help="graph file or directory")
     sea.add_argument("--fixtures", action="store_true", help="include the named fixtures")
     sea.add_argument(

@@ -148,21 +148,17 @@ def is_proper_total_coloring(graph: Multigraph, psi: TotalColoring) -> bool:
     return True
 
 
-def _require_proper(graph: Multigraph, phi: EdgeColoring, check: bool) -> None:
-    if check and not is_proper_edge_coloring(graph, phi):
-        raise ValueError("edge coloring is not proper (pass check_proper=False to trust it)")
+def _require_proper(graph: Multigraph, phi: EdgeColoring) -> None:
+    if not is_proper_edge_coloring(graph, phi):
+        raise ValueError("edge coloring is not proper")
 
 
 def is_elementary(
-    graph: Multigraph,
-    phi: EdgeColoring,
-    vertices: Iterable[int],
-    *,
-    check_proper: bool = True,
+    graph: Multigraph, phi: EdgeColoring, vertices: Iterable[int]
 ) -> bool:
     """True when the missing-color sets of distinct vertices in the set are
     pairwise disjoint."""
-    _require_proper(graph, phi, check_proper)
+    _require_proper(graph, phi)
     seen: set[int] = set()
     for v in sorted(graph._vertex_set(vertices)):
         miss = missing_colors(graph, phi, v)
@@ -173,33 +169,25 @@ def is_elementary(
 
 
 def is_closed(
-    graph: Multigraph,
-    phi: EdgeColoring,
-    vertices: Iterable[int],
-    *,
-    check_proper: bool = True,
+    graph: Multigraph, phi: EdgeColoring, vertices: Iterable[int]
 ) -> bool:
     """True when no color missing inside the set appears on its boundary."""
-    _require_proper(graph, phi, check_proper)
+    _require_proper(graph, phi)
     inside = graph._vertex_set(vertices)
     return not (missing_union(graph, phi, inside) & boundary_colors(graph, phi, inside))
 
 
 def is_strongly_closed(
-    graph: Multigraph,
-    phi: EdgeColoring,
-    vertices: Iterable[int],
-    *,
-    check_proper: bool = True,
+    graph: Multigraph, phi: EdgeColoring, vertices: Iterable[int]
 ) -> bool:
     """Closed, and additionally no color repeats on the boundary."""
-    _require_proper(graph, phi, check_proper)
+    _require_proper(graph, phi)
     inside = graph._vertex_set(vertices)
-    if not is_closed(graph, phi, inside, check_proper=False):
-        return False
-    boundary = sorted(graph.boundary_edges(inside))
-    colors = [phi.colors[eid] for eid in boundary]
-    return len(colors) == len(set(colors))
+    colors = [phi.colors[eid] for eid in graph.boundary_edges(inside)]
+    distinct = set(colors)
+    return len(colors) == len(distinct) and not distinct & missing_union(
+        graph, phi, inside
+    )
 
 
 def permute_colors(

@@ -1,4 +1,4 @@
-"""Run configuration: enumeration caps, search budget, seed.
+"""Run configuration: enumeration caps and the search budget.
 
 Every cap is enforced with an explicit error; no oracle ever degrades to an
 approximate answer when an instance is too large.
@@ -15,7 +15,6 @@ class RunConfig:
     chi_index_max_edges: int = 40    # exact chromatic-index cap
     total_max_elements: int = 24     # exact total-coloring cap (n + m)
     node_budget: int = 5_000_000     # backtracking nodes per oracle call
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in (

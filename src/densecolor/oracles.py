@@ -264,6 +264,17 @@ def maximal_k_dense_subgraphs(
     )
 
 
+def _parallel_pred(edges) -> list[int]:
+    """For each edge id, the largest smaller id on the same pair, or -1."""
+    last: dict[tuple[int, int], int] = {}
+    pred = [-1] * len(edges)
+    for e, (u, v) in enumerate(edges):
+        key = (u, v) if u < v else (v, u)
+        pred[e] = last.get(key, -1)
+        last[key] = e
+    return pred
+
+
 def _edge_color_search(
     graph: Multigraph, k: int, budget: _Budget
 ) -> list[int] | None:
@@ -275,8 +286,8 @@ def _edge_color_search(
     already in use (symmetry breaking).  Parallel edges are interchangeable,
     so colors are additionally forced ascending along each parallel class
     (every proper coloring canonicalizes into this form).  A branch is cut
-    when some vertex has fewer free colors than uncolored incident edges,
-    or some uncolored edge has no color free at both ends.
+    when an uncolored edge has no color free at both ends; with deg <= k and
+    distinct colors at each vertex, no vertex runs short of free colors.
     """
     m = graph.m
     if m == 0:
@@ -293,22 +304,13 @@ def _edge_color_search(
         return (-(deg[u] + deg[v]), lo, hi, e)
 
     order = sorted(range(m), key=rank)
-    last_parallel: dict[tuple[int, int], int] = {}
-    parallel_pred = [-1] * m
-    for e, (u, v) in enumerate(edges):
-        key = (u, v) if u < v else (v, u)
-        if key in last_parallel:
-            parallel_pred[e] = last_parallel[key]
-        last_parallel[key] = e
+    parallel_pred = _parallel_pred(edges)
     full = (1 << k) - 1
     vertex_mask = [0] * graph.n
-    uncolored_at = list(deg)
     assign = [0] * m
 
     def forward_ok(u: int, v: int) -> bool:
         for w in (u, v):
-            if k - vertex_mask[w].bit_count() < uncolored_at[w]:
-                return False
             for eid in incidence[w]:
                 if assign[eid] == 0:
                     a, b = edges[eid]
@@ -325,7 +327,7 @@ def _edge_color_search(
         cap = used + 1 if used < k else k
         avail = ~(vertex_mask[u] | vertex_mask[v]) & ((1 << cap) - 1)
         pred = parallel_pred[e]
-        if pred >= 0 and assign[pred]:
+        if pred >= 0:
             avail &= ~((1 << assign[pred]) - 1)  # ascending within the class
         while avail:
             bit = avail & -avail
@@ -333,15 +335,11 @@ def _edge_color_search(
             assign[e] = bit.bit_length()
             vertex_mask[u] |= bit
             vertex_mask[v] |= bit
-            uncolored_at[u] -= 1
-            uncolored_at[v] -= 1
             if forward_ok(u, v) and extend(pos + 1, max(used, assign[e])):
                 return True
             assign[e] = 0
             vertex_mask[u] ^= bit
             vertex_mask[v] ^= bit
-            uncolored_at[u] += 1
-            uncolored_at[v] += 1
         return False
 
     return assign if extend(0, 0) else None
@@ -403,28 +401,22 @@ def _dense_class_search(
     near-perfect matching of exactly (n-1)/2 edges.  Classes are
     interchangeable, so each class is anchored at the smallest edge not yet
     assigned; members are added in ascending id order, and an edge stands
-    aside while an unassigned parallel twin with a smaller id exists.
-    Every proper coloring canonicalizes into this form by relabeling
-    classes and swapping parallel twins, so the search is exhaustive.
+    aside while its parallel predecessor is unassigned (the assigned twins
+    of a pair form an id prefix: anchors are the smallest unassigned id and
+    undo is LIFO).  Every proper coloring canonicalizes into this form by
+    relabeling classes and swapping twins, so the search is exhaustive.
+    After c classes, un_deg[v] <= k - c (checked at c = 0 and at each class
+    boundary); as un_deg[v] = deg(v) - c + a when a of them missed v, this
+    caps a at k - deg(v), as any k-coloring must.
     """
     n, m = graph.n, graph.m
     size = (n - 1) // 2
     edges = graph.edges
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    twin_before: list[list[int]] = []
-    for e, (u, v) in enumerate(edges):
-        key = (u, v) if u < v else (v, u)
-        twin_before.append(list(by_pair.get(key, ())))
-        by_pair.setdefault(key, []).append(e)
-    assign = [0] * m
-    # counting invariants: each of the k classes covers a vertex at most
-    # once and misses exactly one, so v is missed by exactly k - deg(v)
-    # classes and its unassigned edges must fit into the classes left
+    parallel_pred = _parallel_pred(edges)
     un_deg = list(graph.degrees)
-    miss_left = [k - d for d in graph.degrees]
-    if any(x < 0 for x in miss_left):
+    if max(un_deg) > k:
         return None
-    full_cover = (1 << n) - 1
+    assign = [0] * m
 
     def take(e: int, color: int) -> None:
         assign[e] = color
@@ -455,19 +447,8 @@ def _dense_class_search(
     def grow(color: int, anchor: int, nxt: int, covered: int, count: int) -> bool:
         budget.spend()
         if count == size:
-            missed = (full_cover ^ covered).bit_length() - 1
-            if miss_left[missed] == 0:
-                return False
-            remaining = k - color
-            for v in range(n):
-                if un_deg[v] > remaining:
-                    return False
-            miss_left[missed] -= 1
             # everything below the anchor is already assigned
-            if build_class(color + 1, anchor + 1):
-                return True
-            miss_left[missed] += 1
-            return False
+            return max(un_deg) <= k - color and build_class(color + 1, anchor + 1)
         exhausted = 0
         for v in range(n):
             if not (covered >> v) & 1 and un_deg[v] == 0:
@@ -480,7 +461,8 @@ def _dense_class_search(
             u, v = edges[e]
             if (covered >> u) & 1 or (covered >> v) & 1:
                 continue
-            if any(not assign[f] for f in twin_before[e]):
+            pred = parallel_pred[e]
+            if pred >= 0 and not assign[pred]:
                 continue
             take(e, color)
             if grow(color, anchor, e + 1, covered | (1 << u) | (1 << v), count + 1):
@@ -551,7 +533,6 @@ def _conflict_color_search(
         return None
     full = (1 << k) - 1
     forbidden = [0] * count
-    colored = [False] * count
     assign = [0] * count
 
     def extend(pos: int, used: int) -> bool:
@@ -565,11 +546,10 @@ def _conflict_color_search(
             bit = avail & -avail
             avail -= bit
             assign[i] = bit.bit_length()
-            colored[i] = True
             touched = []
             dead = False
             for j in neighbors[i]:
-                if not colored[j] and not forbidden[j] & bit:
+                if assign[j] == 0 and not forbidden[j] & bit:
                     forbidden[j] |= bit
                     touched.append(j)
                     if forbidden[j] == full:
@@ -578,7 +558,6 @@ def _conflict_color_search(
                 return True
             for j in touched:
                 forbidden[j] ^= bit
-            colored[i] = False
             assign[i] = 0
         return False
 

@@ -34,7 +34,7 @@ from .coloring import (
 )
 from .config import DEFAULT_CONFIG, RunConfig
 from .embed import EmbeddingReport, embed_k_dense
-from .errors import GuaranteeViolationError, HypothesisNotMetError
+from .errors import GuaranteeViolationError
 from .multigraph import Multigraph, serialize
 from .oracles import (
     chromatic_index,
@@ -187,11 +187,8 @@ def _totalize_with(
     """``totalize`` after its first step: ``k`` is chi'(graph) as settled by
     the caller, or a proved lower bound on it that the host coloring then
     attains, so a caller that already holds chi' does not pay for the
-    search twice."""
-    delta_plus_2 = graph.max_degree() + 2
-    n_plus_1 = graph.n + 1
-    if k < max(delta_plus_2, n_plus_1):
-        raise HypothesisNotMetError(k, delta_plus_2, n_plus_1)
+    search twice.  ``embed_k_dense`` raises ``HypothesisNotMetError`` when k
+    is below max(Delta+2, n+1)."""
     g_prime, report = embed_k_dense(graph, k, config)
     phi = find_k_edge_coloring(g_prime, k, config)
     if phi is None:
@@ -204,8 +201,8 @@ def _totalize_with(
     psi = restrict_total(g_prime, psi_prime, graph)
     record = PipelineRecord(
         chi_prime=k,
-        hypothesis_delta_plus_2=delta_plus_2,
-        hypothesis_n_plus_1=n_plus_1,
+        hypothesis_delta_plus_2=graph.max_degree() + 2,
+        hypothesis_n_plus_1=graph.n + 1,
         embedding=report,
     )
     return TotalizeCertificate(k, psi, record, g_prime, phi)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from densecolor import (
     coloring_from_doc,
     coloring_to_doc,
@@ -227,3 +229,74 @@ class TestMainFunction:
     def test_input_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.mg"
         assert main(["density", str(missing)]) == 4
+
+
+# every (subcommand, setting) pair where the subcommand reads no such setting
+UNREAD_SETTINGS = [
+    ("density", "--seed"),
+    ("chi-index", "--seed"),
+    ("chi-total", "--seed"),
+    ("embed", "--seed"),
+    ("totalize", "--seed"),
+    ("verify", "--seed"),
+    ("density", "--budget"),
+    ("verify", "--budget"),
+    ("gen", "--budget"),
+    ("chi-total", "--max-n"),
+    ("verify", "--max-n"),
+    ("gen", "--max-n"),
+]
+
+
+class TestSettingsFlags:
+    @staticmethod
+    def _valid_args(command: str, tmp_path) -> list[str]:
+        if command == "gen":
+            return ["gen", "--fixture", "t2"]
+        graph_path = tmp_path / "g.mg"
+        graph_path.write_text(T2_TEXT)
+        if command != "verify":
+            return [command, str(graph_path)]
+        coloring_path = tmp_path / "c.json"
+        coloring_path.write_text(
+            json.dumps(coloring_to_doc(totalize(fixture("t2")).coloring))
+        )
+        return ["verify", str(graph_path), str(coloring_path)]
+
+    def test_usage_error_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["totalize", "--bogus"])
+        assert info.value.code == 4
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["totalize", "--help"])
+        assert info.value.code == 0
+        assert "--budget" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(("command", "flag"), UNREAD_SETTINGS)
+    def test_unread_setting_is_usage_error(self, command, flag, tmp_path, capsys):
+        args = self._valid_args(command, tmp_path)
+        assert main(args) == 0
+        with pytest.raises(SystemExit) as info:
+            main(args + [flag, "1"])
+        assert info.value.code == 4
+
+    def test_max_n_caps_density(self, tmp_path, capsys):
+        path = tmp_path / "c5.mg"
+        path.write_text(C5_TEXT)
+        assert main(["density", "--max-n", "3", str(path)]) == 3
+        assert "capped" in capsys.readouterr().err
+
+    def test_budget_caps_chi_total(self, tmp_path, capsys):
+        path = tmp_path / "c5.mg"
+        path.write_text(C5_TEXT)
+        assert main(["chi-total", "--budget", "1", str(path)]) == 3
+        assert "budget" in capsys.readouterr().err
+
+    def test_budget_caps_totalize_host_coloring(self, tmp_path, capsys):
+        path = tmp_path / "g.mg"
+        path.write_text(serialize(fixture("t2-2k1")))
+        assert main(["totalize", "--budget", "5", str(path)]) == 3
+        assert "budget" in capsys.readouterr().err

@@ -135,11 +135,15 @@ class TestElementary:
         bad = EdgeColoring(6, (1, 1, 2, 3, 4, 5))
         with pytest.raises(ValueError, match="not proper"):
             is_elementary(T2, bad, range(3))
-        # the trusted path does not re-verify
-        assert is_elementary(T2, bad, (), check_proper=False)
 
 
 class TestClosed:
+    def test_improper_input_rejected(self):
+        bad = EdgeColoring(6, (1, 1, 2, 3, 4, 5))
+        for predicate in (is_closed, is_strongly_closed):
+            with pytest.raises(ValueError, match="not proper"):
+                predicate(T2, bad, range(3))
+
     def test_full_vertex_set_always_closed(self):
         phi = EdgeColoring(3, (1, 2, 1, 2, 3))
         assert is_closed(C5, phi, range(5))
