@@ -133,8 +133,11 @@ def cmd_chi_total(args: argparse.Namespace) -> int:
 def cmd_embed(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     config = _config_from(args)
-    k = chromatic_index(graph, config).k
-    g_prime, report = embed_k_dense(graph, k, config)
+    cert = chromatic_index(graph, config)
+    if cert.host is not None:  # the host coloring settled chi': reuse it
+        g_prime, report = cert.host.g_prime, cert.host.report
+    else:
+        g_prime, report = embed_k_dense(graph, cert.k, config)
     doc = {
         "graph": {"n": g_prime.n, "edges": [list(e) for e in g_prime.edges]},
         "report": report.to_doc(),
@@ -327,6 +330,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+class _Command(_Parser):
+    """A subcommand's parser.  It rejects the arguments it does not know
+    itself; left to the top-level parser, the error would print the
+    top-level usage line instead of the subcommand's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return parsed, extra
+
+
 # each subcommand takes only the settings it reads
 _SETTINGS = {
     "--max-n": {"type": int, "default": None, "help": "subset-enumeration cap"},
@@ -341,7 +356,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact density, chromatic-index and total-coloring "
         "toolkit for loopless multigraphs.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Command
+    )
 
     def add(name: str, handler, help_text: str, *settings: str, graph_arg=True):
         sub = subs.add_parser(name, help=help_text)

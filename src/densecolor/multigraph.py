@@ -25,7 +25,11 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
+        # tuple([...]), not tuple(<generator>): CPython sizes a tuple built
+        # from a generator by guess and shrinks it, and each shrunk small
+        # tuple stays on its free list, so memory would grow with every
+        # graph built (here and in the cached properties below)
+        object.__setattr__(self, "edges", tuple([(u, v) for u, v in self.edges]))
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         for eid, (u, v) in enumerate(self.edges):
@@ -53,7 +57,7 @@ class Multigraph:
         for eid, (u, v) in enumerate(self.edges):
             inc[u].append(eid)
             inc[v].append(eid)
-        return tuple(tuple(ids) for ids in inc)
+        return tuple([tuple(ids) for ids in inc])
 
     @cached_property
     def adjacency_counts(self) -> tuple[tuple[int, ...], ...]:
@@ -62,7 +66,7 @@ class Multigraph:
         for u, v in self.edges:
             cnt[u][v] += 1
             cnt[v][u] += 1
-        return tuple(tuple(row) for row in cnt)
+        return tuple([tuple(row) for row in cnt])
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)

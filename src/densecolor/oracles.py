@@ -19,10 +19,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .coloring import EdgeColoring, TotalColoring, coloring_to_doc
+from .coloring import (
+    EdgeColoring,
+    TotalColoring,
+    coloring_to_doc,
+    is_proper_edge_coloring,
+)
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     BudgetExceededError,
@@ -30,6 +36,9 @@ from .errors import (
     InstanceTooLargeError,
 )
 from .multigraph import Multigraph
+
+if TYPE_CHECKING:
+    from .embed import DenseHost
 
 __all__ = [
     "DensityWitness",
@@ -63,6 +72,33 @@ class _Budget:
             )
 
 
+def _first_to_finish(
+    searches: list[Callable[[_Budget], list[int] | None]], limit: int, start: int
+) -> tuple[int, list[int] | None, int]:
+    """Run exhaustive searches in turn until one finishes.
+
+    Each run starts its search from scratch under a node cap of ``start``,
+    doubled after every round, so the runs together spend at most about
+    4 * len(searches) times the nodes of the search that finishes first
+    (plus the first round).  Returns that search's index, its result and
+    the nodes of all runs; past ``limit`` nodes in all, raises
+    ``BudgetExceededError``.
+    """
+    spent, cap = 0, start
+    while True:
+        for index, search in enumerate(searches):
+            if spent >= limit:
+                raise BudgetExceededError(f"search budget of {limit} nodes exhausted")
+            run = _Budget(min(cap, limit - spent))
+            try:
+                result = search(run)
+            except BudgetExceededError:
+                spent += run.limit
+                continue
+            return index, result, spent + run.spent
+        cap *= 2
+
+
 @dataclass(frozen=True)
 class DensityWitness:
     """Exact density value with a maximizing odd vertex set.
@@ -89,7 +125,9 @@ class ChromaticCertificate:
     ``lower_bound_reason`` records why k-1 colors are impossible:
     ``max-degree`` (k equals the maximum degree, or Delta+1 for the total
     number), ``density`` (k equals the density ceiling), or ``exhaustion``
-    (the k-1 search ran to completion without a coloring).
+    (the k-1 search ran to completion without a coloring).  ``host`` is
+    the k-dense host when its coloring, restricted, gave the witness (see
+    :func:`chromatic_index`), else None; it stays out of the document.
     """
 
     quantity: str
@@ -97,6 +135,7 @@ class ChromaticCertificate:
     witness: EdgeColoring | TotalColoring
     lower_bound_reason: str
     search_nodes: int
+    host: DenseHost | None = field(default=None, repr=False, compare=False)
 
     def to_doc(self) -> dict:
         return {
@@ -350,15 +389,26 @@ def chromatic_index(
 ) -> ChromaticCertificate:
     """Exact chromatic index with a proper witness coloring.
 
-    The search starts at max(Delta, ceil(rho)) and increments; when the
-    returned k exceeds both bounds, infeasibility of k-1 was certified by
-    an exhausted backtracking run.
+    L = max(Delta, ceil(rho)) is a lower bound.  The host route settles
+    chi' = L when L >= max(Delta+2, n+1) and the host's density checks fit
+    under density_max_n: G embeds into an L-dense host, and the host's
+    L-edge-coloring restricted to G (re-verified) attains the bound.
+    Within ``chi_index_max_edges`` the host coloring races a plain
+    L-edge-coloring search of G (see ``embed._dense_host``), and the
+    certificate keeps the host only when its coloring finished first.
+    Every other graph within ``chi_index_max_edges`` is searched from L
+    upwards; when the returned k exceeds both bounds, infeasibility of k-1
+    was certified by an exhausted backtracking run.
     """
-    if graph.m > config.chi_index_max_edges:
-        raise InstanceTooLargeError(
-            f"chromatic-index search capped at m = {config.chi_index_max_edges}, "
-            f"got {graph.m}"
-        )
+    return _chromatic_index(graph, config, host_wanted=False)
+
+
+def _chromatic_index(
+    graph: Multigraph, config: RunConfig, *, host_wanted: bool
+) -> ChromaticCertificate:
+    """``chromatic_index``.  With ``host_wanted`` the host route colors the
+    host under the whole budget without a race, for callers that extend
+    the host coloring next."""
     if graph.m == 0:
         return ChromaticCertificate(
             "chromatic-index", 0, EdgeColoring(0, ()), "max-degree", 0
@@ -369,6 +419,27 @@ def chromatic_index(
     if graph.n <= config.density_max_n:
         ceil_rho = math.ceil(density(graph, config).value)
         lower = max(lower, ceil_rho)
+        # the host has n vertices, plus a parity vertex when n is even
+        host_n = graph.n + 1 - graph.n % 2
+        if host_n <= config.density_max_n and lower >= max(delta + 2, graph.n + 1):
+            from .embed import _dense_host  # embed imports this module
+
+            race = not host_wanted and graph.m <= config.chi_index_max_edges
+            host, colors, nodes = _dense_host(graph, lower, config, race=race)
+            witness = EdgeColoring(lower, tuple(colors))
+            if not is_proper_edge_coloring(graph, witness):
+                raise GuaranteeViolationError(
+                    "the host coloring restricted to the graph is not proper; "
+                    "this is a bug"
+                )
+            return ChromaticCertificate(
+                "chromatic-index", lower, witness, "density", nodes, host
+            )
+    if graph.m > config.chi_index_max_edges:
+        raise InstanceTooLargeError(
+            f"chromatic-index search capped at m = {config.chi_index_max_edges}, "
+            f"got {graph.m}"
+        )
     budget = _Budget(config.node_budget)
     upper = delta + graph.multiplicity()  # Vizing's bound for multigraphs
     for k in range(lower, upper + 1):

@@ -1,11 +1,14 @@
 """Conjecture-exploration harness.
 
 Scans a corpus of instances for graphs with chi' >= Delta + 3 and checks
-whether the total chromatic number collapses to chi'.  Each in-hypothesis
-instance is settled either by the exhaustive total-coloring oracle or, when
-the instance is too large for it but satisfies chi' >= max(Delta+2, n+1),
-by the dense-embedding pipeline.  Any violation would be emitted as a
-counterexample certificate carrying the graph and both exact certificates.
+whether the total chromatic number collapses to chi'.  When chi' came
+from the host coloring of ``chromatic_index``'s host route, that coloring is
+extended and restricted to a total chi'-coloring (method ``totalize``): no
+second embedding and no total-coloring search.  Every other in-hypothesis
+instance goes to the exhaustive total-coloring oracle, or, when it is too
+large for that, to the dense-embedding pipeline at the exact chi'.  Any
+violation would be emitted as a counterexample certificate carrying the
+graph and both exact certificates.
 """
 
 from __future__ import annotations
@@ -109,8 +112,9 @@ def _evaluate(
             f"chi' = {k} < Delta + 3 = {delta + 3}",
         )
         return rec, None
-    # inside the conjecture hypothesis: settle chi'' by oracle or pipeline
-    if graph.n + graph.m <= config.total_max_elements:
+    # inside the conjecture hypothesis: settle chi'' by the host that settled
+    # chi', else by the oracle, else by the pipeline at the exact chi'
+    if chi_cert.host is None and graph.n + graph.m <= config.total_max_elements:
         try:
             total_cert = total_chromatic_number(graph, config)
         except BudgetExceededError as exc:
@@ -141,7 +145,7 @@ def _evaluate(
         )
         return rec, cert
     try:
-        _totalize_with(graph, k, config)
+        _totalize_with(graph, chi_cert, config)
     except HypothesisNotMetError as exc:
         rec = InstanceRecord(
             name, graph.n, graph.m, delta, k, None, "skipped", "totalize",
@@ -182,6 +186,6 @@ def search_goldberg(
     else:
         results = [_evaluate(item) for item in items]
     results.sort(key=lambda rc: rc[0].name)
-    records = tuple(rec for rec, _ in results)
-    violations = tuple(cert for _, cert in results if cert is not None)
+    records = tuple([rec for rec, _ in results])
+    violations = tuple([cert for _, cert in results if cert is not None])
     return SearchOutcome(records, violations)

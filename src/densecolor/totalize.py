@@ -8,19 +8,16 @@ pairwise disjoint), and restricts back to G.  The extension and the
 restriction verify their output, so the result witnesses
 chi''(G) = chi'(G) = k.
 
-chi'(G) comes from the host coloring whenever it can.  L = max(Delta,
-ceil(rho)) is a lower bound on chi'(G), and G is a subgraph of G', so a
-found L-edge-coloring of G' restricts to an L-edge-coloring of G and
-certifies chi'(G) = chi'(G') = L.  When L meets the hypothesis the pipeline
-runs at k = L without any chi'(G) search.  Otherwise (n above
-``density_max_n``, or L below the hypothesis) the exact ``chromatic_index``
-search runs first, so ``HypothesisNotMetError`` carries the exact chi'(G)
-and no answer rests on Goldberg-Seymour alone.
+chi'(G) comes from ``chromatic_index``.  Its host route embeds G at
+L = max(Delta, ceil(rho)) whenever L meets the hypothesis, and the
+certificate keeps that host and its coloring, so the pipeline reuses them
+instead of embedding and coloring again.  Any other input is embedded at
+the chi'(G) of the exact search, so ``HypothesisNotMetError`` carries the
+exact chi'(G) and no answer rests on Goldberg-Seymour alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,13 +30,13 @@ from .coloring import (
     missing_colors,
 )
 from .config import DEFAULT_CONFIG, RunConfig
-from .embed import EmbeddingReport, embed_k_dense
+from .embed import EmbeddingReport, _dense_host
 from .errors import GuaranteeViolationError
 from .multigraph import Multigraph, serialize
 from .oracles import (
+    ChromaticCertificate,
+    _chromatic_index,
     chromatic_index,
-    density,
-    find_k_edge_coloring,
     is_edge_critical,
     is_k_dense,
 )
@@ -163,49 +160,38 @@ def totalize(
 ) -> TotalizeCertificate:
     """Produce a verified total chi'(G)-coloring of G via dense embedding.
 
-    chi'(G) is certified by the lower bound L = max(Delta, ceil(rho)) plus
-    the host's L-edge-coloring restricted to G whenever n <= density_max_n
-    and L >= max(Delta+2, n+1); only then is the exact chi'(G) search, with
-    its ``chi_index_max_edges`` cap, skipped.  Every other input runs
-    ``chromatic_index`` first.
+    ``chromatic_index`` settles chi'(G).  Its host route, when it applies,
+    colors the host without racing a plain search of G, and the host is
+    extended and restricted as it is, so the call embeds once and colors
+    once; otherwise G is embedded at the exact chi'(G).
 
     Raises HypothesisNotMetError when chi'(G) < max(Delta+2, n+1), and
     GuaranteeViolationError, carrying the host, when no k-edge-coloring of
     the host is found; all oracle and embedding errors propagate.
     """
-    delta = graph.max_degree()
-    if graph.n <= config.density_max_n:
-        lower = max(delta, math.ceil(density(graph, config).value))
-        if lower >= max(delta + 2, graph.n + 1):
-            return _totalize_with(graph, lower, config)
-    return _totalize_with(graph, chromatic_index(graph, config).k, config)
+    chi = _chromatic_index(graph, config, host_wanted=True)
+    return _totalize_with(graph, chi, config)
 
 
 def _totalize_with(
-    graph: Multigraph, k: int, config: RunConfig
+    graph: Multigraph, chi: ChromaticCertificate, config: RunConfig
 ) -> TotalizeCertificate:
-    """``totalize`` after its first step: ``k`` is chi'(graph) as settled by
-    the caller, or a proved lower bound on it that the host coloring then
-    attains, so a caller that already holds chi' does not pay for the
-    search twice.  ``embed_k_dense`` raises ``HypothesisNotMetError`` when k
-    is below max(Delta+2, n+1)."""
-    g_prime, report = embed_k_dense(graph, k, config)
-    phi = find_k_edge_coloring(g_prime, k, config)
-    if phi is None:
-        raise GuaranteeViolationError(
-            f"no {k}-edge-coloring of the embedded graph was found; "
-            "this contradicts the density identity (or is a bug)",
-            certificate=serialize(g_prime),
-        )
-    psi_prime = extend_to_total(g_prime, phi, k)
-    psi = restrict_total(g_prime, psi_prime, graph)
+    """``totalize`` after its first step: ``chi`` settles chi'(graph), so a
+    caller that already holds it does not pay for the search twice, and
+    its host is extended when it has one.  Otherwise G is embedded at
+    k = chi'(graph), and ``embed_k_dense`` raises ``HypothesisNotMetError``
+    when k is below max(Delta+2, n+1)."""
+    k = chi.k
+    host = chi.host or _dense_host(graph, k, config)[0]
+    psi_prime = extend_to_total(host.g_prime, host.coloring, k)
+    psi = restrict_total(host.g_prime, psi_prime, graph)
     record = PipelineRecord(
         chi_prime=k,
         hypothesis_delta_plus_2=graph.max_degree() + 2,
         hypothesis_n_plus_1=graph.n + 1,
-        embedding=report,
+        embedding=host.report,
     )
-    return TotalizeCertificate(k, psi, record, g_prime, phi)
+    return TotalizeCertificate(k, psi, record, host.g_prime, host.coloring)
 
 
 def corollary_inequality(

@@ -269,6 +269,13 @@ class TestSettingsFlags:
         assert info.value.code == 4
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
+    def test_unknown_flag_shows_subcommand_usage(self):
+        result = run_cli("totalize", "--seed", "1")
+        assert result.returncode == 4
+        usage, error = result.stderr.splitlines()[0], result.stderr.splitlines()[-1]
+        assert usage.startswith("usage: densecolor totalize ")
+        assert error == "densecolor totalize: error: unrecognized arguments: --seed"
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["totalize", "--help"])

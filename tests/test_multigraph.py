@@ -1,3 +1,6 @@
+import gc
+import sys
+
 import pytest
 
 from densecolor import (
@@ -36,6 +39,30 @@ class TestConstruction:
         g = Multigraph(2, ((0, 1), (0, 1)))
         assert g.m == 2
         assert g.edges[0] == g.edges[1]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "getallocatedblocks"), reason="CPython allocator count"
+    )
+    def test_building_graphs_keeps_memory_flat(self):
+        # a tuple built from a generator is sized by guess and shrunk, and
+        # CPython keeps every shrunk small tuple on its free list: built
+        # that way, each graph with fewer than 20 edges leaves about one
+        # block behind
+        def build(count: int) -> None:
+            for i in range(count):
+                g = Multigraph(3, ((0, 1),) * (1 + i % 19))
+                g.incidence, g.adjacency_counts
+
+        # a full collection empties the free lists, so none may run here
+        gc.disable()
+        try:
+            build(3000)
+            before = sys.getallocatedblocks()
+            build(2000)
+            grown = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+        assert grown < 200
 
 
 class TestDegree:

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,8 @@ from densecolor import (
     maximal_k_dense_subgraphs,
     total_chromatic_number,
 )
+
+from densecolor.oracles import _first_to_finish
 
 from brute import (
     brute_chromatic_index,
@@ -151,6 +155,84 @@ class TestChromaticIndex:
         assert cert.k == 4
         assert cert.lower_bound_reason == "exhaustion"
         assert is_proper_edge_coloring(PETERSEN_LESS_VERTEX, cert.witness)
+
+    def test_host_route_beyond_the_k_loop_budget(self):
+        # L = ceil(rho) = 12 = Delta + 2 = n + 5: the host's 12-coloring
+        # settles chi' in under a hundred nodes, where the plain search of G
+        # needs about 97k
+        g = gen_fat_cycle(7, 5)
+        cert = chromatic_index(g, RunConfig(node_budget=10_000))
+        assert cert.k == 12
+        assert cert.lower_bound_reason == "density"
+        assert cert.host is not None and cert.host.g_prime.m == 36
+        assert is_proper_edge_coloring(g, cert.witness)
+
+    def test_plain_search_wins_the_race_on_a_padded_core(self):
+        # L = ceil(rho) = 13 = Delta + 3: the plain search of G finds a
+        # 13-coloring in 17 nodes, where the host coloring needs ~920k
+        counts = {(0, 1): 4, (0, 2): 5, (0, 3): 1, (1, 2): 4, (1, 3): 1, (2, 3): 1}
+        g = Multigraph(9, tuple(p for p, c in counts.items() for _ in range(c)))
+        cert = chromatic_index(g, RunConfig(node_budget=10_000))
+        assert cert.k == 13
+        assert cert.lower_bound_reason == "density"
+        assert cert.host is None
+        assert is_proper_edge_coloring(g, cert.witness)
+
+    def test_host_over_the_density_cap_falls_back_to_the_k_loop(self):
+        # n = 20 = density_max_n is even, so the host would need a 21st
+        # vertex; the k-loop settles chi' = L = 21 instead
+        g = Multigraph(20, gen_fat_cycle(3, 7).edges)
+        cert = chromatic_index(g)
+        assert cert.k == 21
+        assert cert.host is None
+        assert is_proper_edge_coloring(g, cert.witness)
+
+    def test_host_route_matches_brute(self):
+        # wherever L = max(Delta, ceil rho) meets max(Delta + 2, n + 1),
+        # the route certifies chi' = L, whichever search colored first, and
+        # that is the brute-force chi'; elsewhere there is no host
+        rng = random.Random(9)
+        routed = hosted = 0
+        while routed < 30:
+            n = rng.choice((3, 4))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = tuple(pair for pair in pairs for _ in range(rng.randint(0, 3)))
+            g = Multigraph(n, edges)
+            if g.m > 7:
+                continue
+            delta = g.max_degree()
+            lower = max(delta, math.ceil(brute_density(g)[0]))
+            cert = chromatic_index(g)
+            if lower < max(delta + 2, n + 1):
+                assert cert.host is None
+                continue
+            routed += 1
+            hosted += cert.host is not None
+            assert cert.lower_bound_reason == "density"
+            assert is_proper_edge_coloring(g, cert.witness)
+            assert cert.k == lower == brute_chromatic_index(g)
+        assert hosted > 0
+
+    def test_race_runs_searches_in_turn_under_doubling_caps(self):
+        calls = []
+
+        def search(need, result):
+            def run(budget):
+                calls.append((result, budget.limit))
+                for _ in range(need):
+                    budget.spend()
+                return [result]
+
+            return run
+
+        winner, colors, spent = _first_to_finish(
+            [search(50, 1), search(20, 2)], 1_000, 8
+        )
+        assert (winner, colors) == (1, [2])
+        assert calls == [(1, 8), (2, 8), (1, 16), (2, 16), (1, 32), (2, 32)]
+        assert spent == 8 + 8 + 16 + 16 + 32 + 20
+        with pytest.raises(BudgetExceededError):
+            _first_to_finish([search(50, 1), search(60, 2)], 40, 8)
 
     @pytest.mark.parametrize(
         "graph",

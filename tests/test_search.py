@@ -29,6 +29,24 @@ class TestFatCycleCorpus:
         assert by_name["fat-c3-m4"].status == "holds"
         assert by_name["fat-c5-m4"].status == "out-of-hypothesis"
 
+    def test_fat_cycles_past_the_chi_index_cap(self):
+        # m = 42..72 > chi_index_max_edges; L = ceil(rho) meets
+        # max(Delta + 2, n + 1), so the host route settles chi' and only
+        # C7 with mu = 7, 8 (L = Delta + 3) are inside the search hypothesis
+        instances = [(f"c{n}-m{m}", gen_fat_cycle(n, m)) for n, m in (
+            (7, 6), (7, 7), (7, 8), (9, 5), (9, 6), (9, 7), (9, 8),
+        )]
+        outcome = search_goldberg(instances)
+        for rec in outcome.records:
+            n, mult = (int(part[1:]) for part in rec.name.split("-"))
+            r = (n - 1) // 2
+            assert rec.chi_prime == -(-n * mult // r)
+            if rec.name in ("c7-m7", "c7-m8"):
+                assert (rec.status, rec.method) == ("holds", "totalize")
+                assert rec.chi_total == rec.chi_prime
+            else:
+                assert rec.status == "out-of-hypothesis"
+
     def test_records_sorted_by_name(self):
         instances = [("b", cycle(5)), ("a", cycle(6))]
         outcome = search_goldberg(instances)
@@ -80,13 +98,17 @@ class TestViolationPlumbing:
             return dataclasses.replace(cert, k=cert.k + 1)
 
         monkeypatch.setattr(search_mod, "total_chromatic_number", doctored)
-        outcome = search_goldberg([("t3", gen_fat_cycle(3, 3))])
+        # six isolated vertices put chi' = 9 below n + 1 = 10, outside the
+        # host route, so the oracle settles chi'' (n + m = 18)
+        g = Multigraph(9, gen_fat_cycle(3, 3).edges)
+        outcome = search_goldberg([("t3", g)])
         rec = outcome.records[0]
         assert rec.status == "violation"
+        assert rec.method == "total-oracle"
         assert len(outcome.violations) == 1
         cert = outcome.violations[0]
         assert cert.name == "t3"
-        assert cert.graph_text.startswith("p multigraph 3 9")
+        assert cert.graph_text.startswith("p multigraph 9 9")
         assert cert.chi_prime_doc["k"] == 9
         assert cert.chi_total_doc["k"] == 10
 

@@ -8,7 +8,6 @@ from densecolor import (
     EdgeColoring,
     GuaranteeViolationError,
     HypothesisNotMetError,
-    InstanceTooLargeError,
     Multigraph,
     RunConfig,
     TotalColoring,
@@ -211,18 +210,22 @@ class TestTotalize:
 
     def test_in_hypothesis_beyond_chi_index_cap(self):
         # m = 49 > chi_index_max_edges, but L = ceil(rho) = 17 meets the
-        # hypothesis, so the host's 17-coloring certifies chi'(G) = 17
+        # hypothesis, so the host's 17-coloring certifies chi'(G) = 17 in
+        # both totalize and chromatic_index
         g = gen_fat_cycle(7, 7)
         cert = totalize(g)
         assert cert.k == 17
         assert is_proper_total_coloring(g, cert.coloring)
-        with pytest.raises(InstanceTooLargeError):
-            chromatic_index(g)
+        chi = chromatic_index(g)
+        assert chi.k == 17
+        assert chi.lower_bound_reason == "density"
+        assert is_proper_edge_coloring(g, chi.witness)
 
     def test_host_route_matches_exact_chi_prime(self):
         # random 3-4 vertex multigraphs on which L = max(Delta, ceil(rho))
         # meets the hypothesis: the host route gives the same certificate
-        # as the pipeline run at the exact chi'(G)
+        # as the pipeline run at the exact chi'(G) of the k-loop, which a
+        # density cap below n keeps off the route and searches from Delta
         rng = random.Random(11)
         config = RunConfig()
         checked = brute_checked = 0
@@ -239,7 +242,9 @@ class TestTotalize:
                 continue
             checked += 1
             cert = totalize(g, config)
-            exact = _totalize_with(g, chromatic_index(g, config).k, config)
+            loop = chromatic_index(g, RunConfig(density_max_n=n - 1))
+            assert loop.host is None
+            exact = _totalize_with(g, loop, config)
             assert cert.to_doc(include_witness=True) == exact.to_doc(
                 include_witness=True
             )
