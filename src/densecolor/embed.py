@@ -4,13 +4,13 @@ Given k >= max(Delta(G)+2, n+1) with density(G) <= k (the theorem's k is
 chi'(G)), constructs a supergraph G' on an odd vertex count with exactly
 k(n'-1)/2 edges, maximum degree at most k-1 and density at most k, keeping
 G's vertex and edge ids as a prefix.  A k-edge-coloring of G' (found by
-``_dense_host``, which embeds, colors and restricts) settles
-chi'(G') = chi'(G) = k whenever k is a lower bound on chi'(G).  The construction has one path: a
-parity vertex when n is even, greedy saturation, and exchange moves when
-greedy is stuck (drop one previously added edge whose ends avoid every
-maximal k-dense set, add two edges toward deficient vertices).  A host
-that neither step can extend raises ``GuaranteeViolationError`` with that
-host as certificate, at every n.
+``_dense_host``, which embeds and colors), restricted to G, settles
+chi'(G') = chi'(G) = k whenever k is a lower bound on chi'(G).  The
+construction has one path: a parity vertex when n is even, greedy
+saturation, and exchange moves when greedy is stuck (drop one previously
+added edge whose ends avoid every maximal k-dense set, add two edges
+toward deficient vertices).  A host that neither step can extend raises
+``GuaranteeViolationError`` with that host as certificate, at every n.
 
 Throughout, feasibility of adding an edge uv means: both endpoint degrees
 stay below k, and no odd vertex set exceeds density k afterwards.  Since
@@ -51,7 +51,6 @@ stalling) never met one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .coloring import EdgeColoring
 from .config import DEFAULT_CONFIG, RunConfig
@@ -62,8 +61,8 @@ from .errors import (
 )
 from .multigraph import Multigraph, serialize
 from .oracles import (
+    _Budget,
     _color,
-    _first_to_finish,
     _walk_odd_sets,
     maximal_k_dense_subgraphs,
 )
@@ -305,18 +304,13 @@ def embed_k_dense(
 
 
 def _dense_host(
-    graph: Multigraph, k: int, config: RunConfig, *, race: bool = False
-) -> tuple[DenseHost | None, list[int], int]:
-    """Embed ``graph`` at ``k``, k-edge-color the host and restrict.
+    graph: Multigraph, k: int, config: RunConfig
+) -> tuple[DenseHost, int]:
+    """Embed ``graph`` at ``k`` and k-edge-color the host.
 
-    Returns the host with its coloring, the colors of ``graph``'s edges
-    and the search nodes spent.  With ``race`` a plain k-edge-coloring
-    search of ``graph`` takes turns with the host coloring
-    (``oracles._first_to_finish``), and when it finishes first the host is
-    None.  Each search tails where the other is quick: fat cycles color
-    their host in under a hundred nodes but take ~97k nodes by the plain
-    search (C7 with mu = 5), and a small core padded with isolated
-    vertices takes 17 nodes by the plain search but ~920k for its host.
+    Returns the host with its coloring, whose first ``graph.m`` colors
+    color ``graph``, and the search nodes spent under
+    ``config.node_budget``.
 
     ``embed_k_dense`` raises ``HypothesisNotMetError`` when k is below
     max(Delta+2, n+1).  Callers pass chi'(graph), or a lower bound on it
@@ -325,21 +319,12 @@ def _dense_host(
     and raises ``GuaranteeViolationError`` carrying the host.
     """
     g_prime, report = embed_k_dense(graph, k, config)
-    searches = [partial(_color, g_prime, k)]
-    if race:
-        searches.append(partial(_color, graph, k))
-    # first turns: twice the nodes of a class search that never backtracks
-    # (one per class, one per edge, one to finish)
-    start = 2 * (k + g_prime.m + 1) if race else config.node_budget
-    winner, colors, nodes = _first_to_finish(searches, config.node_budget, start)
+    budget = _Budget(config.node_budget)
+    colors = _color(g_prime, k, budget)
     if colors is None:
         raise GuaranteeViolationError(
-            f"no {k}-edge-coloring of the "
-            f"{'embedded graph' if winner == 0 else 'graph'} was found; "
+            f"no {k}-edge-coloring of the embedded graph was found; "
             "this contradicts the density identity (or is a bug)",
             certificate=serialize(g_prime),
         )
-    if winner == 0:
-        host = DenseHost(g_prime, report, EdgeColoring(k, tuple(colors)))
-        return host, colors[: graph.m], nodes
-    return None, colors, nodes
+    return DenseHost(g_prime, report, EdgeColoring(k, tuple(colors))), budget.spent

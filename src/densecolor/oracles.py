@@ -72,33 +72,6 @@ class _Budget:
             )
 
 
-def _first_to_finish(
-    searches: list[Callable[[_Budget], list[int] | None]], limit: int, start: int
-) -> tuple[int, list[int] | None, int]:
-    """Run exhaustive searches in turn until one finishes.
-
-    Each run starts its search from scratch under a node cap of ``start``,
-    doubled after every round, so the runs together spend at most about
-    4 * len(searches) times the nodes of the search that finishes first
-    (plus the first round).  Returns that search's index, its result and
-    the nodes of all runs; past ``limit`` nodes in all, raises
-    ``BudgetExceededError``.
-    """
-    spent, cap = 0, start
-    while True:
-        for index, search in enumerate(searches):
-            if spent >= limit:
-                raise BudgetExceededError(f"search budget of {limit} nodes exhausted")
-            run = _Budget(min(cap, limit - spent))
-            try:
-                result = search(run)
-            except BudgetExceededError:
-                spent += run.limit
-                continue
-            return index, result, spent + run.spent
-        cap *= 2
-
-
 @dataclass(frozen=True)
 class DensityWitness:
     """Exact density value with a maximizing odd vertex set.
@@ -126,8 +99,9 @@ class ChromaticCertificate:
     ``max-degree`` (k equals the maximum degree, or Delta+1 for the total
     number), ``density`` (k equals the density ceiling), or ``exhaustion``
     (the k-1 search ran to completion without a coloring).  ``host`` is
-    the k-dense host when its coloring, restricted, gave the witness (see
-    :func:`chromatic_index`), else None; it stays out of the document.
+    the k-dense host, with its coloring, whose restriction gave the
+    witness on the host route of :func:`chromatic_index`, else None; it
+    stays out of the document.
     """
 
     quantity: str
@@ -392,23 +366,13 @@ def chromatic_index(
     L = max(Delta, ceil(rho)) is a lower bound.  The host route settles
     chi' = L when L >= max(Delta+2, n+1) and the host's density checks fit
     under density_max_n: G embeds into an L-dense host, and the host's
-    L-edge-coloring restricted to G (re-verified) attains the bound.
-    Within ``chi_index_max_edges`` the host coloring races a plain
-    L-edge-coloring search of G (see ``embed._dense_host``), and the
-    certificate keeps the host only when its coloring finished first.
+    L-edge-coloring restricted to G (re-verified) attains the bound.  The
+    certificate keeps that host and its coloring (``host``), so callers
+    that extend the host coloring next do not embed or color again.
     Every other graph within ``chi_index_max_edges`` is searched from L
     upwards; when the returned k exceeds both bounds, infeasibility of k-1
     was certified by an exhausted backtracking run.
     """
-    return _chromatic_index(graph, config, host_wanted=False)
-
-
-def _chromatic_index(
-    graph: Multigraph, config: RunConfig, *, host_wanted: bool
-) -> ChromaticCertificate:
-    """``chromatic_index``.  With ``host_wanted`` the host route colors the
-    host under the whole budget without a race, for callers that extend
-    the host coloring next."""
     if graph.m == 0:
         return ChromaticCertificate(
             "chromatic-index", 0, EdgeColoring(0, ()), "max-degree", 0
@@ -424,9 +388,8 @@ def _chromatic_index(
         if host_n <= config.density_max_n and lower >= max(delta + 2, graph.n + 1):
             from .embed import _dense_host  # embed imports this module
 
-            race = not host_wanted and graph.m <= config.chi_index_max_edges
-            host, colors, nodes = _dense_host(graph, lower, config, race=race)
-            witness = EdgeColoring(lower, tuple(colors))
+            host, nodes = _dense_host(graph, lower, config)
+            witness = EdgeColoring(lower, host.coloring.colors[: graph.m])
             if not is_proper_edge_coloring(graph, witness):
                 raise GuaranteeViolationError(
                     "the host coloring restricted to the graph is not proper; "
@@ -479,6 +442,16 @@ def _dense_class_search(
     After c classes, un_deg[v] <= k - c (checked at c = 0 and at each class
     boundary); as un_deg[v] = deg(v) - c + a when a of them missed v, this
     caps a at k - deg(v), as any k-coloring must.
+
+    The uncolored rest must also have density at most k - c: each of the
+    k - c classes still to come has at most (|S|-1)/2 edges inside an odd
+    set S, so a rest with 2|E(S)| > (k - c)(|S| - 1) extends to no
+    coloring.  Once the call has spent twice the nodes of a search that
+    never backtracks (one per class, one per edge, one to finish), each
+    class boundary walks the rest's odd sets and cuts the branch on such a
+    set.  The cut removes only subtrees without a coloring and keeps the
+    search order, so the search stays exhaustive and finds the coloring it
+    would find without the cut.
     """
     n, m = graph.n, graph.m
     size = (n - 1) // 2
@@ -488,6 +461,11 @@ def _dense_class_search(
     if max(un_deg) > k:
         return None
     assign = [0] * m
+    walk_after = budget.spent + 2 * (k + m + 1)
+
+    def rest_too_dense(color: int) -> bool:
+        rest = Multigraph(n, [edges[e] for e in range(m) if not assign[e]])
+        return _walk_odd_sets(rest, k - color, 1, 1, lambda subset, inner: None)
 
     def take(e: int, color: int) -> None:
         assign[e] = color
@@ -519,7 +497,11 @@ def _dense_class_search(
         budget.spend()
         if count == size:
             # everything below the anchor is already assigned
-            return max(un_deg) <= k - color and build_class(color + 1, anchor + 1)
+            if max(un_deg) > k - color:
+                return False
+            if budget.spent > walk_after and rest_too_dense(color):
+                return False
+            return build_class(color + 1, anchor + 1)
         exhausted = 0
         for v in range(n):
             if not (covered >> v) & 1 and un_deg[v] == 0:

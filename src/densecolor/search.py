@@ -1,14 +1,15 @@
 """Conjecture-exploration harness.
 
 Scans a corpus of instances for graphs with chi' >= Delta + 3 and checks
-whether the total chromatic number collapses to chi'.  When chi' came
-from the host coloring of ``chromatic_index``'s host route, that coloring is
-extended and restricted to a total chi'-coloring (method ``totalize``): no
-second embedding and no total-coloring search.  Every other in-hypothesis
-instance goes to the exhaustive total-coloring oracle, or, when it is too
-large for that, to the dense-embedding pipeline at the exact chi'.  Any
-violation would be emitted as a counterexample certificate carrying the
-graph and both exact certificates.
+whether the total chromatic number collapses to chi'.  When
+``chromatic_index`` settled chi' on its host route, the certificate's host
+coloring is extended and restricted to a total chi'-coloring (method
+``totalize``): no second embedding and no total-coloring search.  Every
+other in-hypothesis instance goes to the exhaustive total-coloring
+oracle, or, when it is too large for that, to the dense-embedding
+pipeline at the exact chi'.  Any violation would be emitted as a
+counterexample certificate carrying the graph and both exact
+certificates.
 """
 
 from __future__ import annotations

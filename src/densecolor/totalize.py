@@ -35,7 +35,6 @@ from .errors import GuaranteeViolationError
 from .multigraph import Multigraph, serialize
 from .oracles import (
     ChromaticCertificate,
-    _chromatic_index,
     chromatic_index,
     is_edge_critical,
     is_k_dense,
@@ -161,15 +160,15 @@ def totalize(
     """Produce a verified total chi'(G)-coloring of G via dense embedding.
 
     ``chromatic_index`` settles chi'(G).  Its host route, when it applies,
-    colors the host without racing a plain search of G, and the host is
-    extended and restricted as it is, so the call embeds once and colors
-    once; otherwise G is embedded at the exact chi'(G).
+    returns the host with its coloring, which is extended and restricted
+    as it is, so the call embeds once and colors once; otherwise G is
+    embedded at the exact chi'(G).
 
     Raises HypothesisNotMetError when chi'(G) < max(Delta+2, n+1), and
     GuaranteeViolationError, carrying the host, when no k-edge-coloring of
     the host is found; all oracle and embedding errors propagate.
     """
-    chi = _chromatic_index(graph, config, host_wanted=True)
+    chi = chromatic_index(graph, config)
     return _totalize_with(graph, chi, config)
 
 

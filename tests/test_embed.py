@@ -7,6 +7,7 @@ from densecolor import (
     GuaranteeViolationError,
     HypothesisNotMetError,
     Multigraph,
+    RunConfig,
     can_add_edge,
     chromatic_index,
     cycle,
@@ -252,8 +253,10 @@ class TestStalls:
 
     def test_displaced_core_sweep(self):
         # about 3 % of these embeddings stall in greedy saturation; each
-        # stall must be finished by exchange moves
+        # stall must be finished by exchange moves, and the density-pruned
+        # class search must color every host within a small budget
         rng = random.Random(4)
+        config = RunConfig(node_budget=2_000)
         moves = 0
         for _ in range(500):
             g, k = displaced_core(rng)
@@ -261,6 +264,7 @@ class TestStalls:
             assert g_prime.edges[: g.m] == g.edges
             assert is_k_dense(g_prime, range(g_prime.n), k)
             moves += len(report.exchange_moves)
+            assert find_k_edge_coloring(g_prime, k, config) is not None
         assert moves >= 1
 
 

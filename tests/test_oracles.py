@@ -28,7 +28,7 @@ from densecolor import (
     total_chromatic_number,
 )
 
-from densecolor.oracles import _first_to_finish
+import densecolor.oracles as oracles
 
 from brute import (
     brute_chromatic_index,
@@ -167,15 +167,16 @@ class TestChromaticIndex:
         assert cert.host is not None and cert.host.g_prime.m == 36
         assert is_proper_edge_coloring(g, cert.witness)
 
-    def test_plain_search_wins_the_race_on_a_padded_core(self):
-        # L = ceil(rho) = 13 = Delta + 3: the plain search of G finds a
-        # 13-coloring in 17 nodes, where the host coloring needs ~920k
+    def test_host_of_a_padded_core_colors_within_budget(self):
+        # L = ceil(rho) = 13 = Delta + 3: without the density prune the
+        # host's class search backtracks through ~920k nodes; with it the
+        # host colors in a few hundred
         counts = {(0, 1): 4, (0, 2): 5, (0, 3): 1, (1, 2): 4, (1, 3): 1, (2, 3): 1}
         g = Multigraph(9, tuple(p for p, c in counts.items() for _ in range(c)))
         cert = chromatic_index(g, RunConfig(node_budget=10_000))
         assert cert.k == 13
         assert cert.lower_bound_reason == "density"
-        assert cert.host is None
+        assert cert.host is not None
         assert is_proper_edge_coloring(g, cert.witness)
 
     def test_host_over_the_density_cap_falls_back_to_the_k_loop(self):
@@ -189,10 +190,10 @@ class TestChromaticIndex:
 
     def test_host_route_matches_brute(self):
         # wherever L = max(Delta, ceil rho) meets max(Delta + 2, n + 1),
-        # the route certifies chi' = L, whichever search colored first, and
-        # that is the brute-force chi'; elsewhere there is no host
+        # the route certifies chi' = L through the host, and that is the
+        # brute-force chi'; elsewhere there is no host
         rng = random.Random(9)
-        routed = hosted = 0
+        routed = 0
         while routed < 30:
             n = rng.choice((3, 4))
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -207,32 +208,41 @@ class TestChromaticIndex:
                 assert cert.host is None
                 continue
             routed += 1
-            hosted += cert.host is not None
+            assert cert.host is not None
             assert cert.lower_bound_reason == "density"
             assert is_proper_edge_coloring(g, cert.witness)
             assert cert.k == lower == brute_chromatic_index(g)
-        assert hosted > 0
 
-    def test_race_runs_searches_in_turn_under_doubling_caps(self):
-        calls = []
-
-        def search(need, result):
-            def run(budget):
-                calls.append((result, budget.limit))
-                for _ in range(need):
-                    budget.spend()
-                return [result]
-
-            return run
-
-        winner, colors, spent = _first_to_finish(
-            [search(50, 1), search(20, 2)], 1_000, 8
+    def test_density_prune_cuts_a_class_search_exactly(self, monkeypatch):
+        # the Petersen graph less vertex 0, isomorphic to
+        # PETERSEN_LESS_VERTEX but with another edge order: refuting k = 3
+        # class by class passes the walk's node threshold, and after the
+        # first class the uncolored rest holds an odd set denser than the
+        # two classes left (80 nodes without the prune, 64 with it)
+        petersen = Multigraph(
+            10,
+            tuple((i, (i + 1) % 5) for i in range(5))
+            + tuple((i, i + 5) for i in range(5))
+            + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
         )
-        assert (winner, colors) == (1, [2])
-        assert calls == [(1, 8), (2, 8), (1, 16), (2, 16), (1, 32), (2, 32)]
-        assert spent == 8 + 8 + 16 + 16 + 32 + 20
-        with pytest.raises(BudgetExceededError):
-            _first_to_finish([search(50, 1), search(60, 2)], 40, 8)
+        g = petersen.induced_subgraph(range(1, 10))[0]
+        walks = []
+        walk = oracles._walk_odd_sets
+
+        def counted(graph, num, *args, **kwargs):
+            hit = walk(graph, num, *args, **kwargs)
+            walks.append((graph.m, num, hit))
+            return hit
+
+        monkeypatch.setattr(oracles, "_walk_odd_sets", counted)
+        cert = chromatic_index(g)
+        # the walks after the density walk of G run on a class boundary's
+        # uncolored rest (fewer edges, threshold k - c) and one cuts
+        assert (g.m - 4, 2, True) in walks[1:]
+        assert cert.k == 4 == brute_chromatic_index(g)
+        assert cert.search_nodes == 64
+        assert cert.lower_bound_reason == "exhaustion"
+        assert is_proper_edge_coloring(g, cert.witness)
 
     @pytest.mark.parametrize(
         "graph",

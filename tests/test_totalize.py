@@ -37,6 +37,11 @@ T2 = gen_fat_cycle(3, 2)
 C5 = cycle(5)
 
 
+def multi_core(n, counts):
+    """n vertices holding a core given by its pair multiplicities."""
+    return Multigraph(n, tuple(p for p, c in counts.items() for _ in range(c)))
+
+
 class TestExtend:
     def test_fat_triangle(self):
         phi = chromatic_index(T2).witness
@@ -207,6 +212,27 @@ class TestTotalize:
         cert = totalize(graph, RunConfig(node_budget=10_000))
         assert cert.k == k
         assert is_proper_total_coloring(graph, cert.coloring)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Multigraph(17, gen_fat_cycle(3, 12).edges),
+            Multigraph(19, gen_fat_cycle(3, 13).edges),
+            multi_core(9, {(0, 1): 4, (0, 2): 5, (0, 3): 1, (1, 2): 4, (1, 3): 1, (2, 3): 1}),
+            multi_core(9, {(0, 1): 4, (0, 2): 5, (0, 3): 2, (1, 2): 4, (1, 3): 3, (2, 3): 2}),
+        ],
+        ids=["fat-c3-m12-n17", "fat-c3-m13-n19", "core4-n9", "core4-slower-n9"],
+    )
+    def test_padded_core_host_colors_within_small_budget(self, graph):
+        # small dense cores padded with isolated vertices: the host's class
+        # search spends 50k to over 1M nodes without the density prune, and
+        # under 10k with it
+        config = RunConfig(node_budget=10_000)
+        lower = max(graph.max_degree(), math.ceil(density(graph).value))
+        cert = totalize(graph, config)
+        assert cert.k == lower
+        assert is_proper_total_coloring(graph, cert.coloring)
+        assert chromatic_index(graph, config).host is not None
 
     def test_in_hypothesis_beyond_chi_index_cap(self):
         # m = 49 > chi_index_max_edges, but L = ceil(rho) = 17 meets the
