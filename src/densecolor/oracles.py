@@ -434,14 +434,25 @@ def _dense_class_search(
     In a k-dense graph every class of a proper k-coloring is forced to be a
     near-perfect matching of exactly (n-1)/2 edges.  Classes are
     interchangeable, so each class is anchored at the smallest edge not yet
-    assigned; members are added in ascending id order, and an edge stands
-    aside while its parallel predecessor is unassigned (the assigned twins
-    of a pair form an id prefix: anchors are the smallest unassigned id and
-    undo is LIFO).  Every proper coloring canonicalizes into this form by
-    relabeling classes and swapping twins, so the search is exhaustive.
-    After c classes, un_deg[v] <= k - c (checked at c = 0 and at each class
-    boundary); as un_deg[v] = deg(v) - c + a when a of them missed v, this
-    caps a at k - deg(v), as any k-coloring must.
+    assigned.  Parallel edges are interchangeable too, so a pair only ever
+    offers its lowest unassigned edge, and the assigned twins of a pair
+    form an id prefix (undo is LIFO).  After c classes, un_deg[v] <= k - c
+    (checked at c = 0 and at each class boundary); as
+    un_deg[v] = deg(v) - c + a when a of them missed v, this caps a at
+    k - deg(v), as any k-coloring must.
+
+    A class grows from its most constrained vertex.  An uncovered vertex v
+    has a choice for each uncovered partner it still shares an edge with,
+    plus one for being the single vertex the class misses, allowed while
+    no vertex has been missed and v is not tight (un_deg[v] > k - c would
+    break the degree bound after this class).  Each growth node picks the
+    vertex with the fewest choices, tight vertices first on ties, and
+    offers its partners in ascending edge id, then the miss; a vertex with
+    no choice ends the branch.  A near-perfect matching through the anchor
+    covers or misses the picked vertex in exactly one of these ways, so
+    every such class is reached exactly once, and every proper coloring
+    canonicalizes into a reached one by relabeling classes and swapping
+    twins: the search is exhaustive.
 
     The uncolored rest must also have density at most k - c: each of the
     k - c classes still to come has at most (|S|-1)/2 edges inside an odd
@@ -456,11 +467,23 @@ def _dense_class_search(
     n, m = graph.n, graph.m
     size = (n - 1) // 2
     edges = graph.edges
-    parallel_pred = _parallel_pred(edges)
     un_deg = list(graph.degrees)
     if max(un_deg) > k:
         return None
     assign = [0] * m
+    # low[v][w]: the lowest unassigned edge on the pair; partners[v]: the
+    # vertices w whose pair with v still has one; next_twin[e]: the next id
+    # on e's pair, or -1
+    low = [[-1] * n for _ in range(n)]
+    partners = [0] * n
+    next_twin = [-1] * m
+    for e in range(m - 1, -1, -1):
+        u, v = edges[e]
+        next_twin[e] = low[u][v]
+        low[u][v] = low[v][u] = e
+        partners[u] |= 1 << v
+        partners[v] |= 1 << u
+    everyone = (1 << n) - 1
     walk_after = budget.spent + 2 * (k + m + 1)
 
     def rest_too_dense(color: int) -> bool:
@@ -469,13 +492,22 @@ def _dense_class_search(
 
     def take(e: int, color: int) -> None:
         assign[e] = color
-        un_deg[edges[e][0]] -= 1
-        un_deg[edges[e][1]] -= 1
+        u, v = edges[e]
+        un_deg[u] -= 1
+        un_deg[v] -= 1
+        twin = low[u][v] = low[v][u] = next_twin[e]
+        if twin < 0:
+            partners[u] ^= 1 << v
+            partners[v] ^= 1 << u
 
     def give_back(e: int) -> None:
         assign[e] = 0
-        un_deg[edges[e][0]] += 1
-        un_deg[edges[e][1]] += 1
+        u, v = edges[e]
+        un_deg[u] += 1
+        un_deg[v] += 1
+        low[u][v] = low[v][u] = e
+        partners[u] |= 1 << v
+        partners[v] |= 1 << u
 
     def build_class(color: int, start: int) -> bool:
         budget.spend()
@@ -488,12 +520,12 @@ def _dense_class_search(
             return False
         u, v = edges[anchor]
         take(anchor, color)
-        if grow(color, anchor, anchor + 1, (1 << u) | (1 << v), 1):
+        if grow(color, anchor, (1 << u) | (1 << v), 1, False):
             return True
         give_back(anchor)
         return False
 
-    def grow(color: int, anchor: int, nxt: int, covered: int, count: int) -> bool:
+    def grow(color: int, anchor: int, covered: int, count: int, missed: bool) -> bool:
         budget.spend()
         if count == size:
             # everything below the anchor is already assigned
@@ -502,26 +534,42 @@ def _dense_class_search(
             if budget.spent > walk_after and rest_too_dense(color):
                 return False
             return build_class(color + 1, anchor + 1)
-        exhausted = 0
-        for v in range(n):
-            if not (covered >> v) & 1 and un_deg[v] == 0:
-                exhausted += 1
-                if exhausted > 1:
-                    return False  # only one vertex may go uncovered
-        for e in range(nxt, m):
-            if assign[e]:
-                continue
+        free = everyone & ~covered
+        limit = k - color
+        best_score = 2 * n + 2
+        best = best_tight = 0
+        rest = free
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            tight = un_deg[v] > limit
+            choices = (partners[v] & free).bit_count()
+            if not (tight or missed):
+                choices += 1
+            if choices == 0:
+                return False
+            score = 2 * choices + (not tight)
+            if score < best_score:
+                best_score, best, best_tight = score, v, tight
+        options = partners[best] & free
+        row = low[best]
+        offered = []
+        while options:
+            bit = options & -options
+            options ^= bit
+            offered.append(row[bit.bit_length() - 1])
+        offered.sort()
+        for e in offered:
             u, v = edges[e]
-            if (covered >> u) & 1 or (covered >> v) & 1:
-                continue
-            pred = parallel_pred[e]
-            if pred >= 0 and not assign[pred]:
-                continue
             take(e, color)
-            if grow(color, anchor, e + 1, covered | (1 << u) | (1 << v), count + 1):
+            if grow(color, anchor, covered | (1 << u) | (1 << v), count + 1, missed):
                 return True
             give_back(e)
-        return False
+        if missed or best_tight:
+            return False
+        # best is the vertex this class misses; it leaves the free set
+        return grow(color, anchor, covered | (1 << best), count, True)
 
     return assign if build_class(1, 0) else None
 

@@ -256,7 +256,7 @@ class TestStalls:
         # stall must be finished by exchange moves, and the density-pruned
         # class search must color every host within a small budget
         rng = random.Random(4)
-        config = RunConfig(node_budget=2_000)
+        config = RunConfig(node_budget=1_000)
         moves = 0
         for _ in range(500):
             g, k = displaced_core(rng)

@@ -188,6 +188,22 @@ class TestChromaticIndex:
         assert cert.host is None
         assert is_proper_edge_coloring(g, cert.witness)
 
+    @pytest.mark.parametrize("n", [19, 21, 23, 25])
+    @pytest.mark.parametrize("c", [3, 5, 7, 9])
+    def test_padded_fat_cycle_hosts_color_within_small_budget(self, c, n):
+        # fat C_c padded with isolated vertices to n, at the smallest mu
+        # whose L = ceil(2c mu / (c - 1)) meets max(Delta + 2, n + 1):
+        # the id-order class search needed up to 427k nodes on these hosts,
+        # branching on the most constrained vertex under 2.5k
+        mu = 1
+        while math.ceil(2 * c * mu / (c - 1)) < max(2 * mu + 2, n + 1):
+            mu += 1
+        g = Multigraph(n, gen_fat_cycle(c, mu).edges)
+        cert = chromatic_index(g, RunConfig(density_max_n=n + 1, node_budget=5_000))
+        assert cert.k == math.ceil(2 * c * mu / (c - 1))
+        assert cert.host is not None and cert.search_nodes < 5_000
+        assert is_proper_edge_coloring(g, cert.witness)
+
     def test_host_route_matches_brute(self):
         # wherever L = max(Delta, ceil rho) meets max(Delta + 2, n + 1),
         # the route certifies chi' = L through the host, and that is the
@@ -214,18 +230,13 @@ class TestChromaticIndex:
             assert cert.k == lower == brute_chromatic_index(g)
 
     def test_density_prune_cuts_a_class_search_exactly(self, monkeypatch):
-        # the Petersen graph less vertex 0, isomorphic to
-        # PETERSEN_LESS_VERTEX but with another edge order: refuting k = 3
-        # class by class passes the walk's node threshold, and after the
-        # first class the uncolored rest holds an odd set denser than the
-        # two classes left (80 nodes without the prune, 64 with it)
-        petersen = Multigraph(
-            10,
-            tuple((i, (i + 1) % 5) for i in range(5))
-            + tuple((i, i + 5) for i in range(5))
-            + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
-        )
-        g = petersen.induced_subgraph(range(1, 10))[0]
+        # a four-vertex core padded to n = 9 with L = ceil(rho) = 13: the
+        # host's class search passes the walk's node threshold, and after
+        # ten classes the uncolored rest (12 edges) holds an odd set denser
+        # than the three classes left (427 nodes without the prune, 182
+        # with it)
+        counts = {(0, 1): 5, (0, 2): 1, (0, 3): 5, (1, 2): 2, (1, 3): 3, (2, 3): 2}
+        g = Multigraph(9, tuple(p for p, c in counts.items() for _ in range(c)))
         walks = []
         walk = oracles._walk_odd_sets
 
@@ -236,12 +247,17 @@ class TestChromaticIndex:
 
         monkeypatch.setattr(oracles, "_walk_odd_sets", counted)
         cert = chromatic_index(g)
+        k = 13
+        host_m = k * (9 - 1) // 2
         # the walks after the density walk of G run on a class boundary's
-        # uncolored rest (fewer edges, threshold k - c) and one cuts
-        assert (g.m - 4, 2, True) in walks[1:]
-        assert cert.k == 4 == brute_chromatic_index(g)
-        assert cert.search_nodes == 64
-        assert cert.lower_bound_reason == "exhaustion"
+        # uncolored rest (fewer edges, threshold k - c); the first cut
+        # comes after c = 10 classes of four edges
+        cuts = [w for w in walks[1:] if w[2]]
+        assert cuts[0] == (host_m - 10 * 4, k - 10, True)
+        assert cert.k == k == math.ceil(brute_density(g)[0])
+        assert cert.search_nodes == 182
+        assert cert.lower_bound_reason == "density"
+        assert cert.host is not None and cert.host.g_prime.m == host_m
         assert is_proper_edge_coloring(g, cert.witness)
 
     @pytest.mark.parametrize(
@@ -443,19 +459,43 @@ class TestFeasibilitySearch:
 
         from densecolor.oracles import _Budget, _dense_class_search, _edge_color_search
 
+        def check(g, k):
+            a = _dense_class_search(g, k, _Budget(10**7))
+            b = _edge_color_search(g, k, _Budget(10**7))
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert is_proper_edge_coloring(g, EdgeColoring(k, tuple(a)))
+            return a is not None
+
         rng = random.Random(2026)
         tested = 0
         while tested < 150:
-            n = rng.choice([3, 5])
+            n = rng.choice([3, 5, 7])
             cap = rng.randint(1, 4)
-            m = rng.randint(0, min(12, cap * n * (n - 1) // 2))
+            m = rng.randint(0, min(12 if n < 7 else 18, cap * n * (n - 1) // 2))
             if (2 * m) % (n - 1) or m == 0:
                 continue
             k = 2 * m // (n - 1)
             g = gen_random_multigraph(n, m, cap, rng.getrandbits(32))
             if not is_k_dense(g, range(n), k):
                 continue
-            a = _dense_class_search(g, k, _Budget(10**7))
-            b = _edge_color_search(g, k, _Budget(10**7))
-            assert (a is None) == (b is None)
+            check(g, k)
             tested += 1
+        # n = 7 with every degree at most k, so a refutation needs the
+        # search: pairs drawn among the vertices still below degree k
+        outcomes = []
+        while len(outcomes) < 60:
+            k = rng.randint(2, 6)
+            deg = [0] * 7
+            edges = []
+            while len(edges) < 3 * k:
+                below = [v for v in range(7) if deg[v] < k]
+                if len(below) < 2:
+                    break
+                u, v = rng.sample(below, 2)
+                edges.append((u, v))
+                deg[u] += 1
+                deg[v] += 1
+            if len(edges) == 3 * k:
+                outcomes.append(check(Multigraph(7, tuple(edges)), k))
+        assert outcomes.count(True) >= 40 and outcomes.count(False) >= 5
