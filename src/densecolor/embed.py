@@ -13,28 +13,48 @@ toward deficient vertices).  A host that neither step can extend raises
 ``GuaranteeViolationError`` with that host as certificate, at every n.
 
 Throughout, feasibility of adding an edge uv means: both endpoint degrees
-stay below k, and no odd vertex set exceeds density k afterwards.  Since
-parallel additions only raise the ratio of sets containing both endpoints,
-the incremental check looks at just those sets.  Every check, the premise
-check included, is ``_density_violation``: the odd-set walk of
+stay below k, and no odd vertex set exceeds density k afterwards.  The
+exchange moves, and the premise check of an input already at k(n-1)/2
+edges, test this with ``_density_violation``: the odd-set walk of
 ``oracles._walk_odd_sets`` at threshold k, stopped at its first violating
-set.  The walk's pruning never drops a violating set, so the checker's
-answers, and with them the greedy's choices and the host, are those of
-plain enumeration.
+set, which for one added edge walks only the sets holding both endpoints
+(the others keep their ratio).  The walk's pruning never drops a hit, so
+its answers are those of plain enumeration.
 
-Greedy saturation keeps the host's degrees and pair counts in mutable
-lists, adds each chosen edge in place, and builds the host Multigraph once
-when it stops.  Adding edges never makes an unaddable pair addable again,
-so a pair that fails once is not re-checked until an exchange move removes
-an edge.
-
-When exchange moves work.  Call an odd set S, |S| >= 3, tight (k-dense)
-when f(S) = 2|E(S)| - k(|S|-1) = 0.  Two tight sets S, T never meet in an
-even, nonempty I: S - T and T - S are odd, so with the degree cap on I,
+Tight sets.  Call an odd set S, |S| >= 3, tight (k-dense) when
+f(S) = 2|E(S)| - k(|S|-1) = 0; f is even, and at most 0 while the density
+is at most k.  Two tight sets S, T never meet in an even, nonempty I:
+S - T and T - S are odd, so with the degree cap on I,
 2|E(S)| + 2|E(T)| <= k(|S - T| - 1) + k(|T - S| - 1) + 2(k-1)|I|, while
 tightness makes the left side that sum with 2k|I| in place of 2(k-1)|I|.
 Meeting in an odd set, their union is tight (|E| is supermodular), so the
-maximal tight sets are disjoint.  A stuck host misses n(k-1) - 2m >=
+maximal tight sets, called blocks, are disjoint.  Adding uv raises f by 2
+on the sets holding u and v, so it breaks density <= k exactly when u and
+v lie in one block.
+
+Greedy saturation (``_saturate``) adds, among the pairs whose degrees are
+below k - 1 and whose ends lie in different blocks, the one of least
+endpoint degree sum, ties broken lexicographically; the test is O(1).
+Adding edges only raises degrees and merges blocks, so a pair once
+unaddable stays so until an exchange move removes an edge, after which the
+blocks are found again.  The starting blocks come from the premise walk,
+run at slack 0 so that it collects the tight sets on its way.  After uv is
+added, the new tight sets are the odd S holding u and v that had
+f(S) = -2.  The host with uv still has density at most k and degrees below
+k, so by the argument above such an S meets each block B in an odd set or
+not at all, and then S + B is tight too: the largest new tight set is a
+union of atoms, an atom being a block or a vertex in no block.  On a union
+S of t atoms, f(S) = 2E' - k(t - 1), with E' the edges between different
+atoms, since f is 0 on every atom; and |S| is odd exactly when t is.  So
+one walk over the host with each block contracted to a vertex, forced on
+the atoms a, b of u and v at slack 0, reports the new tight sets, and the
+union of its hits is the new block.  A new tight M leaves R = M - {a, b}
+with f(R) <= 0 and f(M) = f(R) + 2(d(a) + d(b) - c(a, b)) - 2k, counting
+d and c on contracted edges into M, so the walk is skipped when
+d(a) + d(b) - c(a, b) < k over the whole contracted host, and after the
+final edge.
+
+When exchange moves work.  A stuck host misses n(k-1) - 2m >=
 k - n + 2 >= 2 degree units below k - 1.  Let (x, y) be an added edge
 whose ends are at degree k - 1 and in no tight set.  Removing it lowers f
 only on sets holding x and y, so then (x, a) is addable for every a != y
@@ -120,35 +140,77 @@ class DenseHost:
     coloring: EdgeColoring
 
 
-class _Tally:
-    """Degrees and pair counts of a growing host, edited in place.
+class _Contracted:
+    """A host with each block contracted to one vertex, called an atom.
 
-    Holds the three attributes ``n``, ``degrees`` and ``adjacency_counts``
-    that the odd-set walk behind ``_density_violation`` reads from a
-    Multigraph, so greedy saturation adds an edge in O(1) instead of
-    rebuilding and re-validating the whole graph.  ``live`` lists, in
-    lexicographic order, the vertex pairs not yet found unaddable: edges
-    are only ever added, so degrees and the edge count of every vertex set
-    only grow, and a pair once unaddable stays so.
+    ``atom[v]`` is the atom holding vertex v: its block, or v alone when v
+    lies in no tight set.  ``n``, ``degrees`` and ``adjacency_counts``
+    describe the multigraph on the atoms, edges inside an atom dropped, in
+    the form ``_walk_odd_sets`` reads.
     """
 
-    def __init__(self, graph: Multigraph) -> None:
-        self.n = graph.n
-        self.m = graph.m
-        self.degrees = list(graph.degrees)
-        self.adjacency_counts = [list(row) for row in graph.adjacency_counts]
-        self.live = [(u, v) for u in range(self.n) for v in range(u + 1, self.n)]
+    def __init__(self, atom: list[int], counts: list[list[int]]) -> None:
+        self.atom = atom
+        self.n = len(counts)
+        self.adjacency_counts = counts
+        self.degrees = [sum(row) for row in counts]
+
+    @classmethod
+    def of(cls, graph: Multigraph, tight_sets) -> _Contracted:
+        """The contraction of ``graph`` whose atoms join overlapping tight
+        sets, which makes them the maximal tight sets."""
+        con = cls(list(range(graph.n)), [list(row) for row in graph.adjacency_counts])
+        for subset in tight_sets:
+            group = {con.atom[v] for v in subset}
+            if len(group) > 1:
+                con = con.merged(group)
+        return con
 
     def add(self, u: int, v: int) -> None:
-        self.m += 1
-        self.degrees[u] += 1
-        self.degrees[v] += 1
-        self.adjacency_counts[u][v] += 1
-        self.adjacency_counts[v][u] += 1
+        """Count one more host edge uv, whose ends lie in different atoms."""
+        a, b = self.atom[u], self.atom[v]
+        self.adjacency_counts[a][b] += 1
+        self.adjacency_counts[b][a] += 1
+        self.degrees[a] += 1
+        self.degrees[b] += 1
+
+    def merged(self, group: set[int]) -> _Contracted:
+        """The contraction with the atoms in ``group`` joined into one."""
+        first = min(group)
+        relabel: list[int] = []
+        size = 0
+        for a in range(self.n):
+            if a in group and a != first:
+                relabel.append(relabel[first])
+            else:
+                relabel.append(size)
+                size += 1
+        counts = [[0] * size for _ in range(size)]
+        for a, row in enumerate(self.adjacency_counts):
+            out = counts[relabel[a]]
+            for b, c in enumerate(row):
+                out[relabel[b]] += c
+        for a in range(size):
+            counts[a][a] = 0
+        return _Contracted([relabel[a] for a in self.atom], counts)
+
+
+def _tight_sets(graph: Multigraph, k: int) -> list[list[int]] | None:
+    """Every tight odd set of ``graph``, or None when some odd set is denser
+    than k.  One odd-set walk at slack 0, stopped at the first violation."""
+    found: list[list[int]] = []
+
+    def collect(subset: list[int], edges: int) -> tuple[int, int] | None:
+        if 2 * edges > k * (len(subset) - 1):
+            return None
+        found.append(list(subset))
+        return k, 1
+
+    return None if _walk_odd_sets(graph, k, 1, 0, collect) else found
 
 
 def _density_violation(
-    graph: Multigraph | _Tally,
+    graph: Multigraph,
     k: int,
     *,
     extra: tuple[int, int] | None = None,
@@ -179,24 +241,65 @@ def can_add_edge(
     return not _density_violation(graph, k, extra=(u, v))
 
 
-def _cheapest_addable_pair(host: _Tally, k: int) -> tuple[int, int] | None:
-    """The addable pair minimizing its endpoint degree sum (ties: lexicographic).
+def _saturate(
+    host: Multigraph, k: int, tight_sets: list[list[int]]
+) -> list[tuple[int, int]]:
+    """Greedy additions to ``host`` (odd n, density at most k, its tight
+    sets given) until it has k(n-1)/2 edges or no pair is addable; see the
+    module docstring for the rule and the block upkeep.
 
-    Uses the incremental density test: only odd sets containing both new
-    endpoints can change, so only those are enumerated.  A pair found not
-    addable leaves ``host.live`` and is not tried again.
+    ``keys`` holds degree sum * P + lexicographic rank for each of the P
+    pairs, so one ``min`` finds the next step; a pair found not addable
+    gets the key ``dead`` for good.
     """
-    deg = host.degrees
-    while host.live:
-        # min keeps the first minimum of the lexicographically ordered list
-        pair = min(host.live, key=lambda p: deg[p[0]] + deg[p[1]])
-        if _addable_incremental(host, *pair, k):
-            return pair
-        host.live.remove(pair)
-    return None
+    n = host.n
+    deg = list(host.degrees)
+    missing = k * (n - 1) // 2 - host.m
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    size = len(pairs)
+    keys = [(deg[u] + deg[v]) * size + p for p, (u, v) in enumerate(pairs)]
+    at: list[list[int]] = [[] for _ in range(n)]
+    for p, (u, v) in enumerate(pairs):
+        at[u].append(p)
+        at[v].append(p)
+    dead = 2 * k * size  # above every live key, even after bumps
+    con = _Contracted.of(host, tight_sets)
+    hit: set[int] = set()
+
+    def collect(subset: list[int], edges: int) -> tuple[int, int]:
+        hit.update(subset)
+        return k, 1
+
+    added: list[tuple[int, int]] = []
+    while len(added) < missing:
+        key = min(keys)
+        if key >= dead:
+            break
+        p = key % size
+        u, v = pairs[p]
+        if deg[u] >= k - 1 or deg[v] >= k - 1 or con.atom[u] == con.atom[v]:
+            keys[p] = dead
+            continue
+        added.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
+        for q in at[u]:
+            keys[q] += size
+        for q in at[v]:
+            keys[q] += size
+        con.add(u, v)
+        a, b = con.atom[u], con.atom[v]
+        cnt = con.adjacency_counts[a][b]
+        # a new tight set needs k edges from {a, b} into it
+        if len(added) < missing and con.degrees[a] + con.degrees[b] - cnt >= k:
+            hit.clear()
+            _walk_odd_sets(con, k, 1, 0, collect, forced=(a, b))
+            if hit:
+                con = con.merged(hit)
+    return added
 
 
-def _addable_incremental(cur: Multigraph | _Tally, u: int, v: int, k: int) -> bool:
+def _addable_incremental(cur: Multigraph, u: int, v: int, k: int) -> bool:
     if cur.degrees[u] >= k - 1 or cur.degrees[v] >= k - 1:
         return False
     return not _density_violation(cur, k, extra=(u, v), forced=(u, v))
@@ -262,23 +365,25 @@ def embed_k_dense(
             f"embedding needs density checks; capped at n = {config.density_max_n}"
         )
     start = Multigraph(work_n, graph.edges)
-    if _density_violation(start, k, extra=None):
+    target = k * (work_n - 1)
+    if 2 * start.m < target:
+        tight = _tight_sets(start, k)
+    else:
+        tight = None if _density_violation(start, k) else []
+    if tight is None:
         raise ValueError(
             f"input density exceeds {k}; the chromatic-index premise is violated"
         )
     base_edges = graph.edges
-    target = k * (work_n - 1)
     added: list[tuple[int, int]] = []
     moves: list[ExchangeMove] = []
-    host = _Tally(start)
+    cur = start
 
-    while 2 * host.m < target:
-        pair = _cheapest_addable_pair(host, k)
-        if pair is not None:
-            added.append(pair)
-            host.add(*pair)
-            continue
+    while 2 * cur.m < target:
+        added += _saturate(cur, k, tight)
         cur = Multigraph(work_n, base_edges + tuple(added))
+        if 2 * cur.m == target:
+            break
         move = _find_exchange(cur, k, base_edges, added, config)
         if move is None:
             raise GuaranteeViolationError(
@@ -290,9 +395,9 @@ def embed_k_dense(
         added.remove(e1)
         added.extend((e2, e3))
         moves.append(ExchangeMove(e1, (e2, e3)))
-        host = _Tally(Multigraph(work_n, base_edges + tuple(added)))
+        cur = Multigraph(work_n, base_edges + tuple(added))
+        tight = _tight_sets(cur, k)
 
-    cur = Multigraph(work_n, base_edges + tuple(added))
     return cur, EmbeddingReport(
         parity_vertex_added=work_n != graph.n,
         added_edges=tuple(added),

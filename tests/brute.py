@@ -129,3 +129,55 @@ def brute_k_dense_sets(graph: Multigraph, k: int) -> list[tuple[int, ...]]:
 def brute_maximal_k_dense(graph: Multigraph, k: int) -> list[tuple[int, ...]]:
     sets = [frozenset(s) for s in brute_k_dense_sets(graph, k)]
     return sorted(tuple(sorted(s)) for s in sets if not any(s < t for t in sets))
+
+
+def brute_greedy_host(
+    graph: Multigraph, k: int
+) -> tuple[Multigraph, tuple[tuple[int, int], ...]]:
+    """Greedy saturation from the definitions, as a reference for
+    ``embed_k_dense`` without exchange moves.
+
+    Pads to an odd vertex count, then repeatedly adds the first pair, by
+    endpoint degree sum and then lexicographically, whose addition keeps
+    every degree below k and 2|E(S)| <= k(|S|-1) on every odd set S of at
+    least three vertices, each recounted after the trial addition.  Stops
+    at k(n-1)/2 edges or when no pair is addable.  Returns the host and the
+    added pairs in order.
+    """
+    n = graph.n + 1 - graph.n % 2
+    odd_sets = [
+        subset
+        for size in range(3, n + 1, 2)
+        for subset in combinations(range(n), size)
+    ]
+    count = [[0] * n for _ in range(n)]
+    deg = [0] * n
+    for u, v in graph.edges:
+        count[u][v] += 1
+        count[v][u] += 1
+        deg[u] += 1
+        deg[v] += 1
+    added: list[tuple[int, int]] = []
+    while 2 * (graph.m + len(added)) < k * (n - 1):
+        pairs = sorted(
+            ((u, v) for u in range(n) for v in range(u + 1, n)),
+            key=lambda p: (deg[p[0]] + deg[p[1]], p),
+        )
+        for u, v in pairs:
+            if max(deg[u], deg[v]) + 1 >= k:
+                continue
+            count[u][v] += 1
+            count[v][u] += 1
+            if all(
+                2 * sum(count[a][b] for a, b in combinations(s, 2)) <= k * (len(s) - 1)
+                for s in odd_sets
+            ):
+                break
+            count[u][v] -= 1
+            count[v][u] -= 1
+        else:
+            break
+        deg[u] += 1
+        deg[v] += 1
+        added.append((u, v))
+    return Multigraph(n, graph.edges + tuple(added)), tuple(added)
