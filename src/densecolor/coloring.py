@@ -67,10 +67,6 @@ class TotalColoring:
                 if not 1 <= c <= self.k:
                     raise ValueError(f"{what} {idx}: color {c} outside 1..{self.k}")
 
-    @property
-    def edge_part(self) -> EdgeColoring:
-        return EdgeColoring(self.k, self.edge_colors)
-
 
 def _edge_colors_of(coloring: EdgeColoring | TotalColoring) -> tuple[int, ...]:
     if isinstance(coloring, TotalColoring):
@@ -120,32 +116,37 @@ def boundary_colors(
     return frozenset(phi.colors[eid] for eid in graph.boundary_edges(vertices))
 
 
+def _clash_free(
+    graph: Multigraph,
+    edge_colors: Sequence[int],
+    vertex_colors: Sequence[int] | None = None,
+) -> bool:
+    """True when the edges at each vertex carry distinct colors and, with
+    ``vertex_colors``, each vertex differs from its edges and neighbours."""
+    for v, ids in enumerate(graph.incidence):
+        seen = {edge_colors[eid] for eid in ids}
+        if len(seen) < len(ids):
+            return False
+        if vertex_colors is not None and vertex_colors[v] in seen:
+            return False
+    if vertex_colors is not None:
+        for u, v in graph.edges:
+            if vertex_colors[u] == vertex_colors[v]:
+                return False
+    return True
+
+
 def is_proper_edge_coloring(graph: Multigraph, phi: EdgeColoring) -> bool:
     """True when no two distinct edges sharing an endpoint share a color."""
     _check_covers(graph, phi)
-    for ids in graph.incidence:
-        seen: set[int] = set()
-        for eid in ids:
-            c = phi.colors[eid]
-            if c in seen:
-                return False
-            seen.add(c)
-    return True
+    return _clash_free(graph, phi.colors)
 
 
 def is_proper_total_coloring(graph: Multigraph, psi: TotalColoring) -> bool:
     """True when edges are proper, adjacent vertices differ, and every
     vertex differs from each of its incident edges."""
     _check_covers(graph, psi)
-    if not is_proper_edge_coloring(graph, psi.edge_part):
-        return False
-    for eid, (u, v) in enumerate(graph.edges):
-        if psi.vertex_colors[u] == psi.vertex_colors[v]:
-            return False
-        c = psi.edge_colors[eid]
-        if c == psi.vertex_colors[u] or c == psi.vertex_colors[v]:
-            return False
-    return True
+    return _clash_free(graph, psi.edge_colors, psi.vertex_colors)
 
 
 def _require_proper(graph: Multigraph, phi: EdgeColoring) -> None:

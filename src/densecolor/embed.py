@@ -14,12 +14,21 @@ toward deficient vertices).  A host that neither step can extend raises
 
 Throughout, feasibility of adding an edge uv means: both endpoint degrees
 stay below k, and no odd vertex set exceeds density k afterwards.  The
-exchange moves, and the premise check of an input already at k(n-1)/2
-edges, test this with ``_density_violation``: the odd-set walk of
+exchange moves test this with ``_density_violation``: the odd-set walk of
 ``oracles._walk_odd_sets`` at threshold k, stopped at its first violating
 set, which for one added edge walks only the sets holding both endpoints
 (the others keep their ratio).  The walk's pruning never drops a hit, so
 its answers are those of plain enumeration.
+
+The premise, density(G) <= k, is checked by one walk of G: the slack-0
+tight-set walk below when edges are missing, else ``_density_violation``.
+``chromatic_index`` has walked G already when it embeds, and passes what
+that walk proved (density <= k, and whether some odd set reaches k), so
+on its route the premise walk is skipped, and the tight-set walk runs
+only when an odd set reaches k and edges are missing.  The parity vertex
+changes none of this: an odd S holding it has ratio 2|E(S')|/|S'| < k,
+with S' the rest of S, as every degree is below k.  A direct call checks
+the premise itself.
 
 Tight sets.  Call an odd set S, |S| >= 3, tight (k-dense) when
 f(S) = 2|E(S)| - k(|S|-1) = 0; f is even, and at most 0 while the density
@@ -38,7 +47,8 @@ endpoint degree sum, ties broken lexicographically; the test is O(1).
 Adding edges only raises degrees and merges blocks, so a pair once
 unaddable stays so until an exchange move removes an edge, after which the
 blocks are found again.  The starting blocks come from the premise walk,
-run at slack 0 so that it collects the tight sets on its way.  After uv is
+run at slack 0 so that it collects the tight sets on its way (none when
+no odd set reaches k).  After uv is
 added, the new tight sets are the odd S holding u and v that had
 f(S) = -2.  The host with uv still has density at most k and degrees below
 k, so by the argument above such an S meets each block B in an odd set or
@@ -337,12 +347,18 @@ def _find_exchange(
 
 
 def embed_k_dense(
-    graph: Multigraph, k: int, config: RunConfig = DEFAULT_CONFIG
+    graph: Multigraph,
+    k: int,
+    config: RunConfig = DEFAULT_CONFIG,
+    *,
+    rho_is_k: bool | None = None,
 ) -> tuple[Multigraph, EmbeddingReport]:
     """Construct a k-dense supergraph of ``graph`` with maximum degree < k.
 
     Checks k >= max(Delta + 2, n + 1) and density(graph) <= k; the caller's
-    k is otherwise taken as given.  Steps:
+    k is otherwise taken as given.  A caller that has proved
+    density(graph) <= k passes ``rho_is_k``, whether some odd set has
+    density exactly k, and the density check is skipped.  Steps:
 
     1. If n is even, append one isolated vertex (highest index).
     2. Greedily add the cheapest feasible edge until 2m = k(n-1) or stuck.
@@ -366,10 +382,12 @@ def embed_k_dense(
         )
     start = Multigraph(work_n, graph.edges)
     target = k * (work_n - 1)
-    if 2 * start.m < target:
+    if 2 * start.m < target and rho_is_k is not False:
         tight = _tight_sets(start, k)
+    elif rho_is_k is None and _density_violation(start, k):
+        tight = None
     else:
-        tight = None if _density_violation(start, k) else []
+        tight = []
     if tight is None:
         raise ValueError(
             f"input density exceeds {k}; the chromatic-index premise is violated"
@@ -409,13 +427,13 @@ def embed_k_dense(
 
 
 def _dense_host(
-    graph: Multigraph, k: int, config: RunConfig
+    graph: Multigraph, k: int, config: RunConfig, rho_is_k: bool | None = None
 ) -> tuple[DenseHost, int]:
     """Embed ``graph`` at ``k`` and k-edge-color the host.
 
     Returns the host with its coloring, whose first ``graph.m`` colors
     color ``graph``, and the search nodes spent under
-    ``config.node_budget``.
+    ``config.node_budget``.  ``rho_is_k`` goes to ``embed_k_dense``.
 
     ``embed_k_dense`` raises ``HypothesisNotMetError`` when k is below
     max(Delta+2, n+1).  Callers pass chi'(graph), or a lower bound on it
@@ -423,7 +441,7 @@ def _dense_host(
     a search that ends without a k-coloring contradicts that (or is a bug)
     and raises ``GuaranteeViolationError`` carrying the host.
     """
-    g_prime, report = embed_k_dense(graph, k, config)
+    g_prime, report = embed_k_dense(graph, k, config, rho_is_k=rho_is_k)
     budget = _Budget(config.node_budget)
     colors = _color(g_prime, k, budget)
     if colors is None:

@@ -222,28 +222,46 @@ def _walk_odd_sets(
     return walk(0, len(subset), inner0, sum(1 for v in subset if v in ends))
 
 
+def _density_above(graph: Multigraph, floor: int) -> DensityWitness | None:
+    """The density with its lexicographically smallest maximizer when the
+    density exceeds ``floor``, else None.
+
+    One lexicographic walk over the odd sets from threshold ``floor``: each
+    set strictly denser than the best so far becomes the best and raises
+    the threshold to its own ratio, so the walk keeps only branches that
+    can still beat it.  A later set of equal ratio is no hit.  Every set
+    before the smallest maximizer has a smaller ratio, so that maximizer is
+    a hit from any floor below the density, and the witness does not
+    depend on the floor.
+    """
+    best: list = []
+
+    def beat(subset: list[int], edges: int) -> tuple[int, int]:
+        best[:] = [Fraction(2 * edges, len(subset) - 1), tuple(subset)]
+        return 2 * edges, len(subset) - 1
+
+    _walk_odd_sets(graph, floor, 1, 1, beat)
+    return DensityWitness(*best) if best else None
+
+
 def density(graph: Multigraph, config: RunConfig = DEFAULT_CONFIG) -> DensityWitness:
     """Maximize 2|E(G[S])|/(|S|-1) over odd subsets S with |S| >= 3.
 
-    One lexicographic walk over the odd sets: each set strictly denser than
-    the best so far becomes the best and raises the walk's threshold to its
-    own ratio, so the walk keeps only branches that can still beat it.  A
-    later set of equal ratio is no hit, which makes the witness the
-    lexicographically smallest maximizer.
+    The witness is the lexicographically smallest maximizer (see
+    ``_density_above``, here walked from 0).
     """
     n = graph.n
     if n > config.density_max_n:
         raise InstanceTooLargeError(
             f"density enumeration capped at n = {config.density_max_n}, got {n}"
         )
-    best: list = [Fraction(0), None]
+    return _density_above(graph, 0) or DensityWitness(Fraction(0), None)
 
-    def beat(subset: list[int], edges: int) -> tuple[int, int]:
-        best[:] = [Fraction(2 * edges, len(subset) - 1), tuple(subset)]
-        return 2 * edges, len(subset) - 1
 
-    _walk_odd_sets(graph, 0, 1, 1, beat)
-    return DensityWitness(*best)
+def _is_dense_whole(graph: Multigraph, k: int) -> bool:
+    """``is_k_dense`` on the whole vertex set: odd n >= 3, 2m = k(n-1)."""
+    n = graph.n
+    return n >= 3 and n % 2 == 1 and 2 * graph.m == k * (n - 1)
 
 
 def is_k_dense(graph: Multigraph, vertices, k: int) -> bool:
@@ -363,10 +381,15 @@ def chromatic_index(
 ) -> ChromaticCertificate:
     """Exact chromatic index with a proper witness coloring.
 
-    L = max(Delta, ceil(rho)) is a lower bound.  The host route settles
-    chi' = L when L >= max(Delta+2, n+1) and the host's density checks fit
-    under density_max_n: G embeds into an L-dense host, and the host's
-    L-edge-coloring restricted to G (re-verified) attains the bound.  The
+    L = max(Delta, ceil(rho)) is a lower bound.  G's odd sets are walked
+    once, from threshold Delta (``_density_above``): only a density above
+    Delta moves L or the lower-bound reason, and the walk returns the same
+    value and witness as ``density`` whenever it finds one.  The host route
+    settles chi' = L when L >= max(Delta+2, n+1) and the host's density
+    checks fit under density_max_n: G embeds into an L-dense host, and the
+    host's L-edge-coloring restricted to G (verified here) attains the
+    bound.  The walk has proved density <= L, and whether some odd set
+    reaches L, so the embedding skips its own premise walk.  The
     certificate keeps that host and its coloring (``host``), so callers
     that extend the host coloring next do not embed or color again.
     Every other graph within ``chi_index_max_edges`` is searched from L
@@ -378,17 +401,19 @@ def chromatic_index(
             "chromatic-index", 0, EdgeColoring(0, ()), "max-degree", 0
         )
     delta = graph.max_degree()
-    lower = max(delta, 1)
+    lower = delta
     ceil_rho: int | None = None
     if graph.n <= config.density_max_n:
-        ceil_rho = math.ceil(density(graph, config).value)
-        lower = max(lower, ceil_rho)
+        dens = _density_above(graph, delta)
+        if dens is not None:
+            lower = ceil_rho = math.ceil(dens.value)
         # the host has n vertices, plus a parity vertex when n is even
         host_n = graph.n + 1 - graph.n % 2
         if host_n <= config.density_max_n and lower >= max(delta + 2, graph.n + 1):
             from .embed import _dense_host  # embed imports this module
 
-            host, nodes = _dense_host(graph, lower, config)
+            rho_is_k = dens is not None and dens.value == lower
+            host, nodes = _dense_host(graph, lower, config, rho_is_k)
             witness = EdgeColoring(lower, host.coloring.colors[: graph.m])
             if not is_proper_edge_coloring(graph, witness):
                 raise GuaranteeViolationError(
@@ -410,7 +435,7 @@ def chromatic_index(
         if assignment is not None:
             if k == delta:
                 reason = "max-degree"
-            elif ceil_rho is not None and k == ceil_rho:
+            elif k == ceil_rho:
                 reason = "density"
             else:
                 reason = "exhaustion"
@@ -582,7 +607,7 @@ def _color(graph: Multigraph, k: int, budget: _Budget) -> list[int] | None:
     refutes k on dense class-2 graphs in few nodes; any other graph goes to
     the generic edge-by-edge search.
     """
-    if is_k_dense(graph, range(graph.n), k):
+    if _is_dense_whole(graph, k):
         return _dense_class_search(graph, k, budget)
     return _edge_color_search(graph, k, budget)
 

@@ -24,10 +24,9 @@ from fractions import Fraction
 from .coloring import (
     EdgeColoring,
     TotalColoring,
+    _check_covers,
     coloring_to_doc,
-    is_proper_edge_coloring,
     is_proper_total_coloring,
-    missing_colors,
 )
 from .config import DEFAULT_CONFIG, RunConfig
 from .embed import EmbeddingReport, _dense_host
@@ -35,9 +34,9 @@ from .errors import GuaranteeViolationError
 from .multigraph import Multigraph, serialize
 from .oracles import (
     ChromaticCertificate,
+    _is_dense_whole,
     chromatic_index,
     is_edge_critical,
-    is_k_dense,
 )
 
 __all__ = [
@@ -99,39 +98,51 @@ def extend_to_total(graph: Multigraph, phi: EdgeColoring, k: int) -> TotalColori
     Each vertex receives the smallest color missing at it.  Because the
     graph is k-dense, every color class inside it is a near-perfect
     matching, so the missing sets are pairwise disjoint and any choice is
-    proper; the result is verified before returning.
+    proper.  The input is checked on per-vertex bitmasks of the present
+    colors: a repeated color leaves fewer bits than edges, and a running
+    union of the missing sets catches two vertices missing one color.  One
+    pass over the edges then verifies the result.
     """
     if phi.k != k:
         raise ValueError(f"edge coloring has palette {phi.k}, expected {k}")
-    if not is_k_dense(graph, range(graph.n), k):
+    if not _is_dense_whole(graph, k):
         raise GuaranteeViolationError(
             f"graph is not {k}-dense: 2m = {2 * graph.m}, "
             f"k(n-1) = {k * (graph.n - 1)}, n = {graph.n}"
         )
-    if not is_proper_edge_coloring(graph, phi):
+    _check_covers(graph, phi)
+    colors = phi.colors
+    present = [0] * graph.n
+    for (u, v), c in zip(graph.edges, colors):
+        present[u] |= 1 << c
+        present[v] |= 1 << c
+    if any(mask.bit_count() < d for mask, d in zip(present, graph.degrees)):
         raise ValueError("edge coloring is not proper")
+    palette = (1 << (k + 1)) - 2  # colors 1..k as bits 1..k
+    claimed = 0
     vertex_colors: list[int] = []
-    claimed: dict[int, int] = {}
-    for v in range(graph.n):
-        miss = missing_colors(graph, phi, v)
+    for v, mask in enumerate(present):
+        miss = palette & ~mask
         if not miss:
             raise GuaranteeViolationError(
                 f"vertex {v} has degree {graph.degrees[v]} = k; no color is free"
             )
-        for c in miss:
-            if c in claimed:
-                raise GuaranteeViolationError(
-                    f"vertices {claimed[c]} and {v} both miss color {c}; "
-                    "the vertex set is not elementary"
-                )
-            claimed[c] = v
-        vertex_colors.append(min(miss))
-    psi = TotalColoring(k, phi.colors, tuple(vertex_colors))
-    if not is_proper_total_coloring(graph, psi):
-        raise GuaranteeViolationError(
-            "extension produced an improper total coloring; this is a bug"
-        )
-    return psi
+        if miss & claimed:
+            c = ((miss & claimed) & -(miss & claimed)).bit_length() - 1
+            u = next(u for u in range(v) if not present[u] >> c & 1)
+            raise GuaranteeViolationError(
+                f"vertices {u} and {v} both miss color {c}; "
+                "the vertex set is not elementary"
+            )
+        claimed |= miss
+        vertex_colors.append((miss & -miss).bit_length() - 1)
+    for (u, v), c in zip(graph.edges, colors):
+        a, b = vertex_colors[u], vertex_colors[v]
+        if a == b or c == a or c == b:
+            raise GuaranteeViolationError(
+                "extension produced an improper total coloring; this is a bug"
+            )
+    return TotalColoring(k, colors, tuple(vertex_colors))
 
 
 def restrict_total(

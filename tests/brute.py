@@ -10,9 +10,27 @@ Use only on tiny instances.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 
 from densecolor import Multigraph
+
+
+@lru_cache(maxsize=1)
+def exhaustive_small_multigraphs() -> tuple[Multigraph, ...]:
+    """Every loopless multigraph with n <= 4, m <= 8 and per-pair
+    multiplicity <= 3 (plain enumeration over multiplicity vectors)."""
+    out: list[Multigraph] = [Multigraph(0, ()), Multigraph(1, ())]
+    for n in range(2, 5):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for vec in product(range(4), repeat=len(pairs)):
+            if sum(vec) > 8:
+                continue
+            edges: list[tuple[int, int]] = []
+            for pair, count in zip(pairs, vec):
+                edges.extend([pair] * count)
+            out.append(Multigraph(n, tuple(edges)))
+    return tuple(out)
 
 
 def count_edges_inside(graph: Multigraph, subset) -> int:
@@ -89,6 +107,18 @@ def _total_conflict(graph: Multigraph, a: int, b: int) -> bool:
         return _edges_share_endpoint(graph, a - n, b - n)
     vertex, edge = (a, b - n) if a < n else (b, a - n)
     return vertex in graph.edges[edge]
+
+
+def brute_is_proper(graph: Multigraph, edge_colors, vertex_colors=None) -> bool:
+    """Every two conflicting elements differ in color: the edges only, or
+    the vertices too when ``vertex_colors`` is given."""
+    color = {graph.n + eid: c for eid, c in enumerate(edge_colors)}
+    if vertex_colors is not None:
+        color.update(enumerate(vertex_colors))
+    return not any(
+        color[a] == color[b] and _total_conflict(graph, a, b)
+        for a, b in combinations(sorted(color), 2)
+    )
 
 
 def total_colorable(graph: Multigraph, k: int) -> bool:

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import time
 from functools import lru_cache
-from itertools import product
 
 from densecolor import (
     HypothesisNotMetError,
@@ -39,6 +38,8 @@ from densecolor import (
     totalize,
 )
 
+from brute import exhaustive_small_multigraphs
+
 MASTER_SEED = 20260811
 
 
@@ -46,23 +47,6 @@ def report(num: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance {num:02d}] {status}: {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-@lru_cache(maxsize=1)
-def exhaustive_small_multigraphs() -> tuple[Multigraph, ...]:
-    """Every loopless multigraph with n <= 4, m <= 8 and per-pair
-    multiplicity <= 3 (plain enumeration over multiplicity vectors)."""
-    out: list[Multigraph] = [Multigraph(0, ()), Multigraph(1, ())]
-    for n in range(2, 5):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for vec in product(range(4), repeat=len(pairs)):
-            if sum(vec) > 8:
-                continue
-            edges: list[tuple[int, int]] = []
-            for pair, count in zip(pairs, vec):
-                edges.extend([pair] * count)
-            out.append(Multigraph(n, tuple(edges)))
-    return tuple(out)
 
 
 @lru_cache(maxsize=1)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from densecolor import (
@@ -11,6 +13,7 @@ from densecolor import (
     complete,
     cycle,
     gen_fat_cycle,
+    gen_random_multigraph,
     is_closed,
     is_elementary,
     is_proper_edge_coloring,
@@ -21,6 +24,8 @@ from densecolor import (
     permute_colors,
     present_colors,
 )
+
+from brute import brute_is_proper
 
 T2 = gen_fat_cycle(3, 2)
 C5 = cycle(5)
@@ -110,6 +115,31 @@ class TestProperTotal:
     def test_vertex_edge_clash(self):
         psi = TotalColoring(3, (2,), (2, 1))
         assert not is_proper_total_coloring(K2, psi)
+
+
+    def test_vertex_cover_mismatch_raises(self):
+        with pytest.raises(ValueError, match="assigns 2 vertices"):
+            is_proper_total_coloring(complete(3), TotalColoring(3, (3, 2, 1), (1, 2)))
+
+
+def test_checkers_match_brute():
+    # the edge and total checks share one clash check; both agree with the
+    # pairwise definitions on random colorings of small multigraphs
+    rng = random.Random(23)
+    proper_edge = proper_total = 0
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        g = gen_random_multigraph(n, rng.randint(0, min(6, n * (n - 1))), 2, rng.getrandbits(32))
+        k = rng.randint(1, 7)
+        edge = tuple(rng.randint(1, k) for _ in range(g.m))
+        vertex = tuple(rng.randint(1, k) for _ in range(g.n))
+        ok_edge = is_proper_edge_coloring(g, EdgeColoring(k, edge))
+        ok_total = is_proper_total_coloring(g, TotalColoring(k, edge, vertex))
+        assert ok_edge == brute_is_proper(g, edge)
+        assert ok_total == brute_is_proper(g, edge, vertex)
+        proper_edge += ok_edge
+        proper_total += ok_total
+    assert proper_edge >= 50 and proper_total >= 20
 
 
 class TestElementary:

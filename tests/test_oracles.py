@@ -33,6 +33,7 @@ import densecolor.oracles as oracles
 from brute import (
     brute_chromatic_index,
     brute_density,
+    exhaustive_small_multigraphs,
     brute_maximal_k_dense,
     brute_smallest_maximizer,
     brute_total_chromatic,
@@ -49,6 +50,24 @@ PETERSEN_LESS_VERTEX = Multigraph(
     + ((0, 5), (1, 6), (2, 7), (3, 8))
     + ((5, 7), (6, 8), (8, 5)),
 )
+
+
+def planted_core_graphs(seed: int, count: int) -> tuple[Multigraph, ...]:
+    """Seeded multigraphs on 3-9 vertices: a random 3- or 5-vertex core of
+    multiplicity up to 5, plus up to n simple edges, on shuffled labels."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, 9)
+        core = rng.choice([c for c in (3, 5) if c <= n])
+        dense = gen_random_multigraph(core, rng.randint(2 * core, 4 * core), 5, rng.getrandbits(32))
+        sparse = gen_random_multigraph(n, rng.randint(0, n), 1, rng.getrandbits(32))
+        label = list(range(n))
+        rng.shuffle(label)
+        out.append(
+            Multigraph(n, tuple((label[u], label[v]) for u, v in dense.edges + sparse.edges))
+        )
+    return tuple(out)
 
 
 class TestDensity:
@@ -90,6 +109,34 @@ class TestDensity:
         g = gen_fat_cycle(n, mult)
         value, _ = brute_density(g)
         assert density(g).value == value
+
+    def test_walk_from_delta_matches_brute(self):
+        # chromatic_index walks from threshold Delta: it finds nothing
+        # exactly when the density is at most Delta, else density's value
+        # and witness
+        graphs = exhaustive_small_multigraphs() + planted_core_graphs(41, 120)
+        above = 0
+        for g in graphs:
+            delta = g.max_degree()
+            value, _ = brute_density(g)
+            got = oracles._density_above(g, delta)
+            if value <= delta:
+                assert got is None
+                continue
+            above += 1
+            assert got == density(g)
+            assert got.value == value
+            assert got.witness == brute_smallest_maximizer(g)
+        assert above >= 400
+
+    def test_walk_from_any_floor_below_the_density(self):
+        # every start below rho ends on the same lexicographically
+        # smallest maximizer
+        for g in planted_core_graphs(43, 40):
+            full = density(g)
+            for floor in range(math.ceil(full.value)):
+                assert oracles._density_above(g, floor) == full
+            assert oracles._density_above(g, math.ceil(full.value)) is None
 
 
 class TestChromaticIndex:

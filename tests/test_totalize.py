@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -24,14 +25,21 @@ from densecolor import (
     is_proper_edge_coloring,
     is_proper_total_coloring,
     missing_colors,
+    permute_colors,
     restrict_total,
     total_chromatic_number,
     totalize,
 )
 
+import densecolor.coloring as coloring_mod
+import densecolor.embed as embed_mod
+import densecolor.oracles as oracles_mod
 from densecolor.totalize import _totalize_with
 
-from brute import brute_chromatic_index, brute_total_chromatic
+# the package's ``totalize`` function shadows the module of that name
+totalize_mod = importlib.import_module("densecolor.totalize")
+
+from brute import brute_chromatic_index, brute_is_proper, brute_total_chromatic
 
 T2 = gen_fat_cycle(3, 2)
 C5 = cycle(5)
@@ -80,6 +88,51 @@ class TestExtend:
         phi = EdgeColoring(6, (1, 1, 2, 3, 4, 5))
         with pytest.raises(ValueError, match="not proper"):
             extend_to_total(T2, phi, 6)
+
+    def test_repeat_at_the_last_vertex_rejected(self):
+        # an edge at the last vertex recolored to a color missing at its
+        # other end: the only repeated color sits at the last vertex
+        g = gen_fat_cycle(5, 4)
+        phi = chromatic_index(g).witness
+        last = g.n - 1
+        eid = g.incidence[last][0]
+        other = sum(g.edges[eid]) - last
+        colors = list(phi.colors)
+        colors[eid] = min(missing_colors(g, phi, other))
+        repeats = [
+            v for v in range(g.n)
+            if len({colors[e] for e in g.incidence[v]}) < g.degrees[v]
+        ]
+        assert repeats == [last]
+        with pytest.raises(ValueError, match="not proper"):
+            extend_to_total(g, EdgeColoring(10, tuple(colors)), 10)
+
+    @pytest.mark.parametrize(
+        ("graph", "k"),
+        [(T2, 6), (gen_fat_cycle(3, 3), 9), (gen_fat_cycle(5, 2), 5)],
+        ids=["t2", "fat-c3-m3", "fat-c5-m2"],
+    )
+    def test_matches_brute_on_recolored_edges(self, graph, k):
+        # permuted palettes stay proper and extend to a total coloring the
+        # brute checker accepts; one edge recolored is rejected exactly
+        # when the brute checker finds a clash
+        rng = random.Random(17)
+        phi = chromatic_index(graph).witness
+        assert phi.k == k
+        rejected = 0
+        for _ in range(40):
+            perm = list(range(1, k + 1))
+            rng.shuffle(perm)
+            colors = list(permute_colors(phi, perm).colors)
+            colors[rng.randrange(graph.m)] = rng.randint(1, k)
+            if brute_is_proper(graph, colors):
+                psi = extend_to_total(graph, EdgeColoring(k, tuple(colors)), k)
+                assert brute_is_proper(graph, psi.edge_colors, psi.vertex_colors)
+            else:
+                rejected += 1
+                with pytest.raises(ValueError, match="not proper"):
+                    extend_to_total(graph, EdgeColoring(k, tuple(colors)), k)
+        assert 0 < rejected < 40
 
     def test_extension_commutes_with_permutation_up_to_vertex_choice(self):
         # the edge part permutes identically; the vertex part is drawn from
@@ -279,6 +332,70 @@ class TestTotalize:
                 brute_checked += 1
                 assert cert.k == brute_chromatic_index(g)
         assert brute_checked >= 20
+
+    @pytest.mark.parametrize(
+        ("graph", "walks"),
+        [
+            (T2, 1),
+            (Multigraph(9, gen_fat_cycle(5, 5).edges), 1),
+            (Multigraph(9, gen_fat_cycle(3, 4).edges), 2),
+        ],
+        ids=["t2-dense", "fat-c5-m5-n9-below-k", "fat-c3-m4-n9-at-k"],
+    )
+    def test_host_route_walks_the_graph_once(self, monkeypatch, graph, walks):
+        # chromatic_index's walk from Delta proves density <= k, so the
+        # embedding skips its premise walk; only rho == k with edges
+        # missing adds the slack-0 tight-set walk, before saturation
+        events = []
+
+        def counting(walk):
+            def counted(g, *args, **kwargs):
+                events.append("G" if getattr(g, "edges", None) == graph.edges else "other")
+                return walk(g, *args, **kwargs)
+
+            return counted
+
+        for module in (oracles_mod, embed_mod):
+            monkeypatch.setattr(module, "_walk_odd_sets", counting(module._walk_odd_sets))
+        saturate = embed_mod._saturate
+
+        def marked(*args):
+            events.append("saturate")
+            return saturate(*args)
+
+        monkeypatch.setattr(embed_mod, "_saturate", marked)
+        cert = totalize(graph)
+        assert is_proper_total_coloring(graph, cert.coloring)
+        assert events[:walks] == ["G"] * walks
+        assert events.count("G") == walks
+        saturated = "saturate" in events
+        assert saturated == (2 * graph.m < cert.k * (cert.g_prime.n - 1))
+        if saturated:
+            assert events[walks] == "saturate"
+
+    def test_each_coloring_checked_once(self, monkeypatch):
+        # G's chi' witness in chromatic_index, the host coloring in the
+        # extension pass, G's total coloring in restrict_total
+        g = Multigraph(9, gen_fat_cycle(3, 4).edges)
+        checks = []
+        clash_free = coloring_mod._clash_free
+
+        def counted(graph, edge_colors, vertex_colors=None):
+            checks.append((graph, vertex_colors is not None))
+            return clash_free(graph, edge_colors, vertex_colors)
+
+        monkeypatch.setattr(coloring_mod, "_clash_free", counted)
+        extended = []
+        extend = totalize_mod.extend_to_total
+
+        def counted_extend(graph, phi, k):
+            extended.append(graph)
+            return extend(graph, phi, k)
+
+        monkeypatch.setattr(totalize_mod, "extend_to_total", counted_extend)
+        cert = totalize(g)
+        assert checks == [(g, False), (g, True)]
+        assert extended == [cert.g_prime]
 
     def test_matches_exhaustive_total_oracle(self):
         for name in ("t2", "t2-k1", "t2-2k1"):
