@@ -33,6 +33,15 @@ __all__ = [
 ]
 
 
+def _check_palette(what: str, colors: tuple[int, ...], k: int) -> None:
+    """Raise ``ValueError`` naming the first color outside 1..k; colors in
+    range cost one ``min`` and one ``max``."""
+    if colors and (min(colors) < 1 or max(colors) > k):
+        for idx, c in enumerate(colors):
+            if not 1 <= c <= k:
+                raise ValueError(f"{what} {idx}: color {c} outside 1..{k}")
+
+
 @dataclass(frozen=True)
 class EdgeColoring:
     """Total assignment of colors 1..k to edge ids (index = edge id)."""
@@ -44,9 +53,7 @@ class EdgeColoring:
         object.__setattr__(self, "colors", tuple(self.colors))
         if self.k < 0:
             raise ValueError("palette size must be nonnegative")
-        for eid, c in enumerate(self.colors):
-            if not 1 <= c <= self.k:
-                raise ValueError(f"edge {eid}: color {c} outside 1..{self.k}")
+        _check_palette("edge", self.colors, self.k)
 
 
 @dataclass(frozen=True)
@@ -62,10 +69,8 @@ class TotalColoring:
         object.__setattr__(self, "vertex_colors", tuple(self.vertex_colors))
         if self.k < 0:
             raise ValueError("palette size must be nonnegative")
-        for what, values in (("edge", self.edge_colors), ("vertex", self.vertex_colors)):
-            for idx, c in enumerate(values):
-                if not 1 <= c <= self.k:
-                    raise ValueError(f"{what} {idx}: color {c} outside 1..{self.k}")
+        _check_palette("edge", self.edge_colors, self.k)
+        _check_palette("vertex", self.vertex_colors, self.k)
 
 
 def _edge_colors_of(coloring: EdgeColoring | TotalColoring) -> tuple[int, ...]:
@@ -122,17 +127,22 @@ def _clash_free(
     vertex_colors: Sequence[int] | None = None,
 ) -> bool:
     """True when the edges at each vertex carry distinct colors and, with
-    ``vertex_colors``, each vertex differs from its edges and neighbours."""
-    for v, ids in enumerate(graph.incidence):
-        seen = {edge_colors[eid] for eid in ids}
-        if len(seen) < len(ids):
+    ``vertex_colors``, each vertex differs from its edges and neighbours.
+
+    One pass over the edges: ``present[v]`` holds a bit for each color seen
+    at v so far, seeded with v's own color in the total case, so a repeat
+    at either end is a clash.
+    """
+    total = vertex_colors is not None
+    present = [1 << c for c in vertex_colors] if total else [0] * graph.n
+    for (u, v), c in zip(graph.edges, edge_colors):
+        bit = 1 << c
+        if (present[u] | present[v]) & bit:
             return False
-        if vertex_colors is not None and vertex_colors[v] in seen:
+        if total and vertex_colors[u] == vertex_colors[v]:
             return False
-    if vertex_colors is not None:
-        for u, v in graph.edges:
-            if vertex_colors[u] == vertex_colors[v]:
-                return False
+        present[u] |= bit
+        present[v] |= bit
     return True
 
 

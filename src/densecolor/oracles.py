@@ -160,8 +160,9 @@ def _walk_odd_sets(
     nothing is forced).  Let e be the edges inside S, plus one when both
     ends of ``extra`` lie in S.  S is a hit when
     den * 2e - num * (|S| - 1) >= ``slack``, and then ``on_hit(S, e)``
-    returns the threshold (num, den) for the rest of the walk, or None to
-    stop it.  Returns True when ``on_hit`` stopped the walk.
+    returns the threshold (num, den) for the rest of the walk, never lower
+    than the one it was hit at, or None to stop it.  Returns True when
+    ``on_hit`` stopped the walk.
 
     A branch at the partial set P is dropped when no set it reaches can be
     a hit.  With t(w) the edges from a remaining candidate w into P, any
@@ -172,14 +173,34 @@ def _walk_odd_sets(
     plus the positive terms den * (t(w) + d(w)) - num, stays below
     ``slack``.  Reads only ``n``, ``degrees`` and ``adjacency_counts``;
     vertices are not range-checked.
+
+    Vertices of degree 0 are left out of the walk when the starting
+    threshold is at least the maximum degree D, both counting ``extra`` at
+    its ends: with gap = den * D - num, the walk skips them when gap <= 0
+    and 2 * gap < ``slack`` (gap < 0 at slack 0, or gap = 0 at slack 1).
+    A set S holding such a vertex w has 2e <= D(|S| - 1), counted at the
+    other |S| - 1 vertices, so den * 2e - num * (|S| - 1) <= gap(|S| - 1)
+    <= 2 * gap < ``slack``: no hit holds w.  As ``on_hit`` never lowers the
+    threshold, this holds for the whole walk; and w's bound term is 0, so
+    leaving w out changes neither the hits, nor their order, nor the bound
+    at any node.  Padded inputs, whose isolated vertices the hypothesis
+    counts, and the class search's uncolored rest, where fully colored
+    vertices are isolated, walk far fewer sets.
     """
     cnt = graph.adjacency_counts
     deg = graph.degrees
+    ends = () if extra is None else extra
     subset = sorted(set(forced))
-    candidates = [v for v in range(graph.n) if v not in subset]
+    degs = list(deg)
+    for v in ends:
+        degs[v] += 1
+    gap = den * max(degs, default=0) - num
+    lone = gap <= 0 and 2 * gap < slack  # no hit holds a vertex of degree 0
+    candidates = [
+        v for v in range(graph.n) if v not in subset and (degs[v] or not lone)
+    ]
     # pair counts are symmetric: sum the forced vertices' own rows
     to_subset = [sum(col) for col in zip([0] * graph.n, *(cnt[w] for w in subset))]
-    ends = () if extra is None else extra
     bonus = 0 if extra is None else 1  # exact once both ends are inside
     last = len(candidates)
 

@@ -23,6 +23,7 @@ from densecolor import (
     missing_union,
     permute_colors,
     present_colors,
+    total_chromatic_number,
 )
 
 from brute import brute_is_proper
@@ -51,6 +52,20 @@ class TestValues:
     def test_total_coloring_validates_both_parts(self):
         with pytest.raises(ValueError):
             TotalColoring(2, (1,), (0,))
+
+    @pytest.mark.parametrize(
+        ("make", "message"),
+        [
+            (lambda: EdgeColoring(3, (1, 4, 0, 5)), "edge 1: color 4 outside 1..3"),
+            (lambda: EdgeColoring(3, (2, 0, 4)), "edge 1: color 0 outside 1..3"),
+            (lambda: TotalColoring(2, (1, 2), (2, 3, 0)), "vertex 1: color 3 outside 1..2"),
+            (lambda: TotalColoring(2, (3,), (0,)), "edge 0: color 3 outside 1..2"),
+        ],
+        ids=["edge-above", "edge-below", "vertex", "edge-before-vertex"],
+    )
+    def test_range_error_names_the_first_bad_color(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
 
 class TestPresentMissing:
@@ -140,6 +155,36 @@ def test_checkers_match_brute():
         proper_edge += ok_edge
         proper_total += ok_total
     assert proper_edge >= 50 and proper_total >= 20
+
+
+def test_checkers_match_brute_next_to_proper_colorings():
+    # proper edge and total colorings of seeded multigraphs, each element
+    # then recolored to every palette color: single clashes, such as an
+    # edge taking an end's own color, that random colorings rarely show
+    rng = random.Random(29)
+    improper = 0
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        g = gen_random_multigraph(n, rng.randint(1, min(6, n * (n - 1))), 2, rng.getrandbits(32))
+        phi = chromatic_index(g).witness
+        psi = total_chromatic_number(g).witness
+        for edge, vertex, k in (
+            (list(phi.colors), None, phi.k),
+            (list(psi.edge_colors), list(psi.vertex_colors), psi.k),
+        ):
+            for colors in (edge, vertex or []):
+                for i, kept in enumerate(colors):
+                    for c in range(1, k + 1):
+                        colors[i] = c
+                        if vertex is None:
+                            ok = is_proper_edge_coloring(g, EdgeColoring(k, tuple(edge)))
+                        else:
+                            psi_c = TotalColoring(k, tuple(edge), tuple(vertex))
+                            ok = is_proper_total_coloring(g, psi_c)
+                        assert ok == brute_is_proper(g, edge, vertex)
+                        improper += not ok
+                    colors[i] = kept
+    assert improper >= 500
 
 
 class TestElementary:

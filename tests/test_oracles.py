@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,12 +29,15 @@ from densecolor import (
     total_chromatic_number,
 )
 
+import densecolor.embed as embed_mod
 import densecolor.oracles as oracles
+from densecolor.embed import _density_violation, _tight_sets
 
 from brute import (
     brute_chromatic_index,
     brute_density,
     exhaustive_small_multigraphs,
+    brute_k_dense_sets,
     brute_maximal_k_dense,
     brute_smallest_maximizer,
     brute_total_chromatic,
@@ -68,6 +72,15 @@ def planted_core_graphs(seed: int, count: int) -> tuple[Multigraph, ...]:
             Multigraph(n, tuple((label[u], label[v]) for u, v in dense.edges + sparse.edges))
         )
     return tuple(out)
+
+
+def with_isolated(graph: Multigraph, rng: random.Random) -> tuple[Multigraph, list[int]]:
+    """``graph`` with 1-3 isolated vertices inserted at random ids, and the
+    ids of the inserted vertices."""
+    n = graph.n + rng.randint(1, 3)
+    ids = sorted(rng.sample(range(n), graph.n))
+    edges = tuple((ids[u], ids[v]) for u, v in graph.edges)
+    return Multigraph(n, edges), sorted(set(range(n)) - set(ids))
 
 
 class TestDensity:
@@ -393,6 +406,92 @@ class TestMaximalKDense:
     def test_matches_brute(self, k):
         g = Multigraph(6, T2.edges + ((3, 4), (4, 5), (3, 5), (2, 3)))
         assert maximal_k_dense_subgraphs(g, k) == brute_maximal_k_dense(g, k)
+
+
+class TestWalkSkipsIsolatedVertices:
+    def test_matches_brute_with_isolated_vertices(self):
+        # a walk from a threshold of at least Delta leaves the degree-0
+        # vertices out; every answer stays that of plain enumeration, at
+        # k = Delta (slack 0) too, where a set holding an isolated vertex
+        # can be tight
+        rng = random.Random(47)
+        graphs = exhaustive_small_multigraphs() + planted_core_graphs(53, 40)
+        violated = 0
+        for base in graphs:
+            g, isolated = with_isolated(base, rng)
+            delta = g.max_degree()
+            value, _ = brute_density(g)
+            full = density(g)
+            assert full.value == value
+            assert full.witness == brute_smallest_maximizer(g)
+            assert oracles._density_above(g, delta) == (full if value > delta else None)
+            for k in range(delta, delta + 4):
+                assert maximal_k_dense_subgraphs(g, k) == brute_maximal_k_dense(g, k)
+                tight = _tight_sets(g, k)
+                if value > k:
+                    assert tight is None
+                else:
+                    assert sorted(map(tuple, tight)) == sorted(brute_k_dense_sets(g, k))
+            w = rng.choice(isolated)
+            others = [v for v in range(g.n) if v != w]
+            if not others:
+                continue
+            u = rng.choice(others)
+            grown = g.with_edge(u, w)
+            denser = brute_density(grown)[0]
+            top = grown.max_degree()
+            for k in range(top - 1, top + 2):
+                hit = _density_violation(g, k, extra=(u, w))
+                assert hit == (denser > k)
+                violated += hit
+        assert violated >= 500
+
+    def test_extra_edge_end_is_not_isolated(self):
+        # vertex 0 has degree 0 but ends the extra edge: counted with it,
+        # Delta = 5 > k = 4, so no vertex is left out, and {0, 1, 2} holds
+        # 4 + 1 edges, 2 * 5 > 4 * 2
+        g = Multigraph(3, ((1, 2),) * 4)
+        assert _density_violation(g, 4, extra=(0, 1))
+
+    def test_padded_fat_triangle_walks_only_its_core(self, monkeypatch):
+        # fat C3 with mu = 6 padded to n = 14: Delta = 12 and L = 18, so
+        # chromatic_index walks G from 12 (a walk that kept the 11 padding
+        # vertices would visit 40 nodes), then the embedding collects G's
+        # tight sets at 18
+        g = Multigraph(14, gen_fat_cycle(3, 6).edges)
+        node = next(
+            c for c in oracles._walk_odd_sets.__code__.co_consts
+            if getattr(c, "co_name", None) == "walk"
+        )
+        walks = []
+
+        def traced(walk):
+            def counted(graph, *args, **kwargs):
+                if getattr(graph, "edges", None) != g.edges:
+                    return walk(graph, *args, **kwargs)
+                subsets = []
+
+                def profile(frame, event, arg):
+                    # each node has restored its subset when it returns
+                    if event == "return" and frame.f_code is node:
+                        subsets.append(tuple(frame.f_locals["subset"]))
+
+                sys.setprofile(profile)
+                try:
+                    return walk(graph, *args, **kwargs)
+                finally:
+                    sys.setprofile(None)
+                    walks.append(subsets)
+
+            return counted
+
+        for module in (oracles, embed_mod):
+            monkeypatch.setattr(module, "_walk_odd_sets", traced(module._walk_odd_sets))
+        cert = chromatic_index(g)
+        assert cert.k == 18 and cert.host is not None
+        assert len(walks) == 2
+        assert len(walks[0]) == 7
+        assert {v for subsets in walks for s in subsets for v in s} == {0, 1, 2}
 
 
 class TestDensityIdentity:
