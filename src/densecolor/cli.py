@@ -48,7 +48,6 @@ from .oracles import (
     density,
     total_chromatic_number,
 )
-from .embed import embed_k_dense
 from .search import search_goldberg
 from .totalize import totalize
 
@@ -131,13 +130,8 @@ def cmd_chi_total(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
-    config = _config_from(args)
-    cert = chromatic_index(graph, config)
-    if cert.host is not None:  # the host coloring settled chi': reuse it
-        g_prime, report = cert.host.g_prime, cert.host.report
-    else:
-        g_prime, report = embed_k_dense(graph, cert.k, config)
+    cert = totalize(_load_graph(args.graph), _config_from(args))
+    g_prime, report = cert.g_prime, cert.pipeline.embedding
     doc = {
         "graph": {"n": g_prime.n, "edges": [list(e) for e in g_prime.edges]},
         "report": report.to_doc(),

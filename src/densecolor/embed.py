@@ -3,9 +3,13 @@
 Given k >= max(Delta(G)+2, n+1) with density(G) <= k (the theorem's k is
 chi'(G)), constructs a supergraph G' on an odd vertex count with exactly
 k(n'-1)/2 edges, maximum degree at most k-1 and density at most k, keeping
-G's vertex and edge ids as a prefix.  A k-edge-coloring of G' (found by
-``_dense_host``, which embeds and colors), restricted to G, settles
-chi'(G') = chi'(G) = k whenever k is a lower bound on chi'(G).  The
+G's vertex and edge ids as a prefix.  A k-edge-coloring of G', restricted
+to G, settles chi'(G') = chi'(G) = k whenever k is a lower bound on
+chi'(G).  Only ``oracles.chromatic_index``, on its host route, embeds
+and colors; every other embedding is a direct library call, and the
+pipeline takes its host from that certificate.  ``_check_embeddable``
+holds the two preconditions, the hypothesis and the density cap, which
+also say why an input has no host.  The
 construction has one path: a parity vertex when n is even, greedy
 saturation, and exchange moves when greedy is stuck (drop one previously
 added edge whose ends avoid every maximal k-dense set, add two edges
@@ -90,12 +94,7 @@ from .errors import (
     InstanceTooLargeError,
 )
 from .multigraph import Multigraph, serialize
-from .oracles import (
-    _Budget,
-    _color,
-    _walk_odd_sets,
-    maximal_k_dense_subgraphs,
-)
+from .oracles import _walk_odd_sets, maximal_k_dense_subgraphs
 
 __all__ = [
     "ExchangeMove",
@@ -346,6 +345,24 @@ def _find_exchange(
     return None
 
 
+def _check_embeddable(graph: Multigraph, k: int, config: RunConfig) -> int:
+    """The host's vertex count: n, plus a parity vertex when n is even.
+
+    Raises ``HypothesisNotMetError`` when k is below max(Delta+2, n+1), and
+    then ``InstanceTooLargeError`` when the host's density checks would
+    pass the ``density_max_n`` cap.
+    """
+    delta = graph.max_degree()
+    if k < max(delta + 2, graph.n + 1):
+        raise HypothesisNotMetError(k, delta + 2, graph.n + 1)
+    work_n = graph.n + 1 if graph.n % 2 == 0 else graph.n
+    if work_n > config.density_max_n:
+        raise InstanceTooLargeError(
+            f"embedding needs density checks; capped at n = {config.density_max_n}"
+        )
+    return work_n
+
+
 def embed_k_dense(
     graph: Multigraph,
     k: int,
@@ -372,14 +389,7 @@ def embed_k_dense(
     density stayed at most k after every accepted step, and the result is
     k-dense.  chi'(G') = k is left to the caller's k-edge-coloring of G'.
     """
-    delta = graph.max_degree()
-    if k < max(delta + 2, graph.n + 1):
-        raise HypothesisNotMetError(k, delta + 2, graph.n + 1)
-    work_n = graph.n + 1 if graph.n % 2 == 0 else graph.n
-    if work_n > config.density_max_n:
-        raise InstanceTooLargeError(
-            f"embedding needs density checks; capped at n = {config.density_max_n}"
-        )
+    work_n = _check_embeddable(graph, k, config)
     start = Multigraph(work_n, graph.edges)
     target = k * (work_n - 1)
     if 2 * start.m < target and rho_is_k is not False:
@@ -424,30 +434,3 @@ def embed_k_dense(
         final_m=cur.m,
         k=k,
     )
-
-
-def _dense_host(
-    graph: Multigraph, k: int, config: RunConfig, rho_is_k: bool | None = None
-) -> tuple[DenseHost, int]:
-    """Embed ``graph`` at ``k`` and k-edge-color the host.
-
-    Returns the host with its coloring, whose first ``graph.m`` colors
-    color ``graph``, and the search nodes spent under
-    ``config.node_budget``.  ``rho_is_k`` goes to ``embed_k_dense``.
-
-    ``embed_k_dense`` raises ``HypothesisNotMetError`` when k is below
-    max(Delta+2, n+1).  Callers pass chi'(graph), or a lower bound on it
-    that meets the hypothesis and so equals it by the density identity;
-    a search that ends without a k-coloring contradicts that (or is a bug)
-    and raises ``GuaranteeViolationError`` carrying the host.
-    """
-    g_prime, report = embed_k_dense(graph, k, config, rho_is_k=rho_is_k)
-    budget = _Budget(config.node_budget)
-    colors = _color(g_prime, k, budget)
-    if colors is None:
-        raise GuaranteeViolationError(
-            f"no {k}-edge-coloring of the embedded graph was found; "
-            "this contradicts the density identity (or is a bug)",
-            certificate=serialize(g_prime),
-        )
-    return DenseHost(g_prime, report, EdgeColoring(k, tuple(colors))), budget.spent

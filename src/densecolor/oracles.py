@@ -35,7 +35,7 @@ from .errors import (
     GuaranteeViolationError,
     InstanceTooLargeError,
 )
-from .multigraph import Multigraph
+from .multigraph import Multigraph, serialize
 
 if TYPE_CHECKING:
     from .embed import DenseHost
@@ -431,10 +431,19 @@ def chromatic_index(
         # the host has n vertices, plus a parity vertex when n is even
         host_n = graph.n + 1 - graph.n % 2
         if host_n <= config.density_max_n and lower >= max(delta + 2, graph.n + 1):
-            from .embed import _dense_host  # embed imports this module
+            from .embed import DenseHost, embed_k_dense  # embed imports this module
 
             rho_is_k = dens is not None and dens.value == lower
-            host, nodes = _dense_host(graph, lower, config, rho_is_k)
+            g_prime, report = embed_k_dense(graph, lower, config, rho_is_k=rho_is_k)
+            budget = _Budget(config.node_budget)
+            colors = _color(g_prime, lower, budget)
+            if colors is None:
+                raise GuaranteeViolationError(
+                    f"no {lower}-edge-coloring of the embedded graph was found; "
+                    "this contradicts the density identity (or is a bug)",
+                    certificate=serialize(g_prime),
+                )
+            host = DenseHost(g_prime, report, EdgeColoring(lower, tuple(colors)))
             witness = EdgeColoring(lower, host.coloring.colors[: graph.m])
             if not is_proper_edge_coloring(graph, witness):
                 raise GuaranteeViolationError(
@@ -442,7 +451,7 @@ def chromatic_index(
                     "this is a bug"
                 )
             return ChromaticCertificate(
-                "chromatic-index", lower, witness, "density", nodes, host
+                "chromatic-index", lower, witness, "density", budget.spent, host
             )
     if graph.m > config.chi_index_max_edges:
         raise InstanceTooLargeError(

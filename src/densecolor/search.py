@@ -6,10 +6,11 @@ whether the total chromatic number collapses to chi'.  When
 coloring is extended and restricted to a total chi'-coloring (method
 ``totalize``): no second embedding and no total-coloring search.  Every
 other in-hypothesis instance goes to the exhaustive total-coloring
-oracle, or, when it is too large for that, to the dense-embedding
-pipeline at the exact chi'.  Any violation would be emitted as a
-counterexample certificate carrying the graph and both exact
-certificates.
+oracle, or is skipped, with the reason it has no host, when it is too
+large for that.  Any violation would be emitted as a counterexample
+certificate carrying the graph and both exact certificates; a
+``GuaranteeViolationError`` (an in-hypothesis graph without a host among
+them) propagates with its certificate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .coloring import is_proper_edge_coloring, is_proper_total_coloring
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     BudgetExceededError,
-    DensecolorError,
     GuaranteeViolationError,
     HypothesisNotMetError,
     InstanceTooLargeError,
@@ -114,7 +114,7 @@ def _evaluate(
         )
         return rec, None
     # inside the conjecture hypothesis: settle chi'' by the host that settled
-    # chi', else by the oracle, else by the pipeline at the exact chi'
+    # chi', else by the oracle, else skip with the reason there is no host
     if chi_cert.host is None and graph.n + graph.m <= config.total_max_elements:
         try:
             total_cert = total_chromatic_number(graph, config)
@@ -153,7 +153,7 @@ def _evaluate(
             f"too large for the total oracle and {exc}",
         )
         return rec, None
-    except DensecolorError as exc:
+    except InstanceTooLargeError as exc:
         rec = InstanceRecord(
             name, graph.n, graph.m, delta, k, None, "skipped", "totalize", str(exc)
         )

@@ -8,12 +8,15 @@ pairwise disjoint), and restricts back to G.  The extension and the
 restriction verify their output, so the result witnesses
 chi''(G) = chi'(G) = k.
 
-chi'(G) comes from ``chromatic_index``.  Its host route embeds G at
-L = max(Delta, ceil(rho)) whenever L meets the hypothesis, and the
-certificate keeps that host and its coloring, so the pipeline reuses them
-instead of embedding and coloring again.  Any other input is embedded at
-the chi'(G) of the exact search, so ``HypothesisNotMetError`` carries the
-exact chi'(G) and no answer rests on Goldberg-Seymour alone.
+chi'(G) comes from ``chromatic_index``, the one producer of hosts.  Its
+host route embeds G at L = max(Delta, ceil(rho)) whenever L meets the
+hypothesis, and the certificate keeps that host and its coloring, which
+the pipeline extends and restricts.  By Goldberg-Seymour chi'(G) = L
+whenever chi'(G) meets the hypothesis, so an input without a host is
+refused: ``HypothesisNotMetError`` carries the exact chi'(G) of the
+search, ``InstanceTooLargeError`` names the density cap, and an input
+that meets both is a counterexample (or a bug) and raises
+``GuaranteeViolationError`` carrying G.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .coloring import (
     is_proper_total_coloring,
 )
 from .config import DEFAULT_CONFIG, RunConfig
-from .embed import EmbeddingReport, _dense_host
+from .embed import EmbeddingReport, _check_embeddable
 from .errors import GuaranteeViolationError
 from .multigraph import Multigraph, serialize
 from .oracles import (
@@ -170,14 +173,15 @@ def totalize(
 ) -> TotalizeCertificate:
     """Produce a verified total chi'(G)-coloring of G via dense embedding.
 
-    ``chromatic_index`` settles chi'(G).  Its host route, when it applies,
-    returns the host with its coloring, which is extended and restricted
-    as it is, so the call embeds once and colors once; otherwise G is
-    embedded at the exact chi'(G).
+    ``chromatic_index`` settles chi'(G) and, on its host route, returns
+    the host with its coloring, which is extended and restricted as it
+    is, so the call embeds once and colors once.
 
-    Raises HypothesisNotMetError when chi'(G) < max(Delta+2, n+1), and
+    Raises HypothesisNotMetError when chi'(G) < max(Delta+2, n+1),
+    InstanceTooLargeError when the host would pass ``density_max_n``, and
     GuaranteeViolationError, carrying the host, when no k-edge-coloring of
-    the host is found; all oracle and embedding errors propagate.
+    the host is found, or carrying G, when G has no host yet meets both;
+    all oracle and embedding errors propagate.
     """
     chi = chromatic_index(graph, config)
     return _totalize_with(graph, chi, config)
@@ -188,11 +192,19 @@ def _totalize_with(
 ) -> TotalizeCertificate:
     """``totalize`` after its first step: ``chi`` settles chi'(graph), so a
     caller that already holds it does not pay for the search twice, and
-    its host is extended when it has one.  Otherwise G is embedded at
-    k = chi'(graph), and ``embed_k_dense`` raises ``HypothesisNotMetError``
-    when k is below max(Delta+2, n+1)."""
+    its host is extended.  Without a host, k = chi'(graph) is checked
+    against the hypothesis and the density cap, whose errors say why no
+    host exists; a k that passes both means no host where one must exist.
+    """
     k = chi.k
-    host = chi.host or _dense_host(graph, k, config)[0]
+    host = chi.host
+    if host is None:
+        _check_embeddable(graph, k, config)
+        raise GuaranteeViolationError(
+            f"chi' = {k} meets the hypothesis but no {k}-dense host was "
+            "built; this contradicts Goldberg-Seymour (or is a bug)",
+            certificate=serialize(graph),
+        )
     psi_prime = extend_to_total(host.g_prime, host.coloring, k)
     psi = restrict_total(host.g_prime, psi_prime, graph)
     record = PipelineRecord(

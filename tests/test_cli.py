@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import json
 import subprocess
 import sys
@@ -5,14 +7,19 @@ import sys
 import pytest
 
 from densecolor import (
+    Multigraph,
     coloring_from_doc,
     coloring_to_doc,
     fixture,
+    gen_fat_cycle,
     is_proper_total_coloring,
     serialize,
     totalize,
 )
 from densecolor.cli import main
+
+# the package's ``totalize`` function shadows the module of that name
+totalize_mod = importlib.import_module("densecolor.totalize")
 
 
 def run_cli(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
@@ -91,6 +98,28 @@ class TestEmbedCommand:
         ]
         assert report["final_m"] == 12
 
+    @pytest.mark.parametrize(
+        ("args", "graph", "code", "message"),
+        [
+            (["embed"], fixture("c5"), 2, "hypothesis not met: chi' = 3 <"),
+            # n = 21 is past the density cap, so chi' comes from the k-loop
+            (
+                ["embed"],
+                Multigraph(21, gen_fat_cycle(3, 5).edges),
+                2,
+                "hypothesis not met: chi' = 15 <",
+            ),
+            (["embed", "--max-n", "4"], fixture("t2-2k1"), 3, "capped at n = 4"),
+            (["totalize", "--max-n", "4"], fixture("t2-2k1"), 3, "capped at n = 4"),
+        ],
+        ids=["c5", "fat-c3-m5-n21", "embed-t2-2k1-max-n-4", "totalize-t2-2k1-max-n-4"],
+    )
+    def test_no_host_exit_codes(self, args, graph, code, message, tmp_path, capsys):
+        path = tmp_path / "g.mg"
+        path.write_text(serialize(graph))
+        assert main(args + [str(path)]) == code
+        assert message in capsys.readouterr().err
+
 
 class TestTotalizeCommand:
     def test_success(self):
@@ -113,6 +142,23 @@ class TestTotalizeCommand:
         result = run_cli("totalize", stdin=C5_TEXT)
         assert result.returncode == 2
         assert "hypothesis not met" in result.stderr
+
+    def test_in_hypothesis_graph_without_host_is_a_violation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # chromatic_index builds every host; an in-hypothesis certificate
+        # without one is refused with G on stderr, never re-embedded
+        real = totalize_mod.chromatic_index
+
+        def hostless(graph, config):
+            return dataclasses.replace(real(graph, config), host=None)
+
+        monkeypatch.setattr(totalize_mod, "chromatic_index", hostless)
+        graph = fixture("t2-2k1")
+        path = tmp_path / "g.mg"
+        path.write_text(serialize(graph))
+        assert main(["totalize", str(path)]) == 5
+        assert serialize(graph) in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -1,16 +1,24 @@
 import dataclasses
+import importlib
 import os
 import subprocess
 import sys
 
+import pytest
+
 import densecolor
 from densecolor import (
+    GuaranteeViolationError,
     Multigraph,
     cycle,
     gen_fat_cycle,
     search_goldberg,
+    serialize,
 )
 import densecolor.search as search_mod
+
+# the package's ``totalize`` function shadows the module of that name
+totalize_mod = importlib.import_module("densecolor.totalize")
 
 
 class TestFatCycleCorpus:
@@ -111,6 +119,33 @@ class TestViolationPlumbing:
         assert cert.graph_text.startswith("p multigraph 9 9")
         assert cert.chi_prime_doc["k"] == 9
         assert cert.chi_total_doc["k"] == 10
+
+
+class TestGuaranteeViolations:
+    # a guarantee violation carries the certificate the harness exists to
+    # find, so it propagates instead of being recorded as skipped; fat C5
+    # with mu = 6 (n + m = 35) is past the oracle and settled by its host
+    graph = gen_fat_cycle(5, 6)
+
+    def test_hostless_in_hypothesis_graph_raises(self, monkeypatch):
+        real = search_mod.chromatic_index
+
+        def hostless(graph, config):
+            return dataclasses.replace(real(graph, config), host=None)
+
+        monkeypatch.setattr(search_mod, "chromatic_index", hostless)
+        with pytest.raises(GuaranteeViolationError) as info:
+            search_goldberg([("fat-c5-m6", self.graph)])
+        assert info.value.certificate == serialize(self.graph)
+
+    def test_failed_extension_raises(self, monkeypatch):
+        def refuse(graph, phi, k):
+            raise GuaranteeViolationError("doctored", certificate="host")
+
+        monkeypatch.setattr(totalize_mod, "extend_to_total", refuse)
+        with pytest.raises(GuaranteeViolationError) as info:
+            search_goldberg([("fat-c5-m6", self.graph)])
+        assert info.value.certificate == "host"
 
 
 class TestImport:

@@ -27,6 +27,7 @@ from densecolor import (
     missing_colors,
     permute_colors,
     restrict_total,
+    serialize,
     total_chromatic_number,
     totalize,
 )
@@ -303,9 +304,10 @@ class TestTotalize:
 
     def test_host_route_matches_exact_chi_prime(self):
         # random 3-4 vertex multigraphs on which L = max(Delta, ceil(rho))
-        # meets the hypothesis: the host route gives the same certificate
-        # as the pipeline run at the exact chi'(G) of the k-loop, which a
-        # density cap below n keeps off the route and searches from Delta
+        # meets the hypothesis: the host route's chi' is the exact chi'(G)
+        # of the k-loop, which a density cap below n keeps off the route
+        # and searches from Delta; and a certificate without a host, for
+        # such a graph, is refused with G as the counterexample
         rng = random.Random(11)
         config = RunConfig()
         checked = brute_checked = 0
@@ -322,12 +324,14 @@ class TestTotalize:
                 continue
             checked += 1
             cert = totalize(g, config)
+            chi = chromatic_index(g, config)
             loop = chromatic_index(g, RunConfig(density_max_n=n - 1))
             assert loop.host is None
-            exact = _totalize_with(g, loop, config)
-            assert cert.to_doc(include_witness=True) == exact.to_doc(
-                include_witness=True
-            )
+            assert chi.lower_bound_reason == "density"
+            assert cert.k == chi.k == loop.k
+            with pytest.raises(GuaranteeViolationError) as info:
+                _totalize_with(g, loop, config)
+            assert info.value.certificate == serialize(g)
             if g.m <= 7:
                 brute_checked += 1
                 assert cert.k == brute_chromatic_index(g)
