@@ -8,8 +8,9 @@ to G, settles chi'(G') = chi'(G) = k whenever k is a lower bound on
 chi'(G).  Only ``oracles.chromatic_index``, on its host route, embeds
 and colors; every other embedding is a direct library call, and the
 pipeline takes its host from that certificate.  ``_check_embeddable``
-holds the two preconditions, the hypothesis and the density cap, which
-also say why an input has no host.  The
+raises the error of ``oracles._no_host_reason``, the one test of the two
+preconditions (the hypothesis and the density cap) that also picks
+``chromatic_index``'s route, and so says why an input has no host.  The
 construction has one path: a parity vertex when n is even, greedy
 saturation, and exchange moves when greedy is stuck (drop one previously
 added edge whose ends avoid every maximal k-dense set, add two edges
@@ -47,12 +48,19 @@ v lie in one block.
 
 Greedy saturation (``_saturate``) adds, among the pairs whose degrees are
 below k - 1 and whose ends lie in different blocks, the one of least
-endpoint degree sum, ties broken lexicographically; the test is O(1).
-Adding edges only raises degrees and merges blocks, so a pair once
-unaddable stays so until an exchange move removes an edge, after which the
-blocks are found again.  The starting blocks come from the premise walk,
-run at slack 0 so that it collects the tight sets on its way (none when
-no odd set reaches k).  After uv is
+endpoint degree sum, ties broken lexicographically.  Adding edges only
+raises degrees and merges blocks, so a pair once unaddable stays so until
+an exchange move removes an edge, after which the blocks are found again.
+Pair sums only rise, so the least sum s of an addable pair never falls;
+and once uv is added at sum s, a pair of sum s holding u or v had sum
+s - 1 before, below the least, so it is dead for good.  Greedy's picks
+thus come in nondecreasing sum, and those of one sum form a matching in
+lexicographic order.  So ``_saturate`` sweeps one sum s at a time, taking
+each vertex u not yet matched at s in ascending order with the smallest
+v > u of degree s - deg(u) outside u's block: one mask on per-degree
+vertex bitmasks, with no pair scanned.  The starting blocks come from the
+premise walk, run at slack 0 so that it collects the tight sets on its
+way (none when no odd set reaches k).  After uv is
 added, the new tight sets are the odd S holding u and v that had
 f(S) = -2.  The host with uv still has density at most k and degrees below
 k, so by the argument above such an S meets each block B in an odd set or
@@ -62,9 +70,15 @@ S of t atoms, f(S) = 2E' - k(t - 1), with E' the edges between different
 atoms, since f is 0 on every atom; and |S| is odd exactly when t is.  So
 one walk over the host with each block contracted to a vertex, forced on
 the atoms a, b of u and v at slack 0, reports the new tight sets, and the
-union of its hits is the new block.  A new tight M leaves R = M - {a, b}
-with f(R) <= 0 and f(M) = f(R) + 2(d(a) + d(b) - c(a, b)) - 2k, counting
-d and c on contracted edges into M, so the walk is skipped when
+union of its hits is the new block.  An atom is named by its smallest
+vertex, and a merge zeroes the absorbed atoms' rows and columns in place.
+Every atom has degree below k (a block B sends at most
+(k - 1)|B| - k(|B| - 1) edges out), so the walk at threshold k leaves the
+zero rows out by its degree-0 rule, and the union of its hits does not
+depend on how the atoms are numbered.  A new tight M leaves
+R = M - {a, b} with f(R) <= 0 and
+f(M) = f(R) + 2(d(a) + d(b) - c(a, b)) - 2k, counting d and c on
+contracted edges into M, so the walk is skipped when
 d(a) + d(b) - c(a, b) < k over the whole contracted host, and after the
 final edge.
 
@@ -88,13 +102,9 @@ from dataclasses import dataclass
 
 from .coloring import EdgeColoring
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import (
-    GuaranteeViolationError,
-    HypothesisNotMetError,
-    InstanceTooLargeError,
-)
+from .errors import GuaranteeViolationError, InstanceTooLargeError
 from .multigraph import Multigraph, serialize
-from .oracles import _walk_odd_sets, maximal_k_dense_subgraphs
+from .oracles import _no_host_reason, _walk_odd_sets, maximal_k_dense_subgraphs
 
 __all__ = [
     "ExchangeMove",
@@ -152,28 +162,24 @@ class DenseHost:
 class _Contracted:
     """A host with each block contracted to one vertex, called an atom.
 
-    ``atom[v]`` is the atom holding vertex v: its block, or v alone when v
-    lies in no tight set.  ``n``, ``degrees`` and ``adjacency_counts``
-    describe the multigraph on the atoms, edges inside an atom dropped, in
-    the form ``_walk_odd_sets`` reads.
+    An atom is named by its smallest vertex, and ``atom[v]`` names the atom
+    holding vertex v: its block, or v alone when v lies in no tight set.
+    ``members[a]`` is the bitmask of atom a's vertices.  ``n``, ``degrees``
+    and ``adjacency_counts`` describe the multigraph on the atoms, edges
+    inside an atom dropped, in the form ``_walk_odd_sets`` reads; the row
+    and column of a vertex that names no atom are zero.  Built from the
+    host, the atoms then join overlapping tight sets, which makes them the
+    maximal tight sets.
     """
 
-    def __init__(self, atom: list[int], counts: list[list[int]]) -> None:
-        self.atom = atom
-        self.n = len(counts)
-        self.adjacency_counts = counts
-        self.degrees = [sum(row) for row in counts]
-
-    @classmethod
-    def of(cls, graph: Multigraph, tight_sets) -> _Contracted:
-        """The contraction of ``graph`` whose atoms join overlapping tight
-        sets, which makes them the maximal tight sets."""
-        con = cls(list(range(graph.n)), [list(row) for row in graph.adjacency_counts])
+    def __init__(self, graph: Multigraph, tight_sets) -> None:
+        self.n = graph.n
+        self.atom = list(range(graph.n))
+        self.members = [1 << v for v in range(graph.n)]
+        self.adjacency_counts = [list(row) for row in graph.adjacency_counts]
+        self.degrees = list(graph.degrees)
         for subset in tight_sets:
-            group = {con.atom[v] for v in subset}
-            if len(group) > 1:
-                con = con.merged(group)
-        return con
+            self.merge({self.atom[v] for v in subset})
 
     def add(self, u: int, v: int) -> None:
         """Count one more host edge uv, whose ends lie in different atoms."""
@@ -183,25 +189,28 @@ class _Contracted:
         self.degrees[a] += 1
         self.degrees[b] += 1
 
-    def merged(self, group: set[int]) -> _Contracted:
-        """The contraction with the atoms in ``group`` joined into one."""
+    def merge(self, group: set[int]) -> None:
+        """Join the atoms in ``group`` into the one named by the smallest;
+        the others' rows and columns become zero."""
         first = min(group)
-        relabel: list[int] = []
-        size = 0
-        for a in range(self.n):
-            if a in group and a != first:
-                relabel.append(relabel[first])
-            else:
-                relabel.append(size)
-                size += 1
-        counts = [[0] * size for _ in range(size)]
-        for a, row in enumerate(self.adjacency_counts):
-            out = counts[relabel[a]]
-            for b, c in enumerate(row):
-                out[relabel[b]] += c
-        for a in range(size):
-            counts[a][a] = 0
-        return _Contracted([relabel[a] for a in self.atom], counts)
+        cnt = self.adjacency_counts
+        joined = cnt[first]
+        for a in group - {first}:
+            for b, c in enumerate(cnt[a]):
+                if c:
+                    joined[b] += c
+                    cnt[b][first] += c
+                    cnt[b][a] = 0
+            cnt[a] = [0] * self.n
+            self.members[first] |= self.members[a]
+            self.members[a] = self.degrees[a] = 0
+        joined[first] = 0  # edges between the joined atoms now lie inside
+        self.degrees[first] = sum(joined)
+        bits = self.members[first]
+        while bits:
+            low = bits & -bits
+            self.atom[low.bit_length() - 1] = first
+            bits ^= low
 
 
 def _tight_sets(graph: Multigraph, k: int) -> list[list[int]] | None:
@@ -255,24 +264,22 @@ def _saturate(
 ) -> list[tuple[int, int]]:
     """Greedy additions to ``host`` (odd n, density at most k, its tight
     sets given) until it has k(n-1)/2 edges or no pair is addable; see the
-    module docstring for the rule and the block upkeep.
+    module docstring for the rule, the sweep and the block upkeep.
 
-    ``keys`` holds degree sum * P + lexicographic rank for each of the P
-    pairs, so one ``min`` finds the next step; a pair found not addable
-    gets the key ``dead`` for good.
+    ``by_deg[t]`` is the bitmask of the vertices of degree t, so u's
+    partner at sum ``level`` is the lowest bit above u of one masked word.
+    No pair sums below the two smallest degrees, so the sweep skips to
+    there.  ``todo`` holds the vertices whose degree d leaves a partner
+    degree level - d below k - 1 that some vertex has; a matched vertex
+    leaves it, as every pair of this sum holding it is dead.
     """
     n = host.n
     deg = list(host.degrees)
     missing = k * (n - 1) // 2 - host.m
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    size = len(pairs)
-    keys = [(deg[u] + deg[v]) * size + p for p, (u, v) in enumerate(pairs)]
-    at: list[list[int]] = [[] for _ in range(n)]
-    for p, (u, v) in enumerate(pairs):
-        at[u].append(p)
-        at[v].append(p)
-    dead = 2 * k * size  # above every live key, even after bumps
-    con = _Contracted.of(host, tight_sets)
+    by_deg = [0] * k
+    for v, d in enumerate(deg):
+        by_deg[d] |= 1 << v
+    con = _Contracted(host, tight_sets)
     hit: set[int] = set()
 
     def collect(subset: list[int], edges: int) -> tuple[int, int]:
@@ -280,31 +287,42 @@ def _saturate(
         return k, 1
 
     added: list[tuple[int, int]] = []
+    atom, members = con.atom, con.members  # merges update both in place
+    level = -1
     while len(added) < missing:
-        key = min(keys)
-        if key >= dead:
+        first, second = sorted(deg)[:2]
+        level = max(level + 1, first + second)
+        if level > 2 * k - 4:
             break
-        p = key % size
-        u, v = pairs[p]
-        if deg[u] >= k - 1 or deg[v] >= k - 1 or con.atom[u] == con.atom[v]:
-            keys[p] = dead
-            continue
-        added.append((u, v))
-        deg[u] += 1
-        deg[v] += 1
-        for q in at[u]:
-            keys[q] += size
-        for q in at[v]:
-            keys[q] += size
-        con.add(u, v)
-        a, b = con.atom[u], con.atom[v]
-        cnt = con.adjacency_counts[a][b]
-        # a new tight set needs k edges from {a, b} into it
-        if len(added) < missing and con.degrees[a] + con.degrees[b] - cnt >= k:
-            hit.clear()
-            _walk_odd_sets(con, k, 1, 0, collect, forced=(a, b))
-            if hit:
-                con = con.merged(hit)
+        live = set(deg) - {k - 1}
+        todo = 0  # the vertices that may start a pair at this level
+        for d in live:
+            if level - d in live:
+                todo |= by_deg[d]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            u = low.bit_length() - 1
+            free = by_deg[level - deg[u]] & -(low << 1) & ~members[atom[u]]
+            if not free:
+                continue
+            v = (free & -free).bit_length() - 1
+            todo &= ~(1 << v)
+            added.append((u, v))
+            for w in (u, v):
+                by_deg[deg[w]] ^= 1 << w
+                deg[w] += 1
+                by_deg[deg[w]] |= 1 << w
+            if len(added) == missing:
+                break
+            con.add(u, v)
+            a, b = atom[u], atom[v]
+            # a new tight set needs k edges from {a, b} into it
+            if con.degrees[a] + con.degrees[b] - con.adjacency_counts[a][b] >= k:
+                hit.clear()
+                _walk_odd_sets(con, k, 1, 0, collect, forced=(a, b))
+                if hit:
+                    con.merge(hit)
     return added
 
 
@@ -347,20 +365,11 @@ def _find_exchange(
 
 def _check_embeddable(graph: Multigraph, k: int, config: RunConfig) -> int:
     """The host's vertex count: n, plus a parity vertex when n is even.
-
-    Raises ``HypothesisNotMetError`` when k is below max(Delta+2, n+1), and
-    then ``InstanceTooLargeError`` when the host's density checks would
-    pass the ``density_max_n`` cap.
-    """
-    delta = graph.max_degree()
-    if k < max(delta + 2, graph.n + 1):
-        raise HypothesisNotMetError(k, delta + 2, graph.n + 1)
-    work_n = graph.n + 1 if graph.n % 2 == 0 else graph.n
-    if work_n > config.density_max_n:
-        raise InstanceTooLargeError(
-            f"embedding needs density checks; capped at n = {config.density_max_n}"
-        )
-    return work_n
+    Raises the error of ``oracles._no_host_reason`` when G has no host."""
+    reason = _no_host_reason(graph, k, config)
+    if reason is not None:
+        raise reason()
+    return graph.n + 1 - graph.n % 2
 
 
 def embed_k_dense(

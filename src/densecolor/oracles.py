@@ -21,6 +21,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .coloring import (
@@ -33,6 +34,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     BudgetExceededError,
     GuaranteeViolationError,
+    HypothesisNotMetError,
     InstanceTooLargeError,
 )
 from .multigraph import Multigraph, serialize
@@ -397,6 +399,29 @@ def _edge_color_search(
     return assign if extend(0, 0) else None
 
 
+def _no_host_reason(
+    graph: Multigraph, k: int, config: RunConfig
+) -> Callable[[], HypothesisNotMetError | InstanceTooLargeError] | None:
+    """None when ``graph`` has a k-dense host, else a zero-argument
+    constructor of the error that says why not.
+
+    The hypothesis comes first: k below max(Delta+2, n+1).  Then the cap:
+    the host's density checks, on n vertices plus a parity vertex when n
+    is even, would pass ``density_max_n``.  ``chromatic_index`` picks its
+    route with this O(n) test and raises nothing, so the error's message
+    is built only by ``embed._check_embeddable``, which raises it.
+    """
+    delta = graph.max_degree()
+    if k < max(delta + 2, graph.n + 1):
+        return partial(HypothesisNotMetError, k, delta + 2, graph.n + 1)
+    if graph.n + 1 - graph.n % 2 > config.density_max_n:
+        return partial(
+            InstanceTooLargeError,
+            f"embedding needs density checks; capped at n = {config.density_max_n}",
+        )
+    return None
+
+
 def chromatic_index(
     graph: Multigraph, config: RunConfig = DEFAULT_CONFIG
 ) -> ChromaticCertificate:
@@ -407,7 +432,8 @@ def chromatic_index(
     Delta moves L or the lower-bound reason, and the walk returns the same
     value and witness as ``density`` whenever it finds one.  The host route
     settles chi' = L when L >= max(Delta+2, n+1) and the host's density
-    checks fit under density_max_n: G embeds into an L-dense host, and the
+    checks fit under density_max_n (both decided by ``_no_host_reason``):
+    G embeds into an L-dense host, and the
     host's L-edge-coloring restricted to G (verified here) attains the
     bound.  The walk has proved density <= L, and whether some odd set
     reaches L, so the embedding skips its own premise walk.  The
@@ -428,9 +454,7 @@ def chromatic_index(
         dens = _density_above(graph, delta)
         if dens is not None:
             lower = ceil_rho = math.ceil(dens.value)
-        # the host has n vertices, plus a parity vertex when n is even
-        host_n = graph.n + 1 - graph.n % 2
-        if host_n <= config.density_max_n and lower >= max(delta + 2, graph.n + 1):
+        if _no_host_reason(graph, lower, config) is None:
             from .embed import DenseHost, embed_k_dense  # embed imports this module
 
             rho_is_k = dens is not None and dens.value == lower

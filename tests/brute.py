@@ -161,6 +161,39 @@ def brute_maximal_k_dense(graph: Multigraph, k: int) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(s)) for s in sets if not any(s < t for t in sets))
 
 
+def _within_density(count: list[list[int]], k: int) -> bool:
+    """2|E(S)| <= k(|S|-1) on every odd set S of at least three vertices."""
+    n = len(count)
+    return all(
+        2 * sum(count[a][b] for a, b in combinations(s, 2)) <= k * (size - 1)
+        for size in range(3, n + 1, 2)
+        for s in combinations(range(n), size)
+    )
+
+
+def _addable(count: list[list[int]], deg: list[int], u: int, v: int, k: int) -> bool:
+    """Adding uv keeps every degree below k and the density at most k."""
+    if max(deg[u], deg[v]) + 1 >= k:
+        return False
+    count[u][v] += 1
+    count[v][u] += 1
+    ok = _within_density(count, k)
+    count[u][v] -= 1
+    count[v][u] -= 1
+    return ok
+
+
+def _counts(n: int, edges) -> tuple[list[list[int]], list[int]]:
+    count = [[0] * n for _ in range(n)]
+    deg = [0] * n
+    for u, v in edges:
+        count[u][v] += 1
+        count[v][u] += 1
+        deg[u] += 1
+        deg[v] += 1
+    return count, deg
+
+
 def brute_greedy_host(
     graph: Multigraph, k: int
 ) -> tuple[Multigraph, tuple[tuple[int, int], ...]]:
@@ -175,18 +208,7 @@ def brute_greedy_host(
     added pairs in order.
     """
     n = graph.n + 1 - graph.n % 2
-    odd_sets = [
-        subset
-        for size in range(3, n + 1, 2)
-        for subset in combinations(range(n), size)
-    ]
-    count = [[0] * n for _ in range(n)]
-    deg = [0] * n
-    for u, v in graph.edges:
-        count[u][v] += 1
-        count[v][u] += 1
-        deg[u] += 1
-        deg[v] += 1
+    count, deg = _counts(n, graph.edges)
     added: list[tuple[int, int]] = []
     while 2 * (graph.m + len(added)) < k * (n - 1):
         pairs = sorted(
@@ -194,20 +216,50 @@ def brute_greedy_host(
             key=lambda p: (deg[p[0]] + deg[p[1]], p),
         )
         for u, v in pairs:
-            if max(deg[u], deg[v]) + 1 >= k:
-                continue
-            count[u][v] += 1
-            count[v][u] += 1
-            if all(
-                2 * sum(count[a][b] for a, b in combinations(s, 2)) <= k * (len(s) - 1)
-                for s in odd_sets
-            ):
+            if _addable(count, deg, u, v, k):
                 break
-            count[u][v] -= 1
-            count[v][u] -= 1
         else:
             break
+        count[u][v] += 1
+        count[v][u] += 1
         deg[u] += 1
         deg[v] += 1
         added.append((u, v))
     return Multigraph(n, graph.edges + tuple(added)), tuple(added)
+
+
+def brute_saturate(graph: Multigraph, k: int) -> list[tuple[int, int]]:
+    """Greedy additions to ``graph`` by a min-key loop, from any entry state
+    (odd n, density at most k, degrees below k).
+
+    ``keys`` holds degree sum * P + lexicographic rank for each of the P
+    pairs, so one ``min`` finds the next pair; a pair found not addable,
+    recounted from the definitions, gets the key ``dead`` for good, and an
+    added pair's ends bump the keys of every pair holding them.  Stops at
+    k(n-1)/2 edges or when every key is dead.
+    """
+    n = graph.n
+    count, deg = _counts(n, graph.edges)
+    missing = k * (n - 1) // 2 - graph.m
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    size = len(pairs)
+    keys = [(deg[u] + deg[v]) * size + p for p, (u, v) in enumerate(pairs)]
+    dead = 2 * k * size  # above every live key, even after bumps
+    added: list[tuple[int, int]] = []
+    while len(added) < missing:
+        key = min(keys)
+        if key >= dead:
+            break
+        p = key % size
+        u, v = pairs[p]
+        if not _addable(count, deg, u, v, k):
+            keys[p] = dead
+            continue
+        added.append((u, v))
+        count[u][v] += 1
+        count[v][u] += 1
+        deg[u] += 1
+        deg[v] += 1
+        for q, pair in enumerate(pairs):
+            keys[q] += size * ((u in pair) + (v in pair))
+    return added

@@ -6,6 +6,7 @@ import pytest
 from densecolor import (
     GuaranteeViolationError,
     HypothesisNotMetError,
+    InstanceTooLargeError,
     Multigraph,
     RunConfig,
     can_add_edge,
@@ -22,9 +23,15 @@ from densecolor import (
 )
 from densecolor.config import DEFAULT_CONFIG
 import densecolor.embed as embed_mod
-from densecolor.embed import ExchangeMove, _find_exchange
+from densecolor.embed import (
+    ExchangeMove,
+    _check_embeddable,
+    _Contracted,
+    _find_exchange,
+    _tight_sets,
+)
 
-from brute import brute_density, brute_greedy_host
+from brute import brute_density, brute_greedy_host, brute_saturate
 
 T2 = gen_fat_cycle(3, 2)
 
@@ -271,6 +278,132 @@ class TestStalls:
         assert 1 <= stalls <= 20
 
 
+def random_entry_state(rng):
+    """A host on 5, 7 or 9 vertices grown by random addable pairs, first
+    inside a random odd set until none is addable there, then anywhere; so
+    some vertices sit at degree k - 1 and some odd sets are tight, states
+    that greedy from G never reaches."""
+    n = rng.choice((5, 7, 9))
+    k = rng.randint(n + 1, n + 4)
+    host = Multigraph(n, ())
+    core = rng.sample(range(n), rng.choice((3, 5)))
+    for within in (core, range(n)):
+        pairs = [(u, v) for u in within for v in within if u < v]
+        for _ in range(rng.randint(n, k * (n - 1) // 2)):
+            u, v = rng.choice(pairs)
+            if can_add_edge(host, u, v, k):
+                host = host.with_edge(u, v)
+    return host, k
+
+
+class TestSaturate:
+    def test_sweep_matches_min_key_loop_from_any_entry_state(self):
+        rng = random.Random(16)
+        capped = tight = 0
+        for _ in range(60):
+            host, k = random_entry_state(rng)
+            sets = _tight_sets(host, k)
+            assert embed_mod._saturate(host, k, sets) == brute_saturate(host, k)
+            capped += k - 1 in host.degrees
+            tight += bool(sets)
+        assert capped >= 30 and tight >= 20
+
+    def test_reentry_after_exchange_matches_min_key_loop(self, monkeypatch):
+        # embed_k_dense re-enters greedy after each exchange move, with
+        # vertices at degree k - 1 and tight sets found again
+        entries = []
+        saturate = embed_mod._saturate
+
+        def recorded(host, k, tight_sets):
+            added = saturate(host, k, tight_sets)
+            entries.append((host, k, added))
+            return added
+
+        monkeypatch.setattr(embed_mod, "_saturate", recorded)
+        rng = random.Random(4)
+        moves = 0
+        for graph, k in [(fixture("2k1-t2"), 6)] + [
+            displaced_core(rng, n_max=9) for _ in range(150)
+        ]:
+            moves += len(embed_k_dense(graph, k)[1].exchange_moves)
+        assert moves >= 2
+        for host, k, added in entries:
+            assert added == brute_saturate(host, k)
+
+
+class TestContracted:
+    def test_in_place_merges_match_a_fresh_contraction(self):
+        rng = random.Random(3)
+        for _ in range(40):
+            n = rng.randint(3, 12)
+            graph = gen_random_multigraph(n, rng.randint(0, 3 * n), 3, rng.getrandbits(32))
+            con = _Contracted(graph, [])
+            part = [{v} for v in range(n)]  # the atoms, kept independently
+            for _ in range(rng.randint(1, n)):
+                group = set(rng.sample(range(n), rng.randint(2, 3)))
+                atoms = {con.atom[v] for v in group}
+                con.merge(atoms)
+                joined = set().union(*(p for p in part if p & group))
+                part = [p for p in part if not p & group] + [joined]
+                u, v = rng.sample(range(n), 2)
+                if con.atom[u] != con.atom[v]:
+                    con.add(u, v)
+                    graph = graph.with_edge(u, v)
+            name = {v: min(p) for p in part for v in p}
+            assert con.atom == [name[v] for v in range(n)]
+            for a in range(n):
+                mine = [v for v in range(n) if name[v] == a]
+                assert con.members[a] == sum(1 << v for v in mine)
+                row = [
+                    sum(
+                        graph.adjacency_counts[x][y]
+                        for x in mine
+                        for y in range(n)
+                        if name[y] == b != a
+                    )
+                    for b in range(n)
+                ]
+                assert con.adjacency_counts[a] == row  # zero unless a names an atom
+                assert con.degrees[a] == sum(row)
+
+    def test_built_from_tight_sets(self):
+        # the tight sets overlap in a vertex, so they form one block
+        graph = Multigraph(7, T2.edges + tuple((u + 2, v + 2) for u, v in T2.edges))
+        con = _Contracted(graph, [[0, 1, 2], [2, 3, 4]])
+        assert con.atom == [0] * 5 + [5, 6]
+        assert con.members[0] == 0b11111 and con.degrees == [0] * 7
+        assert all(row == [0] * 7 for row in con.adjacency_counts)
+
+
+class TestRouteDecision:
+    # chromatic_index takes the host route exactly when _check_embeddable
+    # passes at L = max(Delta, ceil rho); each precondition at its bound
+    @pytest.mark.parametrize(
+        "edges,n,cap,has_host",
+        [
+            (gen_fat_cycle(3, 4).edges, 11, 20, True),  # L = n + 1
+            (gen_fat_cycle(3, 4).edges, 12, 20, False),  # L = n
+            (((0, 1),) * 2 + ((1, 2),) * 5 + ((0, 2),) * 5, 3, 20, True),  # L = Delta + 2
+            (((0, 1),) * 1 + ((1, 2),) * 5 + ((0, 2),) * 5, 3, 20, False),  # L = Delta + 1
+            (gen_fat_cycle(3, 4).edges, 10, 11, True),  # host n = cap
+            (gen_fat_cycle(3, 4).edges, 10, 10, False),  # host n = cap + 1
+        ],
+        ids=["n-plus-1", "n-plus-1-minus-1", "delta-plus-2", "delta-plus-2-minus-1",
+             "cap", "cap-plus-1"],
+    )
+    def test_host_iff_embeddable(self, edges, n, cap, has_host):
+        graph = Multigraph(n, edges)
+        config = RunConfig(density_max_n=cap)
+        lower = max(graph.max_degree(), ceil(density(graph, config).value))
+        try:
+            _check_embeddable(graph, lower, config)
+            embeddable = True
+        except (HypothesisNotMetError, InstanceTooLargeError):
+            embeddable = False
+        assert embeddable == has_host
+        assert (chromatic_index(graph, config).host is not None) == has_host
+
+
 class TestLargeHost:
     def test_host_beyond_oracle_cap(self):
         # fat triangle (mult 4) plus six isolated vertices: the 12-dense
@@ -296,7 +429,7 @@ class TestLargeHost:
 
     @pytest.mark.parametrize(
         "c,mu,n,k,walks",
-        [(5, 7, 15, 18, 20), (3, 13, 19, 39, 80)],
+        [(5, 7, 15, 18, 14), (3, 13, 19, 39, 65)],
         ids=["fat-c5-m7-n15", "fat-c3-m13-n19"],
     )
     def test_saturation_walks_are_few(self, monkeypatch, c, mu, n, k, walks):
@@ -312,4 +445,4 @@ class TestLargeHost:
         monkeypatch.setattr(embed_mod, "_walk_odd_sets", counting)
         _, report = embed_k_dense(Multigraph(n, gen_fat_cycle(c, mu).edges), k)
         assert 2 * report.final_m == k * (n - 1)
-        assert len(calls) <= walks
+        assert len(calls) == walks
