@@ -18,12 +18,13 @@ toward deficient vertices).  A host that neither step can extend raises
 ``GuaranteeViolationError`` with that host as certificate, at every n.
 
 Throughout, feasibility of adding an edge uv means: both endpoint degrees
-stay below k, and no odd vertex set exceeds density k afterwards.  The
-exchange moves test this with ``_density_violation``: the odd-set walk of
-``oracles._walk_odd_sets`` at threshold k, stopped at its first violating
-set, which for one added edge walks only the sets holding both endpoints
-(the others keep their ratio).  The walk's pruning never drops a hit, so
-its answers are those of plain enumeration.
+stay below k, and no odd vertex set exceeds density k afterwards.
+``can_add_edge`` tests this with ``_density_violation``: the odd-set walk
+of ``oracles._walk_odd_sets`` at threshold k, stopped at its first
+violating set.  The walk's pruning never drops a hit, so its answers are
+those of plain enumeration.  The embedding walks only to find the tight
+sets (the blocks below, and the vertices an exchange move must avoid);
+it decides feasibility from the blocks and the degrees.
 
 The premise, density(G) <= k, is checked by one walk of G: the slack-0
 tight-set walk below when edges are missing, else ``_density_violation``.
@@ -75,12 +76,28 @@ vertex, and a merge zeroes the absorbed atoms' rows and columns in place.
 Every atom has degree below k (a block B sends at most
 (k - 1)|B| - k(|B| - 1) edges out), so the walk at threshold k leaves the
 zero rows out by its degree-0 rule, and the union of its hits does not
-depend on how the atoms are numbered.  A new tight M leaves
-R = M - {a, b} with f(R) <= 0 and
-f(M) = f(R) + 2(d(a) + d(b) - c(a, b)) - 2k, counting d and c on
-contracted edges into M, so the walk is skipped when
-d(a) + d(b) - c(a, b) < k over the whole contracted host, and after the
-final edge.
+depend on how the atoms are numbered.
+
+Most added edges need no walk: with degrees d and pair counts c of the
+contracted host, the new edge counted, let
+over = d(a) + d(b) - c(a, b) - k.  A new tight M leaves R = M - {a, b}, a
+union of an odd number of atoms, with
+f(M) = f(R) + 2(e(a, R) + e(b, R) + c(a, b) - k), and
+e(a, R) + e(b, R) + c(a, b) <= d(a) + d(b) - c(a, b).  So:
+
+- over < 0: f(R) <= 0 leaves no new tight set, and nothing is done;
+- over = 0: before the edge no union of three or more atoms was tight, as
+  the blocks are the maximal tight sets, so such an R has f(R) <= -2 and
+  would need e(a, R) + e(b, R) + c(a, b) >= k + 1 > d(a) + d(b) - c(a, b).
+  Only a single atom w is left, tight with a and b exactly when
+  c(a, b) + c(a, w) + c(b, w) = k: those triangles, with a and b, are the
+  new block, found in one pass over the rows of a and b;
+- over > 0: the walk runs, unless its own bound at the root,
+  2c(a, b) - k plus the sum over w != a, b of
+  max(0, c(a, w) + c(b, w) + d(w) - k), is negative, where it would stop
+  before its first hit (``_settled_block`` decides both rules).
+
+After the final edge the blocks are not kept.
 
 When exchange moves work.  A stuck host misses n(k-1) - 2m >=
 k - n + 2 >= 2 degree units below k - 1.  Let (x, y) be an added edge
@@ -90,10 +107,14 @@ below k - 1; that raises f only on sets holding x and a, which if they
 hold y also lost xy, so every set holding y keeps f <= -2 and (y, b) is
 addable for every b != y below k - 1.  As the missing units lie off x and
 y, such a and b exist: ``_find_exchange`` finds a move whenever such an
-edge exists.  Stuck hosts without one exist (``tests/test_embed.py``
-builds one); greedy is not shown to avoid them, but seeded sweeps of
-55,000 random 3-6-vertex cores on random vertex ids (n <= 15, 2-4 %
-stalling) never met one.
+edge exists.  The same argument holds for any added xy whose ends lie in
+no tight set, whatever their degrees: no odd set holding x or y is tight
+before or after (x, a) is added, so each of the two additions is feasible
+exactly when both its degrees stay below k - 1, and ``_find_exchange``
+walks no odd set to decide them.  Stuck hosts without a move exist
+(``tests/test_embed.py`` builds one); greedy is not shown to avoid them,
+but seeded sweeps of 55,000 random 3-6-vertex cores on random vertex ids
+(n <= 15, 2-4 % stalling) never met one.
 """
 
 from __future__ import annotations
@@ -228,18 +249,12 @@ def _tight_sets(graph: Multigraph, k: int) -> list[list[int]] | None:
 
 
 def _density_violation(
-    graph: Multigraph,
-    k: int,
-    *,
-    extra: tuple[int, int] | None = None,
-    forced: tuple[int, ...] = (),
+    graph: Multigraph, k: int, *, extra: tuple[int, int] | None = None
 ) -> bool:
-    """True when some odd vertex set of size >= 3 (containing ``forced``)
-    has 2|E| > k(|S|-1), counting ``extra`` as one additional edge when both
-    its ends lie in the set.  Stops the odd-set walk at its first hit."""
-    return _walk_odd_sets(
-        graph, k, 1, 1, lambda subset, edges: None, extra=extra, forced=forced
-    )
+    """True when some odd vertex set of size >= 3 has 2|E| > k(|S|-1),
+    counting ``extra`` as one additional edge when both its ends lie in the
+    set.  Stops the odd-set walk at its first hit."""
+    return _walk_odd_sets(graph, k, 1, 1, lambda subset, edges: None, extra=extra)
 
 
 def can_add_edge(
@@ -264,7 +279,8 @@ def _saturate(
 ) -> list[tuple[int, int]]:
     """Greedy additions to ``host`` (odd n, density at most k, its tight
     sets given) until it has k(n-1)/2 edges or no pair is addable; see the
-    module docstring for the rule, the sweep and the block upkeep.
+    module docstring for the rule, the sweep and the block upkeep, where
+    the degrees settle most added edges and a contracted walk the rest.
 
     ``by_deg[t]`` is the bitmask of the vertices of degree t, so u's
     partner at sum ``level`` is the lowest bit above u of one masked word.
@@ -287,7 +303,9 @@ def _saturate(
         return k, 1
 
     added: list[tuple[int, int]] = []
-    atom, members = con.atom, con.members  # merges update both in place
+    # adds and merges update these in place
+    atom, members = con.atom, con.members
+    cdeg, cnt = con.degrees, con.adjacency_counts
     level = -1
     while len(added) < missing:
         first, second = sorted(deg)[:2]
@@ -318,48 +336,75 @@ def _saturate(
             con.add(u, v)
             a, b = atom[u], atom[v]
             # a new tight set needs k edges from {a, b} into it
-            if con.degrees[a] + con.degrees[b] - con.adjacency_counts[a][b] >= k:
-                hit.clear()
-                _walk_odd_sets(con, k, 1, 0, collect, forced=(a, b))
-                if hit:
-                    con.merge(hit)
+            over = cdeg[a] + cdeg[b] - cnt[a][b] - k
+            if over >= 0:
+                group = _settled_block(con, a, b, k, over)
+                if group is None:
+                    hit.clear()
+                    _walk_odd_sets(con, k, 1, 0, collect, forced=(a, b))
+                    group = hit
+                if group:
+                    con.merge(group)
     return added
 
 
-def _addable_incremental(cur: Multigraph, u: int, v: int, k: int) -> bool:
-    if cur.degrees[u] >= k - 1 or cur.degrees[v] >= k - 1:
-        return False
-    return not _density_violation(cur, k, extra=(u, v), forced=(u, v))
+def _settled_block(
+    con: _Contracted, a: int, b: int, k: int, over: int
+) -> set[int] | None:
+    """The atoms that a new edge between atoms a and b joins into a block,
+    empty when it joins none, decided in O(n) without a walk; None when
+    only the walk can tell.  ``over`` = d(a) + d(b) - c(a, b) - k >= 0;
+    see the module docstring for both rules."""
+    row_a, row_b = con.adjacency_counts[a], con.adjacency_counts[b]
+    inner = row_a[b]
+    if over == 0:
+        # the tight triangles {a, b, w}
+        group = {
+            w
+            for w, (p, q) in enumerate(zip(row_a, row_b))
+            if p + q == k - inner and w != a and w != b
+        }
+        return group | {a, b} if group else group
+    # the forced walk's bound at its root, where it stops when negative
+    tops = [p + q + d for p, q, d in zip(row_a, row_b, con.degrees)]
+    tops[a] = tops[b] = 0
+    if 2 * inner - k + sum(x - k for x in tops if x > k) < 0:
+        return set()
+    return None
 
 
 def _find_exchange(
     cur: Multigraph,
     k: int,
-    base_edges: tuple[tuple[int, int], ...],
     added: list[tuple[int, int]],
     config: RunConfig,
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None:
     """One accepted exchange move, or None.
 
     Removes a previously added edge (x, y) with both ends outside every
-    maximal k-dense set, then adds (x, a) and (y, b) toward deficient
-    vertices; both additions must be feasible.
+    maximal k-dense set, then adds (x, a) and (y, b), the first pairs in
+    index order that keep both degrees below k - 1: with x and y in no
+    tight set, that is all either addition needs (see the module
+    docstring), so no odd set is walked for them.
     """
     covered = {v for s in maximal_k_dense_subgraphs(cur, k, config) for v in s}
     for e1 in dict.fromkeys(added):  # each distinct pair once, in order
         x, y = e1
         if x in covered or y in covered:
             continue
-        trimmed = list(added)
-        trimmed.remove(e1)
-        g1 = Multigraph(cur.n, base_edges + tuple(trimmed))
+        deg = list(cur.degrees)
+        deg[x] -= 1
+        deg[y] -= 1
         for a in range(cur.n):
-            if a == x or not _addable_incremental(g1, x, a, k):
+            if a == x or max(deg[x], deg[a]) >= k - 1:
                 continue
-            g2 = g1.with_edge(x, a)
+            deg[x] += 1
+            deg[a] += 1
             for b in range(cur.n):
-                if b != y and _addable_incremental(g2, y, b, k):
+                if b != y and max(deg[y], deg[b]) < k - 1:
                     return e1, (x, a), (y, b)
+            deg[x] -= 1
+            deg[a] -= 1
     return None
 
 
@@ -421,7 +466,7 @@ def embed_k_dense(
         cur = Multigraph(work_n, base_edges + tuple(added))
         if 2 * cur.m == target:
             break
-        move = _find_exchange(cur, k, base_edges, added, config)
+        move = _find_exchange(cur, k, added, config)
         if move is None:
             raise GuaranteeViolationError(
                 f"saturation stalled at {cur.m} edges, short of {target // 2}: "

@@ -563,33 +563,15 @@ def _dense_class_search(
         partners[u] |= 1 << v
         partners[v] |= 1 << u
     everyone = (1 << n) - 1
+    spend = budget.spend
     walk_after = budget.spent + 2 * (k + m + 1)
 
     def rest_too_dense(color: int) -> bool:
         rest = Multigraph(n, [edges[e] for e in range(m) if not assign[e]])
         return _walk_odd_sets(rest, k - color, 1, 1, lambda subset, inner: None)
 
-    def take(e: int, color: int) -> None:
-        assign[e] = color
-        u, v = edges[e]
-        un_deg[u] -= 1
-        un_deg[v] -= 1
-        twin = low[u][v] = low[v][u] = next_twin[e]
-        if twin < 0:
-            partners[u] ^= 1 << v
-            partners[v] ^= 1 << u
-
-    def give_back(e: int) -> None:
-        assign[e] = 0
-        u, v = edges[e]
-        un_deg[u] += 1
-        un_deg[v] += 1
-        low[u][v] = low[v][u] = e
-        partners[u] |= 1 << v
-        partners[v] |= 1 << u
-
     def build_class(color: int, start: int) -> bool:
-        budget.spend()
+        spend()
         anchor = start
         while anchor < m and assign[anchor]:
             anchor += 1
@@ -597,58 +579,85 @@ def _dense_class_search(
             return True
         if color > k:
             return False
-        u, v = edges[anchor]
-        take(anchor, color)
-        if grow(color, anchor, (1 << u) | (1 << v), 1, False):
-            return True
-        give_back(anchor)
-        return False
+        return grow(color, anchor, anchor, 0, 0, False)
 
-    def grow(color: int, anchor: int, covered: int, count: int, missed: bool) -> bool:
-        budget.spend()
+    def grow(
+        color: int, anchor: int, e: int, covered: int, count: int, missed: bool
+    ) -> bool:
+        """Take edge e into the class (none when e < 0), then cover the
+        rest of it; on failure e is given back."""
+        spend()
+        if e >= 0:
+            u, v = edges[e]
+            assign[e] = color
+            un_deg[u] -= 1
+            un_deg[v] -= 1
+            twin = low[u][v] = low[v][u] = next_twin[e]
+            if twin < 0:
+                partners[u] ^= 1 << v
+                partners[v] ^= 1 << u
+            covered |= (1 << u) | (1 << v)
+            count += 1
         if count == size:
             # everything below the anchor is already assigned
-            if max(un_deg) > k - color:
-                return False
-            if budget.spent > walk_after and rest_too_dense(color):
-                return False
-            return build_class(color + 1, anchor + 1)
-        free = everyone & ~covered
-        limit = k - color
-        best_score = 2 * n + 2
-        best = best_tight = 0
-        rest = free
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            tight = un_deg[v] > limit
-            choices = (partners[v] & free).bit_count()
-            if not (tight or missed):
-                choices += 1
-            if choices == 0:
-                return False
-            score = 2 * choices + (not tight)
-            if score < best_score:
-                best_score, best, best_tight = score, v, tight
-        options = partners[best] & free
-        row = low[best]
-        offered = []
-        while options:
-            bit = options & -options
-            options ^= bit
-            offered.append(row[bit.bit_length() - 1])
-        offered.sort()
-        for e in offered:
-            u, v = edges[e]
-            take(e, color)
-            if grow(color, anchor, covered | (1 << u) | (1 << v), count + 1, missed):
+            if (
+                max(un_deg) <= k - color
+                and not (budget.spent > walk_after and rest_too_dense(color))
+                and build_class(color + 1, anchor + 1)
+            ):
                 return True
-            give_back(e)
-        if missed or best_tight:
-            return False
-        # best is the vertex this class misses; it leaves the free set
-        return grow(color, anchor, covered | (1 << best), count, True)
+        else:
+            free = everyone & ~covered
+            limit = k - color
+            # a score is twice the choices, plus 1 when not tight, so tight
+            # vertices win ties; while no vertex is missed, a vertex that is
+            # not tight (loose) has the miss as one more choice
+            loose = 1 if missed else 3
+            best_score = 2 * n + 2
+            best = 0
+            rest = free
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                w = bit.bit_length() - 1
+                score = 2 * (partners[w] & free).bit_count()
+                if un_deg[w] > limit:
+                    if not score:
+                        break  # a tight vertex no partner can cover
+                else:
+                    score += loose
+                    if score == 1:
+                        break  # a loose vertex, with no partner and no miss left
+                if score < best_score:
+                    best_score, best = score, w
+            else:  # every vertex has a choice: branch on the best one's
+                options = partners[best] & free
+                row = low[best]
+                if options & (options - 1):
+                    offered = []
+                    while options:
+                        bit = options & -options
+                        options ^= bit
+                        offered.append(row[bit.bit_length() - 1])
+                    offered.sort()
+                else:
+                    offered = (row[options.bit_length() - 1],) if options else ()
+                for f in offered:
+                    if grow(color, anchor, f, covered, count, missed):
+                        return True
+                # an odd score is a loose vertex: it may be the one missed,
+                # and it leaves the free set
+                if not missed and best_score & 1:
+                    if grow(color, anchor, -1, covered | (1 << best), count, True):
+                        return True
+        if e >= 0:
+            assign[e] = 0
+            un_deg[u] += 1
+            un_deg[v] += 1
+            low[u][v] = low[v][u] = e
+            partners[u] |= 1 << v
+            partners[v] |= 1 << u
+        return False
 
     return assign if build_class(1, 0) else None
 

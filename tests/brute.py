@@ -4,7 +4,10 @@ These deliberately avoid the library's search machinery: subsets come from
 itertools.combinations with direct edge recounts, and colorability from
 plain index-order enumeration whose conflict checks re-scan the edge list
 against the definitions each time.  No orderings, no bitmasks, no bounds.
-Use only on tiny instances.
+Use only on tiny instances.  The one exception is ``brute_find_exchange``,
+the earlier exchange rule, which tests each addition with the library's
+odd-set walk (``can_add_edge``, itself checked against recounting) so that
+it runs on the hosts where greedy stalls.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from densecolor import Multigraph
+from densecolor import Multigraph, can_add_edge, maximal_k_dense_subgraphs
 
 
 @lru_cache(maxsize=1)
@@ -263,3 +266,28 @@ def brute_saturate(graph: Multigraph, k: int) -> list[tuple[int, int]]:
         for q, pair in enumerate(pairs):
             keys[q] += size * ((u in pair) + (v in pair))
     return added
+
+
+def brute_find_exchange(
+    cur: Multigraph, k: int, added: list[tuple[int, int]]
+) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None:
+    """The exchange move as first implemented, each addition tested by a
+    density walk of the host rebuilt with it: drop the first distinct
+    added pair (x, y) with both ends outside every maximal k-dense set,
+    then add the first (x, a), and after it the first (y, b), that keep
+    every degree below k - 1 and the density at most k."""
+    covered = {v for s in maximal_k_dense_subgraphs(cur, k) for v in s}
+    for x, y in dict.fromkeys(added):
+        if x in covered or y in covered:
+            continue
+        trimmed = list(cur.edges)
+        trimmed.remove((x, y))
+        g1 = Multigraph(cur.n, tuple(trimmed))
+        for a in range(cur.n):
+            if a == x or not can_add_edge(g1, x, a, k):
+                continue
+            g2 = g1.with_edge(x, a)
+            for b in range(cur.n):
+                if b != y and can_add_edge(g2, y, b, k):
+                    return (x, y), (x, a), (y, b)
+    return None

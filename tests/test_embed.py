@@ -31,7 +31,7 @@ from densecolor.embed import (
     _tight_sets,
 )
 
-from brute import brute_density, brute_greedy_host, brute_saturate
+from brute import brute_find_exchange, brute_greedy_host, brute_saturate
 
 T2 = gen_fat_cycle(3, 2)
 
@@ -174,14 +174,14 @@ class TestExchangeMove:
         # drops one and attaches both ends to deficient triangle vertices
         added = [(3, 4)] * 5
         cur = Multigraph(5, T2.edges + tuple(added))
-        move = _find_exchange(cur, 6, T2.edges, added, DEFAULT_CONFIG)
+        move = _find_exchange(cur, 6, added, DEFAULT_CONFIG)
         assert move == ((3, 4), (3, 0), (4, 1))
 
     def test_no_move_from_dense_graph(self):
         g_prime, _ = embed_k_dense(fixture("t2-2k1"), 6)
         added = list(g_prime.edges[6:])
         assert (
-            _find_exchange(g_prime, 6, T2.edges, added, DEFAULT_CONFIG)
+            _find_exchange(g_prime, 6, added, DEFAULT_CONFIG)
             is None
         )
 
@@ -201,7 +201,8 @@ class TestExchangeMove:
         assert not any(
             can_add_edge(host, u, v, 10) for u in range(9) for v in range(u + 1, 9)
         )
-        assert _find_exchange(host, 10, base, added, DEFAULT_CONFIG) is None
+        assert _find_exchange(host, 10, added, DEFAULT_CONFIG) is None
+        assert brute_find_exchange(host, 10, added) is None
 
 
 class TestShortfall:
@@ -331,6 +332,39 @@ class TestSaturate:
             assert added == brute_saturate(host, k)
 
 
+class TestBlockRules:
+    def test_rules_agree_with_the_walk(self, monkeypatch):
+        # wherever the degrees settle an added edge's block upkeep, the
+        # forced contracted walk that the rules replace finds the same
+        settled = embed_mod._settled_block
+        seen = {"triangles": 0, "bounded": 0}
+
+        def checked(con, a, b, k, over):
+            group = settled(con, a, b, k, over)
+            if group is not None:
+                hits = set()
+
+                def collect(subset, edges):
+                    hits.update(subset)
+                    return k, 1
+
+                embed_mod._walk_odd_sets(con, k, 1, 0, collect, forced=(a, b))
+                assert hits == group
+                seen["triangles" if over == 0 else "bounded"] += 1
+            return group
+
+        monkeypatch.setattr(embed_mod, "_settled_block", checked)
+        rng = random.Random(21)
+        inputs = [displaced_core(rng, n_max=15) for _ in range(300)]
+        for c, mu in ((3, 4), (3, 7), (5, 5), (5, 7)):
+            core = gen_fat_cycle(c, mu)
+            k = chromatic_index(core).k
+            inputs += [(Multigraph(n, core.edges), k) for n in range(c, min(k, 20))]
+        for graph, k in inputs:
+            embed_k_dense(graph, k)
+        assert seen["triangles"] >= 100 and seen["bounded"] >= 100
+
+
 class TestContracted:
     def test_in_place_merges_match_a_fresh_contraction(self):
         rng = random.Random(3)
@@ -429,12 +463,12 @@ class TestLargeHost:
 
     @pytest.mark.parametrize(
         "c,mu,n,k,walks",
-        [(5, 7, 15, 18, 14), (3, 13, 19, 39, 65)],
+        [(5, 7, 15, 18, 9), (3, 13, 19, 39, 33)],
         ids=["fat-c5-m7-n15", "fat-c3-m13-n19"],
     )
     def test_saturation_walks_are_few(self, monkeypatch, c, mu, n, k, walks):
         # one premise walk, then at most one walk of the contracted host per
-        # added edge, and none where the degrees rule a new tight set out
+        # added edge, and none where the degrees settle the new blocks
         calls = []
         walk = embed_mod._walk_odd_sets
 
@@ -446,3 +480,39 @@ class TestLargeHost:
         _, report = embed_k_dense(Multigraph(n, gen_fat_cycle(c, mu).edges), k)
         assert 2 * report.final_m == k * (n - 1)
         assert len(calls) == walks
+
+
+class TestExchangeByDegrees:
+    def test_matches_walk_rule_on_greedy_stalls(self, monkeypatch):
+        find = embed_mod._find_exchange
+        stalls = []
+
+        def checked(cur, k, added, config):
+            move = find(cur, k, added, config)
+            assert move == brute_find_exchange(cur, k, added)
+            stalls.append(move)
+            return move
+
+        monkeypatch.setattr(embed_mod, "_find_exchange", checked)
+        rng = random.Random(8)
+        for _ in range(3_500):
+            embed_k_dense(*displaced_core(rng, n_max=15))
+        assert len(stalls) >= 200 and None not in stalls
+
+    def test_matches_walk_rule_on_stuck_entry_states(self):
+        # every edge of the stuck host is offered for removal
+        rng = random.Random(17)
+        stuck = moves = 0
+        for _ in range(1_000):
+            host, k = random_entry_state(rng)
+            host = Multigraph(
+                host.n, host.edges + tuple(embed_mod._saturate(host, k, _tight_sets(host, k)))
+            )
+            if 2 * host.m == k * (host.n - 1):
+                continue
+            offered = list(host.edges)
+            move = _find_exchange(host, k, offered, DEFAULT_CONFIG)
+            assert move == brute_find_exchange(host, k, offered)
+            stuck += 1
+            moves += move is not None
+        assert stuck >= 20 and moves >= 10

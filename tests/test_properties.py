@@ -29,6 +29,7 @@ from densecolor import (
 )
 
 from densecolor.embed import _density_violation
+from densecolor.oracles import _walk_odd_sets
 
 from brute import brute_density, count_edges_inside
 
@@ -227,8 +228,9 @@ class TestFeasibilityChecker:
     @settings(max_examples=60, deadline=None)
     @given(multigraphs())
     def test_matches_brute_density(self, graph):
-        # the embedding's one checker, unforced and forced to the new pair,
-        # against recounting every odd set of the graph with the edge added
+        # the embedding's checker, and the odd-set walk forced to the new
+        # pair, against recounting every odd set of the graph with the edge
+        # added
         delta = graph.max_degree()
         for k in range(delta + 1, delta + 5):
             within = brute_density(graph)[0] <= k
@@ -240,7 +242,8 @@ class TestFeasibilityChecker:
                     violated = _density_violation(graph, k, extra=(u, v))
                     assert violated == (not fits)
                     if within:
-                        violated = _density_violation(
-                            graph, k, extra=(u, v), forced=(u, v)
+                        violated = _walk_odd_sets(
+                            graph, k, 1, 1, lambda subset, edges: None,
+                            extra=(u, v), forced=(u, v),
                         )
                         assert violated == (not fits)
