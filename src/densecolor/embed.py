@@ -23,18 +23,18 @@ stay below k, and no odd vertex set exceeds density k afterwards.
 of ``oracles._walk_odd_sets`` at threshold k, stopped at its first
 violating set.  The walk's pruning never drops a hit, so its answers are
 those of plain enumeration.  The embedding walks only to find the tight
-sets (the blocks below, and the vertices an exchange move must avoid);
-it decides feasibility from the blocks and the degrees.
+sets (the blocks below); it decides feasibility, and an exchange move's
+vertices, from the blocks and the degrees.
 
 The premise, density(G) <= k, is checked by one walk of G: the slack-0
 tight-set walk below when edges are missing, else ``_density_violation``.
-``chromatic_index`` has walked G already when it embeds, and passes what
-that walk proved (density <= k, and whether some odd set reaches k), so
-on its route the premise walk is skipped, and the tight-set walk runs
-only when an odd set reaches k and edges are missing.  The parity vertex
-changes none of this: an odd S holding it has ratio 2|E(S')|/|S'| < k,
-with S' the rest of S, as every degree is below k.  A direct call checks
-the premise itself.
+``chromatic_index`` has walked G already when it embeds: its walk
+(``oracles._density_ceiling``) proved density <= k and kept every odd set
+of density exactly k, and it passes those sets, so on its route the
+embedding does not walk G.  The parity vertex changes none of this: an
+odd S holding it has ratio 2|E(S')|/|S'| < k, with S' the rest of S, as
+every degree is below k, so it lies in no tight set.  When n is odd the
+embedding starts from G itself.  A direct call checks the premise itself.
 
 Tight sets.  Call an odd set S, |S| >= 3, tight (k-dense) when
 f(S) = 2|E(S)| - k(|S|-1) = 0; f is even, and at most 0 while the density
@@ -59,9 +59,9 @@ thus come in nondecreasing sum, and those of one sum form a matching in
 lexicographic order.  So ``_saturate`` sweeps one sum s at a time, taking
 each vertex u not yet matched at s in ascending order with the smallest
 v > u of degree s - deg(u) outside u's block: one mask on per-degree
-vertex bitmasks, with no pair scanned.  The starting blocks come from the
-premise walk, run at slack 0 so that it collects the tight sets on its
-way (none when no odd set reaches k).  After uv is
+vertex bitmasks, with no pair scanned.  The starting blocks come from G's
+tight sets: those the caller passes, or those the premise walk collects
+at slack 0 (none when no odd set reaches k).  After uv is
 added, the new tight sets are the odd S holding u and v that had
 f(S) = -2.  The host with uv still has density at most k and degrees below
 k, so by the argument above such an S meets each block B in an odd set or
@@ -97,7 +97,9 @@ e(a, R) + e(b, R) + c(a, b) <= d(a) + d(b) - c(a, b).  So:
   max(0, c(a, w) + c(b, w) + d(w) - k), is negative, where it would stop
   before its first hit (``_settled_block`` decides both rules).
 
-After the final edge the blocks are not kept.
+When greedy stalls, the blocks it holds are the stuck host's maximal
+tight sets, and ``_saturate`` hands them back for the exchange move;
+after a move the blocks are found again by a walk of the new host.
 
 When exchange moves work.  A stuck host misses n(k-1) - 2m >=
 k - n + 2 >= 2 degree units below k - 1.  Let (x, y) be an added edge
@@ -125,7 +127,7 @@ from .coloring import EdgeColoring
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import GuaranteeViolationError, InstanceTooLargeError
 from .multigraph import Multigraph, serialize
-from .oracles import _no_host_reason, _walk_odd_sets, maximal_k_dense_subgraphs
+from .oracles import _no_host_reason, _walk_odd_sets
 
 __all__ = [
     "ExchangeMove",
@@ -202,6 +204,15 @@ class _Contracted:
         for subset in tight_sets:
             self.merge({self.atom[v] for v in subset})
 
+    def blocks(self) -> list[tuple[int, ...]]:
+        """The atoms of two or more vertices, the blocks, in lexicographic
+        order (an atom's name is its smallest vertex)."""
+        found = []
+        for bits in self.members:
+            if bits & (bits - 1):
+                found.append(tuple(v for v in range(self.n) if bits >> v & 1))
+        return found
+
     def add(self, u: int, v: int) -> None:
         """Count one more host edge uv, whose ends lie in different atoms."""
         a, b = self.atom[u], self.atom[v]
@@ -276,11 +287,14 @@ def can_add_edge(
 
 def _saturate(
     host: Multigraph, k: int, tight_sets: list[list[int]]
-) -> list[tuple[int, int]]:
+) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
     """Greedy additions to ``host`` (odd n, density at most k, its tight
     sets given) until it has k(n-1)/2 edges or no pair is addable; see the
     module docstring for the rule, the sweep and the block upkeep, where
     the degrees settle most added edges and a contracted walk the rest.
+    Returns the added edges and the blocks of the host with them, the
+    maximal tight sets in lexicographic order: the whole vertex set once
+    the host is k-dense, else the blocks the upkeep holds.
 
     ``by_deg[t]`` is the bitmask of the vertices of degree t, so u's
     partner at sum ``level`` is the lowest bit above u of one masked word.
@@ -332,7 +346,7 @@ def _saturate(
                 deg[w] += 1
                 by_deg[deg[w]] |= 1 << w
             if len(added) == missing:
-                break
+                return added, [tuple(range(n))]
             con.add(u, v)
             a, b = atom[u], atom[v]
             # a new tight set needs k edges from {a, b} into it
@@ -345,7 +359,7 @@ def _saturate(
                     group = hit
                 if group:
                     con.merge(group)
-    return added
+    return added, con.blocks()
 
 
 def _settled_block(
@@ -377,17 +391,18 @@ def _find_exchange(
     cur: Multigraph,
     k: int,
     added: list[tuple[int, int]],
-    config: RunConfig,
+    blocks: list[tuple[int, ...]],
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None:
     """One accepted exchange move, or None.
 
     Removes a previously added edge (x, y) with both ends outside every
-    maximal k-dense set, then adds (x, a) and (y, b), the first pairs in
-    index order that keep both degrees below k - 1: with x and y in no
-    tight set, that is all either addition needs (see the module
-    docstring), so no odd set is walked for them.
+    block of ``cur`` (its maximal k-dense sets, as ``_saturate`` hands them
+    back), then adds (x, a) and (y, b), the first pairs in index order that
+    keep both degrees below k - 1: with x and y in no tight set, that is
+    all either addition needs (see the module docstring), so no odd set is
+    walked.
     """
-    covered = {v for s in maximal_k_dense_subgraphs(cur, k, config) for v in s}
+    covered = {v for s in blocks for v in s}
     for e1 in dict.fromkeys(added):  # each distinct pair once, in order
         x, y = e1
         if x in covered or y in covered:
@@ -422,16 +437,17 @@ def embed_k_dense(
     k: int,
     config: RunConfig = DEFAULT_CONFIG,
     *,
-    rho_is_k: bool | None = None,
+    tight_sets: list[list[int]] | None = None,
 ) -> tuple[Multigraph, EmbeddingReport]:
     """Construct a k-dense supergraph of ``graph`` with maximum degree < k.
 
     Checks k >= max(Delta + 2, n + 1) and density(graph) <= k; the caller's
     k is otherwise taken as given.  A caller that has proved
-    density(graph) <= k passes ``rho_is_k``, whether some odd set has
-    density exactly k, and the density check is skipped.  Steps:
+    density(graph) <= k passes ``tight_sets``, every odd set of density
+    exactly k, and the density check is skipped.  Steps:
 
-    1. If n is even, append one isolated vertex (highest index).
+    1. If n is even, append one isolated vertex (highest index); else
+       start from ``graph`` itself.
     2. Greedily add the cheapest feasible edge until 2m = k(n-1) or stuck.
     3. If stuck, make an exchange move, which nets one edge, and go on
        with step 2.
@@ -444,29 +460,30 @@ def embed_k_dense(
     k-dense.  chi'(G') = k is left to the caller's k-edge-coloring of G'.
     """
     work_n = _check_embeddable(graph, k, config)
-    start = Multigraph(work_n, graph.edges)
+    start = graph if work_n == graph.n else Multigraph(work_n, graph.edges)
     target = k * (work_n - 1)
-    if 2 * start.m < target and rho_is_k is not False:
-        tight = _tight_sets(start, k)
-    elif rho_is_k is None and _density_violation(start, k):
-        tight = None
-    else:
-        tight = []
+    tight = tight_sets
     if tight is None:
-        raise ValueError(
-            f"input density exceeds {k}; the chromatic-index premise is violated"
-        )
+        if 2 * start.m < target:
+            tight = _tight_sets(start, k)
+        elif not _density_violation(start, k):
+            tight = []
+        if tight is None:
+            raise ValueError(
+                f"input density exceeds {k}; the chromatic-index premise is violated"
+            )
     base_edges = graph.edges
     added: list[tuple[int, int]] = []
     moves: list[ExchangeMove] = []
     cur = start
 
     while 2 * cur.m < target:
-        added += _saturate(cur, k, tight)
+        more, blocks = _saturate(cur, k, tight)
+        added += more
         cur = Multigraph(work_n, base_edges + tuple(added))
         if 2 * cur.m == target:
             break
-        move = _find_exchange(cur, k, added, config)
+        move = _find_exchange(cur, k, added, blocks)
         if move is None:
             raise GuaranteeViolationError(
                 f"saturation stalled at {cur.m} edges, short of {target // 2}: "

@@ -245,40 +245,62 @@ def _walk_odd_sets(
     return walk(0, len(subset), inner0, sum(1 for v in subset if v in ends))
 
 
-def _density_above(graph: Multigraph, floor: int) -> DensityWitness | None:
-    """The density with its lexicographically smallest maximizer when the
-    density exceeds ``floor``, else None.
+def _density_ceiling(
+    graph: Multigraph, floor: int
+) -> tuple[int, list[list[int]]] | None:
+    """L = ceil(rho) with every odd set of density exactly L, when the
+    density rho exceeds ``floor``; else None.
 
-    One lexicographic walk over the odd sets from threshold ``floor``: each
-    set strictly denser than the best so far becomes the best and raises
-    the threshold to its own ratio, so the walk keeps only branches that
-    can still beat it.  A later set of equal ratio is no hit.  Every set
-    before the smallest maximizer has a smaller ratio, so that maximizer is
-    a hit from any floor below the density, and the witness does not
-    depend on the floor.
+    One lexicographic walk over the odd sets from threshold ``floor`` at
+    slack 1.  A hit of density r sets K = max(K, ceil(r)) and returns the
+    threshold (nK - 1)/n, so a later set S is a hit exactly when
+    2e >= K(|S| - 1): the walk tests n(2e - K(|S| - 1)) + (|S| - 1) >= 1,
+    and 1 <= |S| - 1 < n.  A hit with 2e = K(|S| - 1) is kept, and the kept
+    sets are dropped when K rises.  The threshold never passes L - 1/n,
+    where every set of density L is a hit, and pruning drops no hit; so
+    every set of density exactly L is kept, in lexicographic order.  These
+    are the tight sets that saturation starts from (none when rho < L).
     """
-    best: list = []
+    n = graph.n
+    ceiling = floor
+    kept: list[list[int]] = []
 
-    def beat(subset: list[int], edges: int) -> tuple[int, int]:
-        best[:] = [Fraction(2 * edges, len(subset) - 1), tuple(subset)]
-        return 2 * edges, len(subset) - 1
+    def rise(subset: list[int], edges: int) -> tuple[int, int]:
+        nonlocal ceiling, kept
+        size = len(subset) - 1
+        top = -(-2 * edges // size)
+        if top > ceiling:
+            ceiling, kept = top, []
+        if 2 * edges == ceiling * size:
+            kept.append(list(subset))
+        return n * ceiling - 1, n
 
-    _walk_odd_sets(graph, floor, 1, 1, beat)
-    return DensityWitness(*best) if best else None
+    _walk_odd_sets(graph, floor, 1, 1, rise)
+    return (ceiling, kept) if ceiling > floor else None
 
 
 def density(graph: Multigraph, config: RunConfig = DEFAULT_CONFIG) -> DensityWitness:
     """Maximize 2|E(G[S])|/(|S|-1) over odd subsets S with |S| >= 3.
 
-    The witness is the lexicographically smallest maximizer (see
-    ``_density_above``, here walked from 0).
+    One lexicographic walk over the odd sets from threshold 0: each set
+    strictly denser than the best so far becomes the best and raises the
+    threshold to its own ratio, so the walk keeps only branches that can
+    still beat it.  A later set of equal ratio is no hit, so the witness is
+    the lexicographically smallest maximizer.
     """
     n = graph.n
     if n > config.density_max_n:
         raise InstanceTooLargeError(
             f"density enumeration capped at n = {config.density_max_n}, got {n}"
         )
-    return _density_above(graph, 0) or DensityWitness(Fraction(0), None)
+    best: list = []
+
+    def beat(subset: list[int], edges: int) -> tuple[int, int]:
+        best[:] = [Fraction(2 * edges, len(subset) - 1), tuple(subset)]
+        return 2 * edges, len(subset) - 1
+
+    _walk_odd_sets(graph, 0, 1, 1, beat)
+    return DensityWitness(*best) if best else DensityWitness(Fraction(0), None)
 
 
 def _is_dense_whole(graph: Multigraph, k: int) -> bool:
@@ -428,15 +450,15 @@ def chromatic_index(
     """Exact chromatic index with a proper witness coloring.
 
     L = max(Delta, ceil(rho)) is a lower bound.  G's odd sets are walked
-    once, from threshold Delta (``_density_above``): only a density above
-    Delta moves L or the lower-bound reason, and the walk returns the same
-    value and witness as ``density`` whenever it finds one.  The host route
-    settles chi' = L when L >= max(Delta+2, n+1) and the host's density
-    checks fit under density_max_n (both decided by ``_no_host_reason``):
-    G embeds into an L-dense host, and the
-    host's L-edge-coloring restricted to G (verified here) attains the
-    bound.  The walk has proved density <= L, and whether some odd set
-    reaches L, so the embedding skips its own premise walk.  The
+    once, from threshold Delta (``_density_ceiling``): only a density above
+    Delta moves L or the lower-bound reason, and the walk returns
+    ceil(rho) with every odd set of density exactly ceil(rho) whenever it
+    finds one.  The host route settles chi' = L when L >= max(Delta+2, n+1)
+    and the host's density checks fit under density_max_n (both decided by
+    ``_no_host_reason``): G embeds into an L-dense host, and the host's
+    L-edge-coloring restricted to G (verified here) attains the bound.  The
+    walk has proved density <= L and found G's tight sets, the blocks that
+    saturation starts from, so the embedding walks G no more.  The
     certificate keeps that host and its coloring (``host``), so callers
     that extend the host coloring next do not embed or color again.
     Every other graph within ``chi_index_max_edges`` is searched from L
@@ -449,16 +471,12 @@ def chromatic_index(
         )
     delta = graph.max_degree()
     lower = delta
-    ceil_rho: int | None = None
     if graph.n <= config.density_max_n:
-        dens = _density_above(graph, delta)
-        if dens is not None:
-            lower = ceil_rho = math.ceil(dens.value)
+        lower, tight = _density_ceiling(graph, delta) or (delta, [])
         if _no_host_reason(graph, lower, config) is None:
             from .embed import DenseHost, embed_k_dense  # embed imports this module
 
-            rho_is_k = dens is not None and dens.value == lower
-            g_prime, report = embed_k_dense(graph, lower, config, rho_is_k=rho_is_k)
+            g_prime, report = embed_k_dense(graph, lower, config, tight_sets=tight)
             budget = _Budget(config.node_budget)
             colors = _color(g_prime, lower, budget)
             if colors is None:
@@ -489,7 +507,7 @@ def chromatic_index(
         if assignment is not None:
             if k == delta:
                 reason = "max-degree"
-            elif k == ceil_rho:
+            elif k == lower:  # past Delta, lower is ceil(rho)
                 reason = "density"
             else:
                 reason = "exhaustion"

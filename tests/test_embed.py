@@ -20,8 +20,8 @@ from densecolor import (
     gen_random_multigraph,
     is_k_dense,
     is_proper_edge_coloring,
+    maximal_k_dense_subgraphs,
 )
-from densecolor.config import DEFAULT_CONFIG
 import densecolor.embed as embed_mod
 from densecolor.embed import (
     ExchangeMove,
@@ -174,16 +174,14 @@ class TestExchangeMove:
         # drops one and attaches both ends to deficient triangle vertices
         added = [(3, 4)] * 5
         cur = Multigraph(5, T2.edges + tuple(added))
-        move = _find_exchange(cur, 6, added, DEFAULT_CONFIG)
+        move = _find_exchange(cur, 6, added, maximal_k_dense_subgraphs(cur, 6))
         assert move == ((3, 4), (3, 0), (4, 1))
 
     def test_no_move_from_dense_graph(self):
         g_prime, _ = embed_k_dense(fixture("t2-2k1"), 6)
         added = list(g_prime.edges[6:])
-        assert (
-            _find_exchange(g_prime, 6, added, DEFAULT_CONFIG)
-            is None
-        )
+        blocks = maximal_k_dense_subgraphs(g_prime, 6)
+        assert _find_exchange(g_prime, 6, added, blocks) is None
 
     def test_no_move_when_every_added_edge_touches_a_dense_set(self):
         # three 10-dense triangles on 9 vertices: the second and third are
@@ -201,7 +199,8 @@ class TestExchangeMove:
         assert not any(
             can_add_edge(host, u, v, 10) for u in range(9) for v in range(u + 1, 9)
         )
-        assert _find_exchange(host, 10, added, DEFAULT_CONFIG) is None
+        blocks = maximal_k_dense_subgraphs(host, 10)
+        assert _find_exchange(host, 10, added, blocks) is None
         assert brute_find_exchange(host, 10, added) is None
 
 
@@ -216,7 +215,7 @@ class TestShortfall:
     )
     def test_shortfall_emits_certificate(self, monkeypatch, graph, k, header):
         # a stall is the same guarantee violation at every n
-        monkeypatch.setattr(embed_mod, "_saturate", lambda host, k, tight_sets: [])
+        monkeypatch.setattr(embed_mod, "_saturate", lambda host, k, tight_sets: ([], []))
         monkeypatch.setattr(embed_mod, "_find_exchange", lambda *a, **kw: None)
         with pytest.raises(GuaranteeViolationError, match="saturation") as info:
             embed_k_dense(graph, k)
@@ -304,7 +303,10 @@ class TestSaturate:
         for _ in range(60):
             host, k = random_entry_state(rng)
             sets = _tight_sets(host, k)
-            assert embed_mod._saturate(host, k, sets) == brute_saturate(host, k)
+            added, blocks = embed_mod._saturate(host, k, sets)
+            assert added == brute_saturate(host, k)
+            grown = Multigraph(host.n, host.edges + tuple(added))
+            assert blocks == maximal_k_dense_subgraphs(grown, k)
             capped += k - 1 in host.degrees
             tight += bool(sets)
         assert capped >= 30 and tight >= 20
@@ -316,9 +318,9 @@ class TestSaturate:
         saturate = embed_mod._saturate
 
         def recorded(host, k, tight_sets):
-            added = saturate(host, k, tight_sets)
+            added, blocks = saturate(host, k, tight_sets)
             entries.append((host, k, added))
-            return added
+            return added, blocks
 
         monkeypatch.setattr(embed_mod, "_saturate", recorded)
         rng = random.Random(4)
@@ -482,22 +484,42 @@ class TestLargeHost:
         assert len(calls) == walks
 
 
-class TestExchangeByDegrees:
-    def test_matches_walk_rule_on_greedy_stalls(self, monkeypatch):
-        find = embed_mod._find_exchange
-        stalls = []
+@pytest.fixture(scope="module")
+def greedy_stalls():
+    """Every stall of 3,500 seeded displaced-core embeddings (n <= 15): the
+    stuck host, k, the added edges, the blocks that saturation handed back
+    and the move made."""
+    find = embed_mod._find_exchange
+    stalls = []
 
-        def checked(cur, k, added, config):
-            move = find(cur, k, added, config)
-            assert move == brute_find_exchange(cur, k, added)
-            stalls.append(move)
-            return move
+    def recorded(cur, k, added, blocks):
+        move = find(cur, k, added, blocks)
+        stalls.append((cur, k, list(added), blocks, move))
+        return move
 
-        monkeypatch.setattr(embed_mod, "_find_exchange", checked)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embed_mod, "_find_exchange", recorded)
         rng = random.Random(8)
         for _ in range(3_500):
             embed_k_dense(*displaced_core(rng, n_max=15))
-        assert len(stalls) >= 200 and None not in stalls
+    return stalls
+
+
+class TestExchangeByDegrees:
+    def test_matches_walk_rule_on_greedy_stalls(self, greedy_stalls):
+        for cur, k, added, _, move in greedy_stalls:
+            assert move == brute_find_exchange(cur, k, added)
+        assert len(greedy_stalls) >= 200
+        assert None not in [move for *_, move in greedy_stalls]
+
+    def test_stalled_blocks_are_the_maximal_dense_sets(self, greedy_stalls):
+        # at a stall the blocks that saturation hands back are the stuck
+        # host's maximal k-dense sets, so the move walks nothing to find
+        # the vertices it must avoid
+        for cur, k, _, blocks, _ in greedy_stalls:
+            assert blocks == maximal_k_dense_subgraphs(cur, k)
+        assert len(greedy_stalls) >= 200
+        assert sum(bool(blocks) for _, _, _, blocks, _ in greedy_stalls) >= 100
 
     def test_matches_walk_rule_on_stuck_entry_states(self):
         # every edge of the stuck host is offered for removal
@@ -505,13 +527,13 @@ class TestExchangeByDegrees:
         stuck = moves = 0
         for _ in range(1_000):
             host, k = random_entry_state(rng)
-            host = Multigraph(
-                host.n, host.edges + tuple(embed_mod._saturate(host, k, _tight_sets(host, k)))
-            )
+            added, blocks = embed_mod._saturate(host, k, _tight_sets(host, k))
+            host = Multigraph(host.n, host.edges + tuple(added))
             if 2 * host.m == k * (host.n - 1):
                 continue
+            assert blocks == maximal_k_dense_subgraphs(host, k)
             offered = list(host.edges)
-            move = _find_exchange(host, k, offered, DEFAULT_CONFIG)
+            move = _find_exchange(host, k, offered, blocks)
             assert move == brute_find_exchange(host, k, offered)
             stuck += 1
             moves += move is not None

@@ -83,6 +83,21 @@ def with_isolated(graph: Multigraph, rng: random.Random) -> tuple[Multigraph, li
     return Multigraph(n, edges), sorted(set(range(n)) - set(ids))
 
 
+def check_ceiling(g: Multigraph, floor: int, value: Fraction) -> bool:
+    """``_density_ceiling`` from ``floor`` against the brute density
+    ``value``: None exactly when value <= floor, else ceil(value) with the
+    odd sets of density exactly that, in lexicographic order (none when
+    value is not an integer).  Returns whether the walk found a set."""
+    got = oracles._density_ceiling(g, floor)
+    if value <= floor:
+        assert got is None
+        return False
+    ceiling = math.ceil(value)
+    tight = brute_k_dense_sets(g, ceiling) if value == ceiling else []
+    assert got == (ceiling, sorted(map(list, tight)))
+    return True
+
+
 class TestDensity:
     def test_c5(self):
         # frozen from the combinations-based recount oracle
@@ -125,31 +140,49 @@ class TestDensity:
 
     def test_walk_from_delta_matches_brute(self):
         # chromatic_index walks from threshold Delta: it finds nothing
-        # exactly when the density is at most Delta, else density's value
-        # and witness
+        # exactly when the density is at most Delta, else ceil(rho) and the
+        # odd sets of density exactly ceil(rho)
         graphs = exhaustive_small_multigraphs() + planted_core_graphs(41, 120)
-        above = 0
+        above = tight = 0
         for g in graphs:
-            delta = g.max_degree()
             value, _ = brute_density(g)
-            got = oracles._density_above(g, delta)
-            if value <= delta:
-                assert got is None
-                continue
-            above += 1
-            assert got == density(g)
-            assert got.value == value
-            assert got.witness == brute_smallest_maximizer(g)
-        assert above >= 400
+            if check_ceiling(g, g.max_degree(), value):
+                above += 1
+                tight += value == math.ceil(value)
+        assert above >= 400 and tight >= 400
 
     def test_walk_from_any_floor_below_the_density(self):
-        # every start below rho ends on the same lexicographically
-        # smallest maximizer
+        # every start below ceil(rho) ends on the same ceiling and sets
         for g in planted_core_graphs(43, 40):
-            full = density(g)
-            for floor in range(math.ceil(full.value)):
-                assert oracles._density_above(g, floor) == full
-            assert oracles._density_above(g, math.ceil(full.value)) is None
+            value, _ = brute_density(g)
+            for floor in range(math.ceil(value) + 1):
+                check_ceiling(g, floor, value)
+
+    def test_ceiling_matches_brute_with_isolated_vertices(self):
+        # from Delta and from every floor below ceil(rho); below Delta the
+        # walk keeps the isolated vertices, which a set of density exactly
+        # ceil(rho) <= Delta may hold
+        rng = random.Random(59)
+        graphs = exhaustive_small_multigraphs() + tuple(
+            with_isolated(g, rng)[0] for g in planted_core_graphs(61, 60)
+        )
+        found = lone = 0
+        for g in graphs:
+            value, _ = brute_density(g)
+            floors = set(range(math.ceil(value))) | {g.max_degree()}
+            for floor in sorted(floors):
+                if check_ceiling(g, floor, value):
+                    found += 1
+                    _, kept = oracles._density_ceiling(g, floor)
+                    lone += any(g.degrees[v] == 0 for s in kept for v in s)
+        assert found >= 9_000 and lone >= 50
+
+    def test_rise_drops_the_kept_sets(self):
+        # the 6-dense triangle is kept at K = 6, then the triangle of
+        # density 10 raises K and replaces it
+        fat = Multigraph(3, ((0, 1),) * 3 + ((1, 2),) * 3 + ((0, 2),) * 4)
+        g = disjoint_union(T2, fat)
+        assert oracles._density_ceiling(g, 5) == (10, [[3, 4, 5]])
 
 
 class TestChromaticIndex:
@@ -424,7 +457,7 @@ class TestWalkSkipsIsolatedVertices:
             full = density(g)
             assert full.value == value
             assert full.witness == brute_smallest_maximizer(g)
-            assert oracles._density_above(g, delta) == (full if value > delta else None)
+            check_ceiling(g, delta, value)
             for k in range(delta, delta + 4):
                 assert maximal_k_dense_subgraphs(g, k) == brute_maximal_k_dense(g, k)
                 tight = _tight_sets(g, k)
@@ -455,9 +488,9 @@ class TestWalkSkipsIsolatedVertices:
 
     def test_padded_fat_triangle_walks_only_its_core(self, monkeypatch):
         # fat C3 with mu = 6 padded to n = 14: Delta = 12 and L = 18, so
-        # chromatic_index walks G from 12 (a walk that kept the 11 padding
-        # vertices would visit 40 nodes), then the embedding collects G's
-        # tight sets at 18
+        # chromatic_index walks G once, from 12 (a walk that kept the 11
+        # padding vertices would visit 40 nodes), and keeps G's tight sets
+        # at 18 on its way: the embedding walks G no more
         g = Multigraph(14, gen_fat_cycle(3, 6).edges)
         node = next(
             c for c in oracles._walk_odd_sets.__code__.co_consts
@@ -489,8 +522,8 @@ class TestWalkSkipsIsolatedVertices:
             monkeypatch.setattr(module, "_walk_odd_sets", traced(module._walk_odd_sets))
         cert = chromatic_index(g)
         assert cert.k == 18 and cert.host is not None
-        assert len(walks) == 2
-        assert len(walks[0]) == 7
+        assert len(walks) == 1
+        assert len(walks[0]) == 8
         assert {v for subsets in walks for s in subsets for v in s} == {0, 1, 2}
 
 

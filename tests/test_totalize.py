@@ -342,14 +342,14 @@ class TestTotalize:
         [
             (T2, 1),
             (Multigraph(9, gen_fat_cycle(5, 5).edges), 1),
-            (Multigraph(9, gen_fat_cycle(3, 4).edges), 2),
+            (Multigraph(9, gen_fat_cycle(3, 4).edges), 1),
         ],
         ids=["t2-dense", "fat-c5-m5-n9-below-k", "fat-c3-m4-n9-at-k"],
     )
     def test_host_route_walks_the_graph_once(self, monkeypatch, graph, walks):
-        # chromatic_index's walk from Delta proves density <= k, so the
-        # embedding skips its premise walk; only rho == k with edges
-        # missing adds the slack-0 tight-set walk, before saturation
+        # chromatic_index's walk from Delta proves density <= k and keeps
+        # G's tight sets, so the embedding walks G no more, rho == k with
+        # edges missing included; that walk comes before saturation
         events = []
 
         def counting(walk):
