@@ -19,22 +19,23 @@ toward deficient vertices).  A host that neither step can extend raises
 
 Throughout, feasibility of adding an edge uv means: both endpoint degrees
 stay below k, and no odd vertex set exceeds density k afterwards.
-``can_add_edge`` tests this with ``_density_violation``: the odd-set walk
-of ``oracles._walk_odd_sets`` at threshold k, stopped at its first
+``can_add_edge`` tests this by walking the odd sets of the graph with uv
+(``oracles._walk_odd_sets``) at threshold k, stopped at the first
 violating set.  The walk's pruning never drops a hit, so its answers are
 those of plain enumeration.  The embedding walks only to find the tight
 sets (the blocks below); it decides feasibility, and an exchange move's
 vertices, from the blocks and the degrees.
 
-The premise, density(G) <= k, is checked by one walk of G: the slack-0
-tight-set walk below when edges are missing, else ``_density_violation``.
-``chromatic_index`` has walked G already when it embeds: its walk
-(``oracles._density_ceiling``) proved density <= k and kept every odd set
-of density exactly k, and it passes those sets, so on its route the
-embedding does not walk G.  The parity vertex changes none of this: an
-odd S holding it has ratio 2|E(S')|/|S'| < k, with S' the rest of S, as
-every degree is below k, so it lies in no tight set.  When n is odd the
-embedding starts from G itself.  A direct call checks the premise itself.
+The premise, density(G) <= k, and G's tight sets come from one walk of G,
+``oracles._density_ceiling``.  ``chromatic_index`` makes that walk from
+Delta and passes the sets it keeps, so on its route the embedding does
+not walk G.  A direct call makes it from k - 1: None means no odd set
+reaches k, so there is no tight set; a ceiling above k breaks the
+premise; else the kept sets, those of density exactly k, are the tight
+sets.  The parity vertex changes none of this: an odd S holding it has
+ratio 2|E(S')|/|S'| < k, with S' the rest of S, as every degree is below
+k, so it lies in no tight set.  When n is odd the embedding starts from G
+itself.
 
 Tight sets.  Call an odd set S, |S| >= 3, tight (k-dense) when
 f(S) = 2|E(S)| - k(|S|-1) = 0; f is even, and at most 0 while the density
@@ -51,7 +52,7 @@ Greedy saturation (``_saturate``) adds, among the pairs whose degrees are
 below k - 1 and whose ends lie in different blocks, the one of least
 endpoint degree sum, ties broken lexicographically.  Adding edges only
 raises degrees and merges blocks, so a pair once unaddable stays so until
-an exchange move removes an edge, after which the blocks are found again.
+an exchange move removes an edge.
 Pair sums only rise, so the least sum s of an addable pair never falls;
 and once uv is added at sum s, a pair of sum s holding u or v had sum
 s - 1 before, below the least, so it is dead for good.  Greedy's picks
@@ -60,8 +61,7 @@ lexicographic order.  So ``_saturate`` sweeps one sum s at a time, taking
 each vertex u not yet matched at s in ascending order with the smallest
 v > u of degree s - deg(u) outside u's block: one mask on per-degree
 vertex bitmasks, with no pair scanned.  The starting blocks come from G's
-tight sets: those the caller passes, or those the premise walk collects
-at slack 0 (none when no odd set reaches k).  After uv is
+tight sets, those of the premise walk.  After uv is
 added, the new tight sets are the odd S holding u and v that had
 f(S) = -2.  The host with uv still has density at most k and degrees below
 k, so by the argument above such an S meets each block B in an odd set or
@@ -97,9 +97,14 @@ e(a, R) + e(b, R) + c(a, b) <= d(a) + d(b) - c(a, b).  So:
   max(0, c(a, w) + c(b, w) + d(w) - k), is negative, where it would stop
   before its first hit (``_settled_block`` decides both rules).
 
-When greedy stalls, the blocks it holds are the stuck host's maximal
-tight sets, and ``_saturate`` hands them back for the exchange move;
-after a move the blocks are found again by a walk of the new host.
+``_Contracted.grow`` is that upkeep for one added edge, and one
+``_Contracted`` holds the blocks for the whole embedding.  When greedy
+stalls they are the stuck host's maximal tight sets, and
+``_find_exchange`` reads from them the vertices a move avoids.  A move's
+removed edge xy has both ends in no block, so removing it lowers f only on
+sets that are not tight and changes no block; its two added edges go
+through ``grow``, each with its ends in different blocks (below).  So no
+walk of the whole host follows a move.
 
 When exchange moves work.  A stuck host misses n(k-1) - 2m >=
 k - n + 2 >= 2 degree units below k - 1.  Let (x, y) be an added edge
@@ -127,7 +132,7 @@ from .coloring import EdgeColoring
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import GuaranteeViolationError, InstanceTooLargeError
 from .multigraph import Multigraph, serialize
-from .oracles import _no_host_reason, _walk_odd_sets
+from .oracles import _density_ceiling, _no_host_reason, _walk_odd_sets
 
 __all__ = [
     "ExchangeMove",
@@ -213,13 +218,37 @@ class _Contracted:
                 found.append(tuple(v for v in range(self.n) if bits >> v & 1))
         return found
 
-    def add(self, u: int, v: int) -> None:
-        """Count one more host edge uv, whose ends lie in different atoms."""
+    def add(self, u: int, v: int, count: int = 1) -> None:
+        """Count ``count`` more host edges uv, whose ends lie in different
+        atoms; a negative count removes edges."""
         a, b = self.atom[u], self.atom[v]
-        self.adjacency_counts[a][b] += 1
-        self.adjacency_counts[b][a] += 1
-        self.degrees[a] += 1
-        self.degrees[b] += 1
+        self.adjacency_counts[a][b] += count
+        self.adjacency_counts[b][a] += count
+        self.degrees[a] += count
+        self.degrees[b] += count
+
+    def grow(self, u: int, v: int, k: int) -> None:
+        """Count one more host edge uv, whose ends lie in different atoms,
+        and keep the blocks the maximal tight sets of the host with it: the
+        degrees settle most edges, and a walk of the contracted host forced
+        on the two atoms the rest (see the module docstring)."""
+        self.add(u, v)
+        a, b = self.atom[u], self.atom[v]
+        # a new tight set needs k edges from {a, b} into it
+        over = self.degrees[a] + self.degrees[b] - self.adjacency_counts[a][b] - k
+        if over < 0:
+            return
+        group = _settled_block(self, a, b, k, over)
+        if group is None:
+            group = set()
+
+            def collect(subset: list[int], edges: int) -> tuple[int, int]:
+                group.update(subset)
+                return k, 1
+
+            _walk_odd_sets(self, k, 1, 0, collect, forced=(a, b))
+        if group:
+            self.merge(group)
 
     def merge(self, group: set[int]) -> None:
         """Join the atoms in ``group`` into the one named by the smallest;
@@ -245,29 +274,6 @@ class _Contracted:
             bits ^= low
 
 
-def _tight_sets(graph: Multigraph, k: int) -> list[list[int]] | None:
-    """Every tight odd set of ``graph``, or None when some odd set is denser
-    than k.  One odd-set walk at slack 0, stopped at the first violation."""
-    found: list[list[int]] = []
-
-    def collect(subset: list[int], edges: int) -> tuple[int, int] | None:
-        if 2 * edges > k * (len(subset) - 1):
-            return None
-        found.append(list(subset))
-        return k, 1
-
-    return None if _walk_odd_sets(graph, k, 1, 0, collect) else found
-
-
-def _density_violation(
-    graph: Multigraph, k: int, *, extra: tuple[int, int] | None = None
-) -> bool:
-    """True when some odd vertex set of size >= 3 has 2|E| > k(|S|-1),
-    counting ``extra`` as one additional edge when both its ends lie in the
-    set.  Stops the odd-set walk at its first hit."""
-    return _walk_odd_sets(graph, k, 1, 1, lambda subset, edges: None, extra=extra)
-
-
 def can_add_edge(
     graph: Multigraph, u: int, v: int, k: int, config: RunConfig = DEFAULT_CONFIG
 ) -> bool:
@@ -282,19 +288,17 @@ def can_add_edge(
         )
     if graph.degrees[u] + 1 > k - 1 or graph.degrees[v] + 1 > k - 1:
         return False
-    return not _density_violation(graph, k, extra=(u, v))
+    grown = graph.with_edge(u, v)
+    return not _walk_odd_sets(grown, k, 1, 1, lambda subset, edges: None)
 
 
-def _saturate(
-    host: Multigraph, k: int, tight_sets: list[list[int]]
-) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
-    """Greedy additions to ``host`` (odd n, density at most k, its tight
-    sets given) until it has k(n-1)/2 edges or no pair is addable; see the
-    module docstring for the rule, the sweep and the block upkeep, where
-    the degrees settle most added edges and a contracted walk the rest.
-    Returns the added edges and the blocks of the host with them, the
-    maximal tight sets in lexicographic order: the whole vertex set once
-    the host is k-dense, else the blocks the upkeep holds.
+def _saturate(host: Multigraph, k: int, con: _Contracted) -> list[tuple[int, int]]:
+    """Greedy additions to ``host`` (odd n, density at most k, its blocks
+    held by ``con``) until it has k(n-1)/2 edges or no pair is addable; see
+    the module docstring for the rule and the sweep.  Returns the added
+    edges.  Each one goes through ``con.grow``, so at a stall ``con`` holds
+    the blocks of the stuck host; the edge that makes the host k-dense
+    skips it, as the whole vertex set is then the one block.
 
     ``by_deg[t]`` is the bitmask of the vertices of degree t, so u's
     partner at sum ``level`` is the lowest bit above u of one masked word.
@@ -303,23 +307,13 @@ def _saturate(
     degree level - d below k - 1 that some vertex has; a matched vertex
     leaves it, as every pair of this sum holding it is dead.
     """
-    n = host.n
     deg = list(host.degrees)
-    missing = k * (n - 1) // 2 - host.m
+    missing = k * (host.n - 1) // 2 - host.m
     by_deg = [0] * k
     for v, d in enumerate(deg):
         by_deg[d] |= 1 << v
-    con = _Contracted(host, tight_sets)
-    hit: set[int] = set()
-
-    def collect(subset: list[int], edges: int) -> tuple[int, int]:
-        hit.update(subset)
-        return k, 1
-
     added: list[tuple[int, int]] = []
-    # adds and merges update these in place
-    atom, members = con.atom, con.members
-    cdeg, cnt = con.degrees, con.adjacency_counts
+    atom, members = con.atom, con.members  # merges update these in place
     level = -1
     while len(added) < missing:
         first, second = sorted(deg)[:2]
@@ -346,20 +340,9 @@ def _saturate(
                 deg[w] += 1
                 by_deg[deg[w]] |= 1 << w
             if len(added) == missing:
-                return added, [tuple(range(n))]
-            con.add(u, v)
-            a, b = atom[u], atom[v]
-            # a new tight set needs k edges from {a, b} into it
-            over = cdeg[a] + cdeg[b] - cnt[a][b] - k
-            if over >= 0:
-                group = _settled_block(con, a, b, k, over)
-                if group is None:
-                    hit.clear()
-                    _walk_odd_sets(con, k, 1, 0, collect, forced=(a, b))
-                    group = hit
-                if group:
-                    con.merge(group)
-    return added, con.blocks()
+                break
+            con.grow(u, v, k)
+    return added
 
 
 def _settled_block(
@@ -388,21 +371,18 @@ def _settled_block(
 
 
 def _find_exchange(
-    cur: Multigraph,
-    k: int,
-    added: list[tuple[int, int]],
-    blocks: list[tuple[int, ...]],
+    cur: Multigraph, k: int, added: list[tuple[int, int]], con: _Contracted
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]] | None:
     """One accepted exchange move, or None.
 
     Removes a previously added edge (x, y) with both ends outside every
-    block of ``cur`` (its maximal k-dense sets, as ``_saturate`` hands them
-    back), then adds (x, a) and (y, b), the first pairs in index order that
-    keep both degrees below k - 1: with x and y in no tight set, that is
-    all either addition needs (see the module docstring), so no odd set is
+    block of ``cur`` (its maximal k-dense sets, as ``con`` holds them),
+    then adds (x, a) and (y, b), the first pairs in index order that keep
+    both degrees below k - 1: with x and y in no tight set, that is all
+    either addition needs (see the module docstring), so no odd set is
     walked.
     """
-    covered = {v for s in blocks for v in s}
+    covered = {v for s in con.blocks() for v in s}
     for e1 in dict.fromkeys(added):  # each distinct pair once, in order
         x, y = e1
         if x in covered or y in covered:
@@ -442,9 +422,10 @@ def embed_k_dense(
     """Construct a k-dense supergraph of ``graph`` with maximum degree < k.
 
     Checks k >= max(Delta + 2, n + 1) and density(graph) <= k; the caller's
-    k is otherwise taken as given.  A caller that has proved
-    density(graph) <= k passes ``tight_sets``, every odd set of density
-    exactly k, and the density check is skipped.  Steps:
+    k is otherwise taken as given.  The density check is one walk of G
+    (``oracles._density_ceiling``) that also finds G's tight sets.  A
+    caller that has proved density(graph) <= k passes ``tight_sets``,
+    every odd set of density exactly k, and the walk is skipped.  Steps:
 
     1. If n is even, append one isolated vertex (highest index); else
        start from ``graph`` itself.
@@ -462,13 +443,9 @@ def embed_k_dense(
     work_n = _check_embeddable(graph, k, config)
     start = graph if work_n == graph.n else Multigraph(work_n, graph.edges)
     target = k * (work_n - 1)
-    tight = tight_sets
-    if tight is None:
-        if 2 * start.m < target:
-            tight = _tight_sets(start, k)
-        elif not _density_violation(start, k):
-            tight = []
-        if tight is None:
+    if tight_sets is None:
+        ceiling, tight_sets = _density_ceiling(start, k - 1) or (k, [])
+        if ceiling > k:
             raise ValueError(
                 f"input density exceeds {k}; the chromatic-index premise is violated"
             )
@@ -476,14 +453,15 @@ def embed_k_dense(
     added: list[tuple[int, int]] = []
     moves: list[ExchangeMove] = []
     cur = start
+    if 2 * cur.m < target:
+        con = _Contracted(start, tight_sets)
 
     while 2 * cur.m < target:
-        more, blocks = _saturate(cur, k, tight)
-        added += more
+        added += _saturate(cur, k, con)
         cur = Multigraph(work_n, base_edges + tuple(added))
         if 2 * cur.m == target:
             break
-        move = _find_exchange(cur, k, added, blocks)
+        move = _find_exchange(cur, k, added, con)
         if move is None:
             raise GuaranteeViolationError(
                 f"saturation stalled at {cur.m} edges, short of {target // 2}: "
@@ -494,8 +472,11 @@ def embed_k_dense(
         added.remove(e1)
         added.extend((e2, e3))
         moves.append(ExchangeMove(e1, (e2, e3)))
+        # e1's ends lie in no block, so its removal changes no tight set
+        con.add(*e1, -1)
+        con.grow(*e2, k)
+        con.grow(*e3, k)
         cur = Multigraph(work_n, base_edges + tuple(added))
-        tight = _tight_sets(cur, k)
 
     return cur, EmbeddingReport(
         parity_vertex_added=work_n != graph.n,

@@ -8,6 +8,7 @@ are immutable; every edit returns a new value.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,13 +77,10 @@ class Multigraph:
         return max(self.degrees, default=0)
 
     def multiplicity(self) -> int:
-        """Largest number of parallel edges over any vertex pair (0 if edgeless)."""
-        best = 0
-        for row in self.adjacency_counts:
-            for c in row:
-                if c > best:
-                    best = c
-        return best
+        """Largest number of parallel edges over any vertex pair (0 if
+        edgeless), counted from the edge list in O(m)."""
+        pairs = Counter([(u, v) if u < v else (v, u) for u, v in self.edges])
+        return max(pairs.values(), default=0)
 
     def induced_subgraph(
         self, vertices: Iterable[int]

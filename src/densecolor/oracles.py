@@ -152,15 +152,13 @@ def _walk_odd_sets(
     slack: int,
     on_hit: Callable[[list[int], int], tuple[int, int] | None],
     *,
-    extra: tuple[int, int] | None = None,
     forced: tuple[int, ...] = (),
 ) -> bool:
     """Report the odd vertex sets whose ratio reaches the threshold num/den.
 
     Walks the odd sets S, |S| >= 3, that contain ``forced``, adding the
     other vertices depth first in index order (lexicographic order when
-    nothing is forced).  Let e be the edges inside S, plus one when both
-    ends of ``extra`` lie in S.  S is a hit when
+    nothing is forced).  Let e be the edges inside S.  S is a hit when
     den * 2e - num * (|S| - 1) >= ``slack``, and then ``on_hit(S, e)``
     returns the threshold (num, den) for the rest of the walk, never lower
     than the one it was hit at, or None to stop it.  Returns True when
@@ -171,15 +169,14 @@ def _walk_odd_sets(
     P + R has 2|E(P + R)| <= 2|E(P)| + sum over w in R of (t(w) + d(w)):
     an edge inside R is counted at both ends, each time among the
     d(w) - t(w) edges of that end not into P.  So no hit is left when
-    den * 2(|E(P)| + x) - num * (|P| - 1), with x = 1 if ``extra`` is given,
-    plus the positive terms den * (t(w) + d(w)) - num, stays below
-    ``slack``.  Reads only ``n``, ``degrees`` and ``adjacency_counts``;
-    vertices are not range-checked.
+    den * 2|E(P)| - num * (|P| - 1), plus the positive terms
+    den * (t(w) + d(w)) - num, stays below ``slack``.  Reads only ``n``,
+    ``degrees`` and ``adjacency_counts``; vertices are not range-checked.
 
     Vertices of degree 0 are left out of the walk when the starting
-    threshold is at least the maximum degree D, both counting ``extra`` at
-    its ends: with gap = den * D - num, the walk skips them when gap <= 0
-    and 2 * gap < ``slack`` (gap < 0 at slack 0, or gap = 0 at slack 1).
+    threshold is at least the maximum degree D: with gap = den * D - num,
+    the walk skips them when gap <= 0 and 2 * gap < ``slack`` (gap < 0 at
+    slack 0, or gap = 0 at slack 1).
     A set S holding such a vertex w has 2e <= D(|S| - 1), counted at the
     other |S| - 1 vertices, so den * 2e - num * (|S| - 1) <= gap(|S| - 1)
     <= 2 * gap < ``slack``: no hit holds w.  As ``on_hit`` never lowers the
@@ -191,34 +188,28 @@ def _walk_odd_sets(
     """
     cnt = graph.adjacency_counts
     deg = graph.degrees
-    ends = () if extra is None else extra
     subset = sorted(set(forced))
-    degs = list(deg)
-    for v in ends:
-        degs[v] += 1
-    gap = den * max(degs, default=0) - num
+    gap = den * max(deg, default=0) - num
     lone = gap <= 0 and 2 * gap < slack  # no hit holds a vertex of degree 0
     candidates = [
-        v for v in range(graph.n) if v not in subset and (degs[v] or not lone)
+        v for v in range(graph.n) if v not in subset and (deg[v] or not lone)
     ]
     # pair counts are symmetric: sum the forced vertices' own rows
     to_subset = [sum(col) for col in zip([0] * graph.n, *(cnt[w] for w in subset))]
-    bonus = 0 if extra is None else 1  # exact once both ends are inside
     last = len(candidates)
 
-    def walk(idx: int, size: int, inner: int, ends_in: int) -> bool:
+    def walk(idx: int, size: int, inner: int) -> bool:
         nonlocal num, den
         if size >= 3 and size % 2 == 1:
-            edges = inner + (ends_in == 2)
-            if den * 2 * edges - num * (size - 1) >= slack:
-                threshold = on_hit(subset, edges)
+            if den * 2 * inner - num * (size - 1) >= slack:
+                threshold = on_hit(subset, inner)
                 if threshold is None:
                     return True
                 num, den = threshold
         if idx == last:
             return False
         cut = num // den  # den * x > num exactly when x > cut, x integral
-        top, picked = 2 * (inner + bonus), 0
+        top, picked = 2 * inner, 0
         for i in range(idx, last):
             w = candidates[i]
             x = to_subset[w] + deg[w]
@@ -233,7 +224,7 @@ def _walk_odd_sets(
             for j in range(i + 1, last):
                 to_subset[candidates[j]] += row[candidates[j]]
             subset.append(v)
-            hit = walk(i + 1, size + 1, inner + to_subset[v], ends_in + (v in ends))
+            hit = walk(i + 1, size + 1, inner + to_subset[v])
             subset.pop()
             for j in range(i + 1, last):
                 to_subset[candidates[j]] -= row[candidates[j]]
@@ -241,8 +232,7 @@ def _walk_odd_sets(
                 return True
         return False
 
-    inner0 = sum(to_subset[v] for v in subset) // 2
-    return walk(0, len(subset), inner0, sum(1 for v in subset if v in ends))
+    return walk(0, len(subset), sum(to_subset[v] for v in subset) // 2)
 
 
 def _density_ceiling(

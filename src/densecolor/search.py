@@ -173,16 +173,19 @@ def search_goldberg(
     """Evaluate named instances; the report is sorted by instance name.
 
     ``instances`` is an iterable of (name, graph) pairs.  With ``jobs > 1``
-    the instances fan out to a process pool; aggregation is
-    order-independent and the outcome is canonically sorted either way.
+    the instances fan out to a process pool of at most one worker per
+    instance (under ``fork`` the pool starts all its workers at the first
+    submit); aggregation is order-independent and the outcome is
+    canonically sorted either way.
     """
     items = [(name, graph, config) for name, graph in instances]
-    if jobs > 1:
+    workers = min(jobs, len(items))
+    if workers > 1:
         # imported here so that ``import densecolor`` stays free of
         # multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate, items))
     else:
         results = [_evaluate(item) for item in items]

@@ -1,5 +1,6 @@
 import random
 from math import ceil
+from typing import NamedTuple
 
 import pytest
 
@@ -28,12 +29,17 @@ from densecolor.embed import (
     _check_embeddable,
     _Contracted,
     _find_exchange,
-    _tight_sets,
 )
 
 from brute import brute_find_exchange, brute_greedy_host, brute_saturate
 
 T2 = gen_fat_cycle(3, 2)
+
+
+def held_blocks(host, k):
+    """The blocks of ``host`` (density at most k) as the embedding holds
+    them: contracted from its maximal k-dense sets."""
+    return _Contracted(host, maximal_k_dense_subgraphs(host, k))
 
 
 def check_against_brute_greedy(graph, k):
@@ -174,14 +180,13 @@ class TestExchangeMove:
         # drops one and attaches both ends to deficient triangle vertices
         added = [(3, 4)] * 5
         cur = Multigraph(5, T2.edges + tuple(added))
-        move = _find_exchange(cur, 6, added, maximal_k_dense_subgraphs(cur, 6))
+        move = _find_exchange(cur, 6, added, held_blocks(cur, 6))
         assert move == ((3, 4), (3, 0), (4, 1))
 
     def test_no_move_from_dense_graph(self):
         g_prime, _ = embed_k_dense(fixture("t2-2k1"), 6)
         added = list(g_prime.edges[6:])
-        blocks = maximal_k_dense_subgraphs(g_prime, 6)
-        assert _find_exchange(g_prime, 6, added, blocks) is None
+        assert _find_exchange(g_prime, 6, added, held_blocks(g_prime, 6)) is None
 
     def test_no_move_when_every_added_edge_touches_a_dense_set(self):
         # three 10-dense triangles on 9 vertices: the second and third are
@@ -199,8 +204,7 @@ class TestExchangeMove:
         assert not any(
             can_add_edge(host, u, v, 10) for u in range(9) for v in range(u + 1, 9)
         )
-        blocks = maximal_k_dense_subgraphs(host, 10)
-        assert _find_exchange(host, 10, added, blocks) is None
+        assert _find_exchange(host, 10, added, held_blocks(host, 10)) is None
         assert brute_find_exchange(host, 10, added) is None
 
 
@@ -215,7 +219,7 @@ class TestShortfall:
     )
     def test_shortfall_emits_certificate(self, monkeypatch, graph, k, header):
         # a stall is the same guarantee violation at every n
-        monkeypatch.setattr(embed_mod, "_saturate", lambda host, k, tight_sets: ([], []))
+        monkeypatch.setattr(embed_mod, "_saturate", lambda host, k, con: [])
         monkeypatch.setattr(embed_mod, "_find_exchange", lambda *a, **kw: None)
         with pytest.raises(GuaranteeViolationError, match="saturation") as info:
             embed_k_dense(graph, k)
@@ -302,25 +306,26 @@ class TestSaturate:
         capped = tight = 0
         for _ in range(60):
             host, k = random_entry_state(rng)
-            sets = _tight_sets(host, k)
-            added, blocks = embed_mod._saturate(host, k, sets)
+            con = held_blocks(host, k)
+            tight += bool(con.blocks())
+            added = embed_mod._saturate(host, k, con)
             assert added == brute_saturate(host, k)
             grown = Multigraph(host.n, host.edges + tuple(added))
-            assert blocks == maximal_k_dense_subgraphs(grown, k)
+            if 2 * grown.m < k * (grown.n - 1):
+                assert con.blocks() == maximal_k_dense_subgraphs(grown, k)
             capped += k - 1 in host.degrees
-            tight += bool(sets)
         assert capped >= 30 and tight >= 20
 
     def test_reentry_after_exchange_matches_min_key_loop(self, monkeypatch):
         # embed_k_dense re-enters greedy after each exchange move, with
-        # vertices at degree k - 1 and tight sets found again
+        # vertices at degree k - 1 and the blocks kept through the move
         entries = []
         saturate = embed_mod._saturate
 
-        def recorded(host, k, tight_sets):
-            added, blocks = saturate(host, k, tight_sets)
+        def recorded(host, k, con):
+            added = saturate(host, k, con)
             entries.append((host, k, added))
-            return added, blocks
+            return added
 
         monkeypatch.setattr(embed_mod, "_saturate", recorded)
         rng = random.Random(4)
@@ -465,12 +470,13 @@ class TestLargeHost:
 
     @pytest.mark.parametrize(
         "c,mu,n,k,walks",
-        [(5, 7, 15, 18, 9), (3, 13, 19, 39, 33)],
+        [(5, 7, 15, 18, 8), (3, 13, 19, 39, 32)],
         ids=["fat-c5-m7-n15", "fat-c3-m13-n19"],
     )
     def test_saturation_walks_are_few(self, monkeypatch, c, mu, n, k, walks):
-        # one premise walk, then at most one walk of the contracted host per
-        # added edge, and none where the degrees settle the new blocks
+        # at most one walk of the contracted host per added edge, and none
+        # where the degrees settle the new blocks; the premise walk of G
+        # goes through the oracles module and is not counted here
         calls = []
         walk = embed_mod._walk_odd_sets
 
@@ -484,42 +490,75 @@ class TestLargeHost:
         assert len(calls) == walks
 
 
+class Stall(NamedTuple):
+    host: Multigraph  # stuck
+    k: int
+    added: list
+    blocks: list  # held at the stall
+    move: tuple | None
+    after: Multigraph | None = None  # the host after the move
+    after_blocks: list | None = None  # held then
+
+
 @pytest.fixture(scope="module")
 def greedy_stalls():
-    """Every stall of 3,500 seeded displaced-core embeddings (n <= 15): the
-    stuck host, k, the added edges, the blocks that saturation handed back
-    and the move made."""
-    find = embed_mod._find_exchange
+    """Every stall of 3,500 seeded displaced-core embeddings (n <= 15), with
+    the blocks held at the stall and right after its move: at the next
+    saturation, or at the end when the move made the host k-dense."""
+    find, saturate = embed_mod._find_exchange, embed_mod._saturate
     stalls = []
+    moved = []  # the blocks of the last move, until the host after it is seen
 
-    def recorded(cur, k, added, blocks):
-        move = find(cur, k, added, blocks)
-        stalls.append((cur, k, list(added), blocks, move))
+    def recorded_find(cur, k, added, con):
+        move = find(cur, k, added, con)
+        stalls.append(Stall(cur, k, list(added), con.blocks(), move))
+        moved[:] = [con]
         return move
 
+    def after_move(host):
+        if moved:
+            stalls[-1] = stalls[-1]._replace(after=host, after_blocks=moved.pop().blocks())
+
+    def recorded_saturate(host, k, con):
+        after_move(host)
+        return saturate(host, k, con)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(embed_mod, "_find_exchange", recorded)
+        patch.setattr(embed_mod, "_find_exchange", recorded_find)
+        patch.setattr(embed_mod, "_saturate", recorded_saturate)
         rng = random.Random(8)
         for _ in range(3_500):
-            embed_k_dense(*displaced_core(rng, n_max=15))
+            after_move(embed_k_dense(*displaced_core(rng, n_max=15))[0])
     return stalls
 
 
 class TestExchangeByDegrees:
     def test_matches_walk_rule_on_greedy_stalls(self, greedy_stalls):
-        for cur, k, added, _, move in greedy_stalls:
-            assert move == brute_find_exchange(cur, k, added)
+        for stall in greedy_stalls:
+            assert stall.move == brute_find_exchange(stall.host, stall.k, stall.added)
         assert len(greedy_stalls) >= 200
-        assert None not in [move for *_, move in greedy_stalls]
+        assert None not in [stall.move for stall in greedy_stalls]
 
     def test_stalled_blocks_are_the_maximal_dense_sets(self, greedy_stalls):
-        # at a stall the blocks that saturation hands back are the stuck
-        # host's maximal k-dense sets, so the move walks nothing to find
-        # the vertices it must avoid
-        for cur, k, _, blocks, _ in greedy_stalls:
-            assert blocks == maximal_k_dense_subgraphs(cur, k)
+        # at a stall the blocks that saturation holds are the stuck host's
+        # maximal k-dense sets, so the move walks nothing to find the
+        # vertices it must avoid
+        for stall in greedy_stalls:
+            assert stall.blocks == maximal_k_dense_subgraphs(stall.host, stall.k)
         assert len(greedy_stalls) >= 200
-        assert sum(bool(blocks) for _, _, _, blocks, _ in greedy_stalls) >= 100
+        assert sum(bool(stall.blocks) for stall in greedy_stalls) >= 100
+
+    def test_blocks_after_a_move_are_the_maximal_dense_sets(self, greedy_stalls):
+        # the move's removal keeps every block and its two additions go
+        # through greedy's upkeep, so no walk of the new host is needed
+        finished = 0
+        for stall in greedy_stalls:
+            after, k = stall.after, stall.k
+            assert after.m == stall.host.m + 1
+            assert stall.after_blocks == maximal_k_dense_subgraphs(after, k)
+            finished += 2 * after.m == k * (after.n - 1)
+        # most moves finish the host, whose one block is then everything
+        assert finished >= 100 and len(greedy_stalls) - finished >= 10
 
     def test_matches_walk_rule_on_stuck_entry_states(self):
         # every edge of the stuck host is offered for removal
@@ -527,13 +566,14 @@ class TestExchangeByDegrees:
         stuck = moves = 0
         for _ in range(1_000):
             host, k = random_entry_state(rng)
-            added, blocks = embed_mod._saturate(host, k, _tight_sets(host, k))
+            con = held_blocks(host, k)
+            added = embed_mod._saturate(host, k, con)
             host = Multigraph(host.n, host.edges + tuple(added))
             if 2 * host.m == k * (host.n - 1):
                 continue
-            assert blocks == maximal_k_dense_subgraphs(host, k)
+            assert con.blocks() == maximal_k_dense_subgraphs(host, k)
             offered = list(host.edges)
-            move = _find_exchange(host, k, offered, blocks)
+            move = _find_exchange(host, k, offered, con)
             assert move == brute_find_exchange(host, k, offered)
             stuck += 1
             moves += move is not None

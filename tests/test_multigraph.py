@@ -90,6 +90,8 @@ class TestMaxDegreeAndMultiplicity:
         assert T2.multiplicity() == 2
         assert C5.multiplicity() == 1
         assert Multigraph(3, ()).multiplicity() == 0
+        # both orientations count toward one pair
+        assert Multigraph(3, ((0, 1), (1, 0), (1, 2))).multiplicity() == 2
 
 
 class TestInducedSubgraph:

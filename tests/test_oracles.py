@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from densecolor import (
     Multigraph,
     RunConfig,
     TotalColoring,
+    can_add_edge,
     chromatic_index,
     complete,
     cycle,
@@ -31,7 +33,6 @@ from densecolor import (
 
 import densecolor.embed as embed_mod
 import densecolor.oracles as oracles
-from densecolor.embed import _density_violation, _tight_sets
 
 from brute import (
     brute_chromatic_index,
@@ -186,6 +187,19 @@ class TestDensity:
 
 
 class TestChromaticIndex:
+    def test_wide_sparse_graph_stays_small(self):
+        # Vizing's bound reads the multiplicity from the edge list; an
+        # n-by-n matrix of pair counts would peak at about 70 MB here
+        g = Multigraph(3000, ((0, 1),))
+        tracemalloc.start()
+        try:
+            cert = chromatic_index(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.k == 1 and cert.lower_bound_reason == "max-degree"
+        assert peak < 4_000_000
+
     def test_c5_needs_three(self):
         assert brute_chromatic_index(C5) == 3
         cert = chromatic_index(C5)
@@ -460,10 +474,13 @@ class TestWalkSkipsIsolatedVertices:
             check_ceiling(g, delta, value)
             for k in range(delta, delta + 4):
                 assert maximal_k_dense_subgraphs(g, k) == brute_maximal_k_dense(g, k)
-                tight = _tight_sets(g, k)
+                # the embedding's premise walk: a ceiling above k breaks
+                # density <= k, else the kept sets are the tight sets
+                found = oracles._density_ceiling(g, k - 1)
                 if value > k:
-                    assert tight is None
+                    assert found[0] > k
                 else:
+                    tight = found[1] if found else []
                     assert sorted(map(tuple, tight)) == sorted(brute_k_dense_sets(g, k))
             w = rng.choice(isolated)
             others = [v for v in range(g.n) if v != w]
@@ -474,17 +491,12 @@ class TestWalkSkipsIsolatedVertices:
             denser = brute_density(grown)[0]
             top = grown.max_degree()
             for k in range(top - 1, top + 2):
-                hit = _density_violation(g, k, extra=(u, w))
+                hit = oracles._walk_odd_sets(grown, k, 1, 1, lambda subset, edges: None)
                 assert hit == (denser > k)
+                caps = max(grown.degrees[u], grown.degrees[w]) < k
+                assert can_add_edge(g, u, w, k) == (caps and not hit)
                 violated += hit
         assert violated >= 500
-
-    def test_extra_edge_end_is_not_isolated(self):
-        # vertex 0 has degree 0 but ends the extra edge: counted with it,
-        # Delta = 5 > k = 4, so no vertex is left out, and {0, 1, 2} holds
-        # 4 + 1 edges, 2 * 5 > 4 * 2
-        g = Multigraph(3, ((1, 2),) * 4)
-        assert _density_violation(g, 4, extra=(0, 1))
 
     def test_padded_fat_triangle_walks_only_its_core(self, monkeypatch):
         # fat C3 with mu = 6 padded to n = 14: Delta = 12 and L = 18, so

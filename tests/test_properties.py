@@ -28,7 +28,6 @@ from densecolor import (
     total_chromatic_number,
 )
 
-from densecolor.embed import _density_violation
 from densecolor.oracles import _walk_odd_sets
 
 from brute import brute_density, count_edges_inside
@@ -228,9 +227,9 @@ class TestFeasibilityChecker:
     @settings(max_examples=60, deadline=None)
     @given(multigraphs())
     def test_matches_brute_density(self, graph):
-        # the embedding's checker, and the odd-set walk forced to the new
-        # pair, against recounting every odd set of the graph with the edge
-        # added
+        # the embedding's checker, and the odd-set walk of the graph with
+        # the new pair, plain and forced to it, against recounting every
+        # odd set of that graph
         delta = graph.max_degree()
         for k in range(delta + 1, delta + 5):
             within = brute_density(graph)[0] <= k
@@ -239,11 +238,11 @@ class TestFeasibilityChecker:
                     fits = brute_density(graph.with_edge(u, v))[0] <= k
                     caps = graph.degrees[u] < k - 1 and graph.degrees[v] < k - 1
                     assert can_add_edge(graph, u, v, k) == (caps and fits)
-                    violated = _density_violation(graph, k, extra=(u, v))
+                    grown = graph.with_edge(u, v)
+                    violated = _walk_odd_sets(grown, k, 1, 1, lambda subset, edges: None)
                     assert violated == (not fits)
                     if within:
                         violated = _walk_odd_sets(
-                            graph, k, 1, 1, lambda subset, edges: None,
-                            extra=(u, v), forced=(u, v),
+                            grown, k, 1, 1, lambda subset, edges: None, forced=(u, v)
                         )
                         assert violated == (not fits)

@@ -148,6 +148,36 @@ class TestGuaranteeViolations:
         assert info.value.certificate == "host"
 
 
+class TestJobs:
+    def test_pool_has_at_most_one_worker_per_instance(self, monkeypatch):
+        # a recording stand-in for the pool starts no process
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        instances = [(f"c{n}", cycle(n)) for n in (3, 4, 5)]
+        alone = search_goldberg(instances)
+        assert search_goldberg(instances, jobs=5000) == alone
+        assert search_goldberg(instances, jobs=2) == alone
+        assert search_goldberg(instances[:1], jobs=5000) == search_goldberg(instances[:1])
+        assert search_goldberg([], jobs=5000).records == ()
+        assert sizes == [3, 2]
+
+
 class TestImport:
     def test_package_import_leaves_multiprocessing_unloaded(self):
         # the process pool of ``jobs > 1`` is imported only when used
