@@ -210,8 +210,7 @@ def _walk_odd_sets(
             return False
         cut = num // den  # den * x > num exactly when x > cut, x integral
         top, picked = 2 * inner, 0
-        for i in range(idx, last):
-            w = candidates[i]
+        for w in candidates[idx:]:
             x = to_subset[w] + deg[w]
             if x > cut:
                 top += x
@@ -221,13 +220,14 @@ def _walk_odd_sets(
         for i in range(idx, last):
             v = candidates[i]
             row = cnt[v]
-            for j in range(i + 1, last):
-                to_subset[candidates[j]] += row[candidates[j]]
+            later = candidates[i + 1 :]
+            for w in later:
+                to_subset[w] += row[w]
             subset.append(v)
             hit = walk(i + 1, size + 1, inner + to_subset[v])
             subset.pop()
-            for j in range(i + 1, last):
-                to_subset[candidates[j]] -= row[candidates[j]]
+            for w in later:
+                to_subset[w] -= row[w]
             if hit:
                 return True
         return False

@@ -300,6 +300,29 @@ def random_entry_state(rng):
     return host, k
 
 
+def hub_entry_state(rng):
+    """A host on 5, 7 or 9 vertices whose padding, an even number of
+    vertices, has the same number of edges to one hub, the other vertices
+    joined by random addable pairs: the padding's matching repeats while
+    the triangles it makes with the hub fill up, so the repeated rounds end
+    where a triangle would turn tight, where ``over`` reaches 0."""
+    n = rng.choice((5, 7, 9))
+    k = rng.randint(n + 1, n + 6)
+    host = Multigraph(n, ())
+    pads = rng.sample(range(n), rng.randrange(2, n - 2, 2))
+    rest = [v for v in range(n) if v not in pads]
+    hub = rng.choice(rest)
+    for p in pads * rng.randint(0, 3):
+        if can_add_edge(host, min(p, hub), max(p, hub), k):
+            host = host.with_edge(min(p, hub), max(p, hub))
+    pairs = [(u, v) for u in rest for v in rest if u < v]
+    for _ in range(rng.randint(0, k * len(rest))):
+        u, v = rng.choice(pairs)
+        if can_add_edge(host, u, v, k):
+            host = host.with_edge(u, v)
+    return host, k
+
+
 class TestSaturate:
     def test_sweep_matches_min_key_loop_from_any_entry_state(self):
         rng = random.Random(16)
@@ -315,6 +338,53 @@ class TestSaturate:
                 assert con.blocks() == maximal_k_dense_subgraphs(grown, k)
             capped += k - 1 in host.degrees
         assert capped >= 30 and tight >= 20
+
+    def test_repeated_rounds_match_min_key_loop(self, monkeypatch):
+        # even padding pairs up into one matching that greedy adds level
+        # after level; the sweep adds the repeats in one step, without
+        # con.grow, and must add what the min-key loop and the sweep without
+        # the step add, and hold the same blocks and pair counts
+        grows = []
+        grow = _Contracted.grow
+
+        def counting(con, u, v, k):
+            grows.append((u, v))
+            grow(con, u, v, k)
+
+        monkeypatch.setattr(_Contracted, "grow", counting)
+        # a 4-vertex core at n = 9 leaves one of its 5 isolated vertices over
+        core4 = {(0, 1): 5, (0, 2): 1, (0, 3): 5, (1, 2): 2, (1, 3): 3, (2, 3): 2}
+        edges = tuple(p for p, c in core4.items() for _ in range(c))
+        states = [(Multigraph(9, edges), 13, False)]
+        for c, mus in ((3, range(4, 9)), (5, range(5, 8))):
+            for mu in mus:
+                g = gen_fat_cycle(c, mu)
+                k = ceil(density(g).value)
+                # n = 9..15 inside the hypothesis, an even n with its parity vertex
+                for n in sorted({n + 1 - n % 2 for n in range(9, min(15, k - 1) + 1)}):
+                    states.append((Multigraph(n, g.edges), k, True))
+        assert len(states) == 30
+        rng = random.Random(20)
+        states += [(*hub_entry_state(rng), None) for _ in range(100)]
+        fired = 0
+        for host, k, fires in states:
+            grows.clear()
+            con = held_blocks(host, k)
+            added = embed_mod._saturate(host, k, con)
+            grown = Multigraph(host.n, host.edges + tuple(added))
+            full = 2 * grown.m == k * (grown.n - 1)
+            if full:  # the edge that makes the host k-dense skips con.grow
+                grown = Multigraph(host.n, host.edges + tuple(added[:-1]))
+            assert vars(con) == vars(held_blocks(grown, k))
+            skip = len(grows) < len(added) - full
+            assert fires is None or skip == fires
+            fired += skip
+            with monkeypatch.context() as patch:
+                patch.setattr(embed_mod, "_repeats", lambda *args: 0)
+                assert added == embed_mod._saturate(host, k, held_blocks(host, k))
+            if host.n <= 13:  # the min-key loop takes seconds at n = 15
+                assert added == brute_saturate(host, k)
+        assert fired >= 29 + 50  # 74 of the 100 hub states fire
 
     def test_reentry_after_exchange_matches_min_key_loop(self, monkeypatch):
         # embed_k_dense re-enters greedy after each exchange move, with
@@ -469,25 +539,32 @@ class TestLargeHost:
         assert report.exchange_moves == ()
 
     @pytest.mark.parametrize(
-        "c,mu,n,k,walks",
-        [(5, 7, 15, 18, 8), (3, 13, 19, 39, 32)],
-        ids=["fat-c5-m7-n15", "fat-c3-m13-n19"],
+        "c,mu,n,k,walks,grows",
+        [(3, 8, 13, 24, 11, 44), (5, 7, 15, 18, 8, 25), (3, 13, 19, 39, 32, 111)],
+        ids=["fat-c3-m8-n13", "fat-c5-m7-n15", "fat-c3-m13-n19"],
     )
-    def test_saturation_walks_are_few(self, monkeypatch, c, mu, n, k, walks):
+    def test_saturation_walks_are_few(self, monkeypatch, c, mu, n, k, walks, grows):
         # at most one walk of the contracted host per added edge, and none
         # where the degrees settle the new blocks; the premise walk of G
-        # goes through the oracles module and is not counted here
+        # goes through the oracles module and is not counted here.  The
+        # padding's repeated rounds skip the per-edge upkeep (120, 91 and
+        # 312 added edges)
         calls = []
-        walk = embed_mod._walk_odd_sets
+        walk, grow = embed_mod._walk_odd_sets, _Contracted.grow
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append("walk")
             return walk(*args, **kwargs)
 
+        def counting_grow(*args):
+            calls.append("grow")
+            grow(*args)
+
         monkeypatch.setattr(embed_mod, "_walk_odd_sets", counting)
+        monkeypatch.setattr(_Contracted, "grow", counting_grow)
         _, report = embed_k_dense(Multigraph(n, gen_fat_cycle(c, mu).edges), k)
         assert 2 * report.final_m == k * (n - 1)
-        assert len(calls) == walks
+        assert (calls.count("walk"), calls.count("grow")) == (walks, grows)
 
 
 class Stall(NamedTuple):
