@@ -7,7 +7,7 @@ G's vertex and edge ids as a prefix.  A k-edge-coloring of G', restricted
 to G, settles chi'(G') = chi'(G) = k whenever k is a lower bound on
 chi'(G).  Only ``oracles.chromatic_index``, on its host route, embeds
 and colors; every other embedding is a direct library call, and the
-pipeline takes its host from that certificate.  ``_check_embeddable``
+pipeline takes its host from that certificate.  ``embed_k_dense``
 raises the error of ``oracles._no_host_reason``, the one test of the two
 preconditions (the hypothesis and the density cap) that also picks
 ``chromatic_index``'s route, and so says why an input has no host.  The
@@ -479,15 +479,6 @@ def _find_exchange(
     return None
 
 
-def _check_embeddable(graph: Multigraph, k: int, config: RunConfig) -> int:
-    """The host's vertex count: n, plus a parity vertex when n is even.
-    Raises the error of ``oracles._no_host_reason`` when G has no host."""
-    reason = _no_host_reason(graph, k, config)
-    if reason is not None:
-        raise reason()
-    return graph.n + 1 - graph.n % 2
-
-
 def embed_k_dense(
     graph: Multigraph,
     k: int,
@@ -516,7 +507,10 @@ def embed_k_dense(
     density stayed at most k after every accepted step, and the result is
     k-dense.  chi'(G') = k is left to the caller's k-edge-coloring of G'.
     """
-    work_n = _check_embeddable(graph, k, config)
+    reason = _no_host_reason(graph, k, config)
+    if reason is not None:
+        raise reason
+    work_n = graph.n + 1 - graph.n % 2
     start = graph if work_n == graph.n else Multigraph(work_n, graph.edges)
     target = k * (work_n - 1)
     if tight_sets is None:

@@ -21,7 +21,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import TYPE_CHECKING
 
 from .coloring import (
@@ -344,92 +343,47 @@ def _parallel_pred(edges) -> list[int]:
 def _edge_color_search(
     graph: Multigraph, k: int, budget: _Budget
 ) -> list[int] | None:
-    """Proper k-edge-coloring by backtracking, or None when none exists.
+    """Proper k-edge-coloring by ``_conflict_color_search``, or None when
+    none exists.
 
-    Edges are processed in order of decreasing endpoint degree sum, with
-    ties broken by endpoint pair so parallel classes stay contiguous, then
-    by id; the i-th processed edge may use at most one color beyond those
-    already in use (symmetry breaking).  Parallel edges are interchangeable,
-    so colors are additionally forced ascending along each parallel class
-    (every proper coloring canonicalizes into this form).  A branch is cut
-    when an uncolored edge has no color free at both ends; with deg <= k and
-    distinct colors at each vertex, no vertex runs short of free colors.
+    Edge e conflicts with every other edge at its ends.  Edges are
+    processed in order of decreasing endpoint degree sum, with ties broken
+    by endpoint pair, so parallel classes stay contiguous, then by id.
     """
-    m = graph.m
-    if m == 0:
-        return []
     deg = graph.degrees
-    if max(deg) > k:
+    if max(deg, default=0) > k:
         return None
     edges = graph.edges
-    incidence = graph.incidence
+    inc = graph.incidence
+    rows = [[f for f in inc[u] + inc[v] if f != e] for e, (u, v) in enumerate(edges)]
 
     def rank(e: int) -> tuple[int, int, int, int]:
         u, v = edges[e]
         lo, hi = (u, v) if u < v else (v, u)
         return (-(deg[u] + deg[v]), lo, hi, e)
 
-    order = sorted(range(m), key=rank)
-    parallel_pred = _parallel_pred(edges)
-    full = (1 << k) - 1
-    vertex_mask = [0] * graph.n
-    assign = [0] * m
-
-    def forward_ok(u: int, v: int) -> bool:
-        for w in (u, v):
-            for eid in incidence[w]:
-                if assign[eid] == 0:
-                    a, b = edges[eid]
-                    if (vertex_mask[a] | vertex_mask[b]) == full:
-                        return False
-        return True
-
-    def extend(pos: int, used: int) -> bool:
-        budget.spend()
-        if pos == m:
-            return True
-        e = order[pos]
-        u, v = edges[e]
-        cap = used + 1 if used < k else k
-        avail = ~(vertex_mask[u] | vertex_mask[v]) & ((1 << cap) - 1)
-        pred = parallel_pred[e]
-        if pred >= 0:
-            avail &= ~((1 << assign[pred]) - 1)  # ascending within the class
-        while avail:
-            bit = avail & -avail
-            avail -= bit
-            assign[e] = bit.bit_length()
-            vertex_mask[u] |= bit
-            vertex_mask[v] |= bit
-            if forward_ok(u, v) and extend(pos + 1, max(used, assign[e])):
-                return True
-            assign[e] = 0
-            vertex_mask[u] ^= bit
-            vertex_mask[v] ^= bit
-        return False
-
-    return assign if extend(0, 0) else None
+    order = sorted(range(graph.m), key=rank)
+    return _conflict_color_search(rows, order, _parallel_pred(edges), k, budget)
 
 
 def _no_host_reason(
     graph: Multigraph, k: int, config: RunConfig
-) -> Callable[[], HypothesisNotMetError | InstanceTooLargeError] | None:
-    """None when ``graph`` has a k-dense host, else a zero-argument
-    constructor of the error that says why not.
+) -> HypothesisNotMetError | InstanceTooLargeError | None:
+    """None when ``graph`` has a k-dense host, else the error that says
+    why not.
 
     The hypothesis comes first: k below max(Delta+2, n+1).  Then the cap:
     the host's density checks, on n vertices plus a parity vertex when n
     is even, would pass ``density_max_n``.  ``chromatic_index`` picks its
-    route with this O(n) test and raises nothing, so the error's message
-    is built only by ``embed._check_embeddable``, which raises it.
+    route with this O(n) test; ``embed_k_dense`` and ``totalize`` raise
+    the error it returns.
     """
     delta = graph.max_degree()
     if k < max(delta + 2, graph.n + 1):
-        return partial(HypothesisNotMetError, k, delta + 2, graph.n + 1)
+        return HypothesisNotMetError(k, delta + 2, graph.n + 1)
     if graph.n + 1 - graph.n % 2 > config.density_max_n:
-        return partial(
-            InstanceTooLargeError,
-            f"embedding needs density checks; capped at n = {config.density_max_n}",
+        return InstanceTooLargeError(
+            f"embedding needs density checks; capped at n = {config.density_max_n}"
         )
     return None
 
@@ -720,45 +674,84 @@ def _total_conflicts(graph: Multigraph) -> list[list[int]]:
 
 
 def _conflict_color_search(
-    neighbors: list[list[int]], order: list[int], k: int, budget: _Budget
+    neighbors: list[list[int]],
+    order: list[int],
+    pred: list[int],
+    k: int,
+    budget: _Budget,
 ) -> list[int] | None:
-    """Proper coloring of a conflict graph with colors 1..k, or None."""
+    """Proper coloring of a conflict graph with colors 1..k, or None: the
+    one backtracking engine of the edge and total searches.
+
+    ``neighbors[i]`` lists the elements that element i conflicts with
+    (maybe twice).  Twins are elements with the same conflicts, each other
+    aside, such as parallel edges; ``pred[i]`` is i's largest twin of
+    smaller id, or -1.  Elements are colored in ``order``; each may use at
+    most one color beyond those in use, and a color above its pred's (any
+    color while pred is uncolored).  A branch ends when an uncolored
+    element has every color forbidden.  The search is one loop over an
+    explicit stack, so its depth meets no recursion limit; it spends a
+    node at the root and one per color that survives the cut.
+
+    Exhaustive: relabeling colors, or swapping two twins' colors, keeps a
+    coloring proper.  Among the colorings these moves reach from a proper
+    one, take the lexicographically smallest c, read in ``order``.
+    Relabeling by first use gives no larger a coloring, and a smaller one
+    unless c uses its colors in first-use order.  Both callers keep twins
+    in id order, so pred[i] precedes i, and if c(pred[i]) > c(i), swapping
+    the two lowers c at pred[i] and keeps everything before it.  So c
+    meets both rules, and as the cut drops only branches with no proper
+    extension, the search reaches c unless it stops at an earlier coloring.
+    """
     count = len(neighbors)
     if count == 0:
         return []
-    if k == 0:
-        return None
     full = (1 << k) - 1
     forbidden = [0] * count
     assign = [0] * count
-
-    def extend(pos: int, used: int) -> bool:
-        budget.spend()
-        if pos == count:
-            return True
+    spend = budget.spend
+    # per position: the colors left to try, the elements its color newly
+    # forbade, and the colors open to it (those in use, plus one)
+    avail = [0] * count
+    touched: list[list[int]] = [[]] * count
+    palette = [1 & full] * count
+    pos = 0
+    spend()
+    while True:
         i = order[pos]
-        cap = used + 1 if used < k else k
-        avail = ~forbidden[i] & ((1 << cap) - 1)
-        while avail:
-            bit = avail & -avail
-            avail -= bit
-            assign[i] = bit.bit_length()
-            touched = []
-            dead = False
-            for j in neighbors[i]:
-                if assign[j] == 0 and not forbidden[j] & bit:
-                    forbidden[j] |= bit
-                    touched.append(j)
-                    if forbidden[j] == full:
-                        dead = True
-            if not dead and extend(pos + 1, max(used, assign[i])):
-                return True
-            for j in touched:
+        color = assign[i]
+        if color:  # back at this position: take its color back, try the next
+            bit = 1 << (color - 1)
+            for j in touched[pos]:
                 forbidden[j] ^= bit
             assign[i] = 0
-        return False
-
-    return assign if extend(0, 0) else None
+            options = avail[pos]
+        else:  # a new node
+            options = palette[pos] & ~forbidden[i]
+            if pred[i] >= 0:
+                options &= -1 << assign[pred[i]]  # above the twin's color
+        if not options:
+            if not pos:
+                return None
+            pos -= 1
+            continue
+        bit = options & -options
+        avail[pos] = options ^ bit
+        assign[i] = bit.bit_length()
+        touched[pos] = newly = []
+        dead = False
+        for j in neighbors[i]:
+            if not assign[j] and not forbidden[j] & bit:
+                forbidden[j] |= bit
+                newly.append(j)
+                dead |= forbidden[j] == full
+        if dead:
+            continue
+        spend()
+        pos += 1
+        if pos == count:
+            return assign
+        palette[pos] = (palette[pos - 1] | bit << 1) & full
 
 
 def total_chromatic_number(
@@ -766,10 +759,13 @@ def total_chromatic_number(
 ) -> ChromaticCertificate:
     """Exact total chromatic number with a total witness coloring.
 
-    Backtracking over the n + m elements starting from the Delta + 1 lower
-    bound (a maximum-degree vertex and its incident edges are mutually
-    conflicting); there is no structural bound beyond that, so any climb is
-    certified by exhaustion.
+    ``_conflict_color_search`` over the n + m elements, starting from the
+    Delta + 1 lower bound (a maximum-degree vertex and its incident edges
+    are mutually conflicting); there is no structural bound beyond that,
+    so any climb is certified by exhaustion.  Elements go in order of
+    decreasing conflict count, then by element id.  Parallel edges are
+    twins, and their conflict rows have equal length, so they come in id
+    order and take ascending colors.
     """
     n, m = graph.n, graph.m
     if n + m > config.total_max_elements:
@@ -783,10 +779,11 @@ def total_chromatic_number(
         )
     neighbors = _total_conflicts(graph)
     order = sorted(range(n + m), key=lambda x: (-len(neighbors[x]), x))
+    pred = [-1] * n + [p + n if p >= 0 else -1 for p in _parallel_pred(graph.edges)]
     lower = graph.max_degree() + 1
     budget = _Budget(config.node_budget)
     for k in range(lower, n + m + 1):
-        assignment = _conflict_color_search(neighbors, order, k, budget)
+        assignment = _conflict_color_search(neighbors, order, pred, k, budget)
         if assignment is not None:
             reason = "max-degree" if k == lower else "exhaustion"
             witness = TotalColoring(

@@ -32,12 +32,13 @@ from .coloring import (
     is_proper_total_coloring,
 )
 from .config import DEFAULT_CONFIG, RunConfig
-from .embed import EmbeddingReport, _check_embeddable
+from .embed import EmbeddingReport
 from .errors import GuaranteeViolationError
 from .multigraph import Multigraph, serialize
 from .oracles import (
     ChromaticCertificate,
     _is_dense_whole,
+    _no_host_reason,
     chromatic_index,
     is_edge_critical,
 )
@@ -199,7 +200,9 @@ def _totalize_with(
     k = chi.k
     host = chi.host
     if host is None:
-        _check_embeddable(graph, k, config)
+        reason = _no_host_reason(graph, k, config)
+        if reason is not None:
+            raise reason
         raise GuaranteeViolationError(
             f"chi' = {k} meets the hypothesis but no {k}-dense host was "
             "built; this contradicts Goldberg-Seymour (or is a bug)",

@@ -7,7 +7,6 @@ import pytest
 from densecolor import (
     GuaranteeViolationError,
     HypothesisNotMetError,
-    InstanceTooLargeError,
     Multigraph,
     RunConfig,
     can_add_edge,
@@ -26,10 +25,10 @@ from densecolor import (
 import densecolor.embed as embed_mod
 from densecolor.embed import (
     ExchangeMove,
-    _check_embeddable,
     _Contracted,
     _find_exchange,
 )
+from densecolor.oracles import _no_host_reason
 
 from brute import brute_find_exchange, brute_greedy_host, brute_saturate
 
@@ -487,8 +486,8 @@ class TestContracted:
 
 
 class TestRouteDecision:
-    # chromatic_index takes the host route exactly when _check_embeddable
-    # passes at L = max(Delta, ceil rho); each precondition at its bound
+    # chromatic_index takes the host route exactly when _no_host_reason
+    # returns None at L = max(Delta, ceil rho); each precondition at its bound
     @pytest.mark.parametrize(
         "edges,n,cap,has_host",
         [
@@ -506,12 +505,7 @@ class TestRouteDecision:
         graph = Multigraph(n, edges)
         config = RunConfig(density_max_n=cap)
         lower = max(graph.max_degree(), ceil(density(graph, config).value))
-        try:
-            _check_embeddable(graph, lower, config)
-            embeddable = True
-        except (HypothesisNotMetError, InstanceTooLargeError):
-            embeddable = False
-        assert embeddable == has_host
+        assert (_no_host_reason(graph, lower, config) is None) == has_host
         assert (chromatic_index(graph, config).host is not None) == has_host
 
 

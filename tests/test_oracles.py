@@ -254,6 +254,23 @@ class TestChromaticIndex:
         assert cert.k == 3
         assert cert.lower_bound_reason == "exhaustion"
 
+    @pytest.mark.parametrize(
+        "graph,config,k,nodes",
+        [
+            # n = 20 puts the host past the density cap: the edge search at 13
+            (Multigraph(20, gen_fat_cycle(5, 5).edges), RunConfig(), 13, 1530),
+            # K7 is 7-dense: the class search at 7
+            (complete(7), RunConfig(), 7, 29),
+            # no density bound: 6 is refuted by exhaustion, then 7 colored
+            (gen_fat_cycle(7, 3), RunConfig(density_max_n=3), 7, 63),
+        ],
+        ids=["fat-c5-m5-n20", "k7", "fat-c7-m3-exhaustion"],
+    )
+    def test_k_loop_visit_order_is_pinned(self, graph, config, k, nodes):
+        cert = chromatic_index(graph, config)
+        assert (cert.k, cert.search_nodes) == (k, nodes)
+        assert is_proper_edge_coloring(graph, cert.witness)
+
     def test_dense_class_two_refuted_by_exhaustion(self):
         # k = 3 = Delta = ceil(rho) and the graph is 3-dense, so the
         # refutation of 3 runs through the class-by-class search
@@ -421,6 +438,18 @@ class TestTotalChromaticNumber:
     def test_t2_matches_brute(self):
         assert brute_total_chromatic(T2) == 6
         assert total_chromatic_number(T2).k == 6
+
+    def test_parallel_edges_take_ascending_colors(self):
+        # fat C5 with mu = 3 has chi'' = 8; trying every order of colors on
+        # each parallel class would spend 1,787 nodes
+        g = gen_fat_cycle(5, 3)
+        cert = total_chromatic_number(g, RunConfig(node_budget=1_000))
+        assert (cert.k, cert.search_nodes) == (8, 148)
+        assert is_proper_total_coloring(g, cert.witness)
+        colors = cert.witness.edge_colors
+        for e in range(0, g.m, 3):
+            assert g.edges[e] == g.edges[e + 1] == g.edges[e + 2]
+            assert colors[e] < colors[e + 1] < colors[e + 2]
 
 
 class TestKDense:
@@ -598,12 +627,17 @@ class TestRandomizedCrossValidation:
         import random
 
         rng = random.Random(2424)
-        for _ in range(60):
+        widest = 0
+        for _ in range(80):
             n = rng.randint(2, 4)
-            cap = rng.randint(1, 3)
-            m = rng.randint(0, min(6, cap * n * (n - 1) // 2))
+            cap = rng.randint(1, 4)
+            m = rng.randint(0, min(8, cap * n * (n - 1) // 2))
             g = gen_random_multigraph(n, m, cap, rng.getrandbits(32))
-            assert total_chromatic_number(g).k == brute_total_chromatic(g)
+            cert = total_chromatic_number(g)
+            assert cert.k == brute_total_chromatic(g)
+            assert is_proper_total_coloring(g, cert.witness)
+            widest = max(widest, g.multiplicity())
+        assert widest == 4  # the twin rule meets classes of up to four edges
 
 
 class TestFeasibilitySearch:
@@ -614,6 +648,13 @@ class TestFeasibilitySearch:
 
     def test_none_below_chromatic_index(self):
         assert find_k_edge_coloring(T2, 5) is None
+
+    def test_deep_search_does_not_recurse(self):
+        # one search position per edge, past the interpreter's default
+        # limit of 1,000 frames
+        g = Multigraph(2, ((0, 1),) * 1200)
+        phi = find_k_edge_coloring(g, 1200)
+        assert phi is not None and is_proper_edge_coloring(g, phi)
 
     def test_no_edge_cap(self):
         g = gen_fat_cycle(7, 4)  # 28 edges, fine without the oracle cap
