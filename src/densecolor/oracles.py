@@ -346,16 +346,20 @@ def _edge_color_search(
     """Proper k-edge-coloring by ``_conflict_color_search``, or None when
     none exists.
 
-    Edge e conflicts with every other edge at its ends.  Edges are
-    processed in order of decreasing endpoint degree sum, with ties broken
-    by endpoint pair, so parallel classes stay contiguous, then by id.
+    Edge e conflicts with every other edge at its ends.  Twins on the same
+    (u, v) share one row, ``inc[u] + inc[v]`` with each id at its first
+    position: it holds e itself, which the search skips as colored, so a
+    parallel class of p edges costs one row, not p.  Edges are processed
+    in order of decreasing endpoint degree sum, with ties broken by
+    endpoint pair, so parallel classes stay contiguous, then by id.
     """
     deg = graph.degrees
     if max(deg, default=0) > k:
         return None
     edges = graph.edges
     inc = graph.incidence
-    rows = [[f for f in inc[u] + inc[v] if f != e] for e, (u, v) in enumerate(edges)]
+    shared = {(u, v): list(dict.fromkeys(inc[u] + inc[v])) for u, v in set(edges)}
+    rows = [shared[pair] for pair in edges]
 
     def rank(e: int) -> tuple[int, int, int, int]:
         u, v = edges[e]
@@ -504,6 +508,17 @@ def _dense_class_search(
     set.  The cut removes only subtrees without a coloring and keeps the
     search order, so the search stays exhaustive and finds the coloring it
     would find without the cut.
+
+    The search is one loop, so its depth meets no recursion limit.  A
+    trail lists the edges taken, and a choice point is pushed only where a
+    node branches (two or more offered edges, or an edge and the miss): it
+    keeps the trail's length, the class state (color, anchor, covered
+    vertices, edge count, whether a vertex was missed) and the choices
+    still to try.  A dead end gives back the trail's edges past the latest
+    choice point, last first, and resumes there with its next choice.  A
+    node is spent at each class start and at each edge or miss taken, in
+    depth-first order; the meter runs in a local and is written back to
+    the budget on every exit.
     """
     n, m = graph.n, graph.m
     size = (n - 1) // 2
@@ -525,103 +540,131 @@ def _dense_class_search(
         partners[u] |= 1 << v
         partners[v] |= 1 << u
     everyone = (1 << n) - 1
-    spend = budget.spend
-    walk_after = budget.spent + 2 * (k + m + 1)
+    spent, limit = budget.spent, budget.limit
+    walk_after = spent + 2 * (k + m + 1)
 
     def rest_too_dense(color: int) -> bool:
         rest = Multigraph(n, [edges[e] for e in range(m) if not assign[e]])
         return _walk_odd_sets(rest, k - color, 1, 1, lambda subset, inner: None)
 
-    def build_class(color: int, start: int) -> bool:
-        spend()
-        anchor = start
-        while anchor < m and assign[anchor]:
+    trail: list[int] = []
+    # choice points: (trail length, color, anchor, covered, count, missed,
+    # the choices left, last first); a choice is an edge id, or ~v for
+    # missing vertex v, and None opens the next class
+    points: list[tuple] = []
+    color, anchor, covered, count, missed = 0, -1, 0, 0, False
+    choice = None
+    while True:
+        spent += 1
+        if spent > limit:
+            budget.spent = spent
+            raise BudgetExceededError(f"search budget of {limit} nodes exhausted")
+        if choice is None:  # a class node: anchor at the lowest unassigned edge
+            color += 1
             anchor += 1
-        if anchor == m:
-            return True
-        if color > k:
-            return False
-        return grow(color, anchor, anchor, 0, 0, False)
-
-    def grow(
-        color: int, anchor: int, e: int, covered: int, count: int, missed: bool
-    ) -> bool:
-        """Take edge e into the class (none when e < 0), then cover the
-        rest of it; on failure e is given back."""
-        spend()
-        if e >= 0:
-            u, v = edges[e]
-            assign[e] = color
-            un_deg[u] -= 1
-            un_deg[v] -= 1
-            twin = low[u][v] = low[v][u] = next_twin[e]
-            if twin < 0:
-                partners[u] ^= 1 << v
-                partners[v] ^= 1 << u
-            covered |= (1 << u) | (1 << v)
-            count += 1
-        if count == size:
-            # everything below the anchor is already assigned
-            if (
-                max(un_deg) <= k - color
-                and not (budget.spent > walk_after and rest_too_dense(color))
-                and build_class(color + 1, anchor + 1)
-            ):
-                return True
+            while anchor < m and assign[anchor]:
+                anchor += 1
+            if anchor == m:
+                budget.spent = spent
+                return assign
+            if color <= k:
+                choice, covered, count, missed = anchor, 0, 0, False
+                continue
         else:
-            free = everyone & ~covered
-            limit = k - color
-            # a score is twice the choices, plus 1 when not tight, so tight
-            # vertices win ties; while no vertex is missed, a vertex that is
-            # not tight (loose) has the miss as one more choice
-            loose = 1 if missed else 3
-            best_score = 2 * n + 2
-            best = 0
-            rest = free
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                w = bit.bit_length() - 1
-                score = 2 * (partners[w] & free).bit_count()
-                if un_deg[w] > limit:
-                    if not score:
-                        break  # a tight vertex no partner can cover
-                else:
-                    score += loose
-                    if score == 1:
-                        break  # a loose vertex, with no partner and no miss left
-                if score < best_score:
-                    best_score, best = score, w
-            else:  # every vertex has a choice: branch on the best one's
-                options = partners[best] & free
-                row = low[best]
-                if options & (options - 1):
-                    offered = []
-                    while options:
-                        bit = options & -options
-                        options ^= bit
-                        offered.append(row[bit.bit_length() - 1])
-                    offered.sort()
-                else:
-                    offered = (row[options.bit_length() - 1],) if options else ()
-                for f in offered:
-                    if grow(color, anchor, f, covered, count, missed):
-                        return True
-                # an odd score is a loose vertex: it may be the one missed,
-                # and it leaves the free set
-                if not missed and best_score & 1:
-                    if grow(color, anchor, -1, covered | (1 << best), count, True):
-                        return True
-        if e >= 0:
+            if choice >= 0:
+                u, v = edges[choice]
+                assign[choice] = color
+                un_deg[u] -= 1
+                un_deg[v] -= 1
+                twin = low[u][v] = low[v][u] = next_twin[choice]
+                if twin < 0:
+                    partners[u] ^= 1 << v
+                    partners[v] ^= 1 << u
+                covered |= (1 << u) | (1 << v)
+                count += 1
+                trail.append(choice)
+            else:
+                covered |= 1 << ~choice
+                missed = True
+            if count == size:
+                # everything below the anchor is already assigned
+                if max(un_deg) <= k - color and not (
+                    spent > walk_after and rest_too_dense(color)
+                ):
+                    choice = None
+                    continue
+            else:
+                free = everyone & ~covered
+                cap = k - color
+                # a score is twice the choices, plus 1 when not tight, so
+                # tight vertices win ties; while no vertex is missed, a
+                # vertex that is not tight (loose) has the miss as one more
+                # choice
+                loose = 1 if missed else 3
+                best_score = 2 * n + 2
+                best = 0
+                rest = free
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    w = bit.bit_length() - 1
+                    score = 2 * (partners[w] & free).bit_count()
+                    if un_deg[w] > cap:
+                        if not score:
+                            break  # a tight vertex no partner can cover
+                    else:
+                        score += loose
+                        if score == 1:
+                            break  # a loose vertex, with no partner and no miss left
+                    if score < best_score:
+                        best_score, best = score, w
+                else:  # every vertex has a choice: branch on the best one's
+                    # partners in ascending edge id, then (an odd score is a
+                    # loose vertex) on missing it
+                    options = partners[best] & free
+                    row = low[best]
+                    miss = not missed and best_score & 1
+                    if options & (options - 1):
+                        left = []
+                        while options:
+                            bit = options & -options
+                            options ^= bit
+                            left.append(row[bit.bit_length() - 1])
+                        left.sort(reverse=True)
+                        if miss:
+                            left.insert(0, ~best)
+                        choice = left.pop()
+                        points.append(
+                            (len(trail), color, anchor, covered, count, missed, left)
+                        )
+                        continue
+                    if options:
+                        choice = row[options.bit_length() - 1]
+                        if miss:
+                            points.append(
+                                (len(trail), color, anchor, covered, count, missed, [~best])
+                            )
+                        continue
+                    if miss:
+                        choice = ~best
+                        continue
+        # a dead end: back to the latest choice point
+        if not points:
+            budget.spent = spent
+            return None
+        mark, color, anchor, covered, count, missed, left = points[-1]
+        choice = left.pop()
+        if not left:
+            points.pop()
+        while len(trail) > mark:
+            e = trail.pop()
+            u, v = edges[e]
             assign[e] = 0
             un_deg[u] += 1
             un_deg[v] += 1
             low[u][v] = low[v][u] = e
             partners[u] |= 1 << v
             partners[v] |= 1 << u
-        return False
-
-    return assign if build_class(1, 0) else None
 
 
 def _color(graph: Multigraph, k: int, budget: _Budget) -> list[int] | None:
@@ -683,8 +726,8 @@ def _conflict_color_search(
     """Proper coloring of a conflict graph with colors 1..k, or None: the
     one backtracking engine of the edge and total searches.
 
-    ``neighbors[i]`` lists the elements that element i conflicts with
-    (maybe twice).  Twins are elements with the same conflicts, each other
+    ``neighbors[i]`` lists the elements that element i conflicts with,
+    and maybe i itself, which is colored by then and so skipped.  Twins are elements with the same conflicts, each other
     aside, such as parallel edges; ``pred[i]`` is i's largest twin of
     smaller id, or -1.  Elements are colored in ``order``; each may use at
     most one color beyond those in use, and a color above its pred's (any

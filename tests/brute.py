@@ -3,7 +3,8 @@
 These deliberately avoid the library's search machinery: subsets come from
 itertools.combinations with direct edge recounts, and colorability from
 plain index-order enumeration whose conflict checks re-scan the edge list
-against the definitions each time.  No orderings, no bitmasks, no bounds.
+against the definitions each time.  No orderings, no bitmasks, no bounds;
+the total enumeration only skips color relabelings (first-use rule).
 Use only on tiny instances.  The one exception is ``brute_find_exchange``,
 the earlier exchange rule, which tests each addition with the library's
 odd-set walk (``can_add_edge``, itself checked against recounting) so that
@@ -125,13 +126,16 @@ def brute_is_proper(graph: Multigraph, edge_colors, vertex_colors=None) -> bool:
 
 
 def total_colorable(graph: Multigraph, k: int) -> bool:
+    """Index-order enumeration under the first-use rule: an element takes
+    at most one color beyond those already used, since relabeling the
+    colors of a proper coloring by first use keeps it proper."""
     total = graph.n + graph.m
     colors = [0] * total
 
     def fill(i: int) -> bool:
         if i == total:
             return True
-        for c in range(1, k + 1):
+        for c in range(1, min(k, max(colors[:i], default=0) + 1) + 1):
             if any(colors[j] == c and _total_conflict(graph, i, j) for j in range(i)):
                 continue
             colors[i] = c

@@ -12,6 +12,7 @@ from densecolor import (
     coloring_to_doc,
     fixture,
     gen_fat_cycle,
+    is_proper_edge_coloring,
     is_proper_total_coloring,
     serialize,
     totalize,
@@ -261,6 +262,44 @@ class TestSearchCommand:
         )
         assert serial.returncode == pooled.returncode == 0
         assert serial.stdout == pooled.stdout
+
+
+class TestDeepHosts:
+    """Fat triangles with about 500 to 1,200 edges: the class search takes
+    one node per edge, well past the interpreter's 1,000 frames."""
+
+    @pytest.mark.parametrize("mu", [165, 300, 400])
+    def test_each_command_settles_a_fat_triangle(self, mu, tmp_path, capsys):
+        g = gen_fat_cycle(3, mu)
+        path = tmp_path / "g.mg"
+        path.write_text(serialize(g))
+
+        def run(*args: str) -> dict:
+            assert main([*args, str(path), "--format", "json"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        doc = run("chi-index")
+        assert doc["k"] == 3 * mu and doc["search_nodes"] == 6 * mu + 1
+        assert is_proper_edge_coloring(g, coloring_from_doc(doc["coloring"]))
+        doc = run("totalize")
+        assert doc["k"] == 3 * mu
+        assert is_proper_total_coloring(g, coloring_from_doc(doc["coloring"]))
+        doc = run("embed")
+        assert doc["report"]["k"] == 3 * mu
+        assert [tuple(e) for e in doc["graph"]["edges"]] == list(g.edges)
+        (rec,) = run("search", "--corpus")["instances"]
+        assert (rec["status"], rec["chi_prime"], rec["chi_total"]) == (
+            "holds", 3 * mu, 3 * mu,
+        )
+
+    def test_corpus_with_a_deep_host_settles_every_record(self, tmp_path, capsys):
+        path = tmp_path / "corpus.mg"
+        path.write_text(serialize(gen_fat_cycle(3, 165)) + serialize(fixture("fat-c3-m3")))
+        assert main(["search", "--corpus", str(path), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(rec["chi_total"], rec["status"]) for rec in doc["instances"]] == [
+            (495, "holds"), (9, "holds"),
+        ]
 
 
 class TestMainFunction:

@@ -84,6 +84,48 @@ def with_isolated(graph: Multigraph, rng: random.Random) -> tuple[Multigraph, li
     return Multigraph(n, edges), sorted(set(range(n)) - set(ids))
 
 
+# a 4-vertex core padded to n = 9, on which the host's class search
+# backtracks hard
+CORE4_SLOW = Multigraph(
+    9,
+    ((0, 1),) * 5 + ((0, 2),) + ((0, 3),) * 5 + ((1, 2),) * 2 + ((1, 3),) * 3
+    + ((2, 3),) * 2,
+)
+# chromatic_index's search_nodes on each padded_fat_cycle(c, n), under
+# density_max_n = n + 1
+PADDED_NODES = {
+    (3, 19): 220, (3, 21): 2174, (3, 23): 2461, (3, 25): 360,
+    (5, 19): 210, (5, 21): 261, (5, 23): 310, (5, 25): 380,
+    (7, 19): 223, (7, 21): 273, (7, 23): 299, (7, 25): 343,
+    (9, 19): 219, (9, 21): 261, (9, 23): 1774, (9, 25): 369,
+}
+
+
+def padded_fat_cycle(c: int, n: int) -> tuple[Multigraph, int]:
+    """Fat C_c padded with isolated vertices to n, at the smallest mu whose
+    L = ceil(2c mu / (c - 1)) meets max(Delta + 2, n + 1); and that mu."""
+    mu = 1
+    while math.ceil(2 * c * mu / (c - 1)) < max(2 * mu + 2, n + 1):
+        mu += 1
+    return Multigraph(n, gen_fat_cycle(c, mu).edges), mu
+
+
+def exact_meter(graph: Multigraph, max_n: int, nodes: int):
+    """chromatic_index spends exactly ``nodes``: a budget of that many lets
+    it finish with the same certificate, and one fewer stops it at its last
+    node.  Returns the certificate."""
+    cert = chromatic_index(graph, RunConfig(density_max_n=max_n))
+    assert cert.search_nodes == nodes
+    exact = RunConfig(density_max_n=max_n, node_budget=nodes)
+    assert chromatic_index(graph, exact) == cert
+    short = RunConfig(density_max_n=max_n, node_budget=nodes - 1)
+    with pytest.raises(
+        BudgetExceededError, match=f"^search budget of {nodes - 1} nodes exhausted$"
+    ):
+        chromatic_index(graph, short)
+    return cert
+
+
 def check_ceiling(g: Multigraph, floor: int, value: Fraction) -> bool:
     """``_density_ceiling`` from ``floor`` against the brute density
     ``value``: None exactly when value <= floor, else ceil(value) with the
@@ -315,18 +357,24 @@ class TestChromaticIndex:
     @pytest.mark.parametrize("n", [19, 21, 23, 25])
     @pytest.mark.parametrize("c", [3, 5, 7, 9])
     def test_padded_fat_cycle_hosts_color_within_small_budget(self, c, n):
-        # fat C_c padded with isolated vertices to n, at the smallest mu
-        # whose L = ceil(2c mu / (c - 1)) meets max(Delta + 2, n + 1):
         # the id-order class search needed up to 427k nodes on these hosts,
-        # branching on the most constrained vertex under 2.5k
-        mu = 1
-        while math.ceil(2 * c * mu / (c - 1)) < max(2 * mu + 2, n + 1):
-            mu += 1
-        g = Multigraph(n, gen_fat_cycle(c, mu).edges)
-        cert = chromatic_index(g, RunConfig(density_max_n=n + 1, node_budget=5_000))
+        # branching on the most constrained vertex under 2.5k; the counts
+        # are pinned, each exactly
+        g, mu = padded_fat_cycle(c, n)
+        cert = exact_meter(g, n + 1, PADDED_NODES[c, n])
         assert cert.k == math.ceil(2 * c * mu / (c - 1))
-        assert cert.host is not None and cert.search_nodes < 5_000
+        assert cert.host is not None
         assert is_proper_edge_coloring(g, cert.witness)
+
+    @pytest.mark.parametrize(
+        ("graph", "k", "nodes"),
+        [(PETERSEN_LESS_VERTEX, 4, 28), (CORE4_SLOW, 13, 182)],
+        ids=["petersen-less-vertex", "core4-slow"],
+    )
+    def test_node_meter_is_exact(self, graph, k, nodes):
+        # Petersen less a vertex: the class search refutes k = 3 and the
+        # edge search colors at 4; the padded core's host backtracks hard
+        assert exact_meter(graph, 20, nodes).k == k
 
     def test_host_route_matches_brute(self):
         # wherever L = max(Delta, ceil rho) meets max(Delta + 2, n + 1),
@@ -626,18 +674,22 @@ class TestRandomizedCrossValidation:
     def test_total_solver_matches_brute_on_seeded_multigraphs(self):
         import random
 
+        # n + m <= 14 on up to 8 vertices: the brute force's first-use
+        # rule keeps the 300 graphs under a second
         rng = random.Random(2424)
-        widest = 0
-        for _ in range(80):
-            n = rng.randint(2, 4)
+        widest = largest = 0
+        for _ in range(300):
+            n = rng.randint(2, 8)
             cap = rng.randint(1, 4)
-            m = rng.randint(0, min(8, cap * n * (n - 1) // 2))
+            m = rng.randint(0, min(14 - n, cap * n * (n - 1) // 2))
             g = gen_random_multigraph(n, m, cap, rng.getrandbits(32))
             cert = total_chromatic_number(g)
             assert cert.k == brute_total_chromatic(g)
             assert is_proper_total_coloring(g, cert.witness)
             widest = max(widest, g.multiplicity())
+            largest = max(largest, g.n + g.m)
         assert widest == 4  # the twin rule meets classes of up to four edges
+        assert largest == 14
 
 
 class TestFeasibilitySearch:
@@ -651,10 +703,17 @@ class TestFeasibilitySearch:
 
     def test_deep_search_does_not_recurse(self):
         # one search position per edge, past the interpreter's default
-        # limit of 1,000 frames
+        # limit of 1,000 frames; the 1,200 twins share one conflict row,
+        # so the search stays within a few MB, and take ascending colors
         g = Multigraph(2, ((0, 1),) * 1200)
-        phi = find_k_edge_coloring(g, 1200)
-        assert phi is not None and is_proper_edge_coloring(g, phi)
+        tracemalloc.start()
+        try:
+            phi = find_k_edge_coloring(g, 1200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert phi.colors == tuple(range(1, 1201))
+        assert peak < 10_000_000
 
     def test_no_edge_cap(self):
         g = gen_fat_cycle(7, 4)  # 28 edges, fine without the oracle cap
