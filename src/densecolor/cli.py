@@ -42,7 +42,7 @@ from .generators import (
     gen_fat_cycle,
     gen_random_multigraph,
 )
-from .multigraph import Multigraph, parse, serialize
+from .multigraph import Multigraph, _line_fields, parse, serialize
 from .oracles import (
     chromatic_index,
     density,
@@ -234,7 +234,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _read_corpus(path: str) -> list[tuple[str, Multigraph]]:
     """Read one or many graphs: a directory of files, or a single file with
-    one or more 'p multigraph' documents."""
+    one or more 'p multigraph' documents, each starting at its problem line.
+    Lines are told apart as ``parse`` tells them, so only blank and comment
+    lines may come before the first problem line."""
     p = Path(path)
     out: list[tuple[str, Multigraph]] = []
     if p.is_dir():
@@ -245,11 +247,12 @@ def _read_corpus(path: str) -> list[tuple[str, Multigraph]]:
     text = p.read_text(encoding="utf-8")
     chunks: list[list[str]] = []
     for line in text.splitlines():
-        if line.strip().startswith("p "):
+        fields = _line_fields(line)  # the line kinds of ``parse``
+        if fields[:1] == ["p"]:
             chunks.append([line])
         elif chunks:
             chunks[-1].append(line)
-        elif line.strip() and not line.strip().startswith("c"):
+        elif fields:
             raise GraphFormatError(f"content before the first problem line: {line!r}")
     for idx, chunk in enumerate(chunks):
         out.append((f"{p.name}#{idx}", parse("\n".join(chunk))))

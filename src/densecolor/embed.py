@@ -92,10 +92,18 @@ e(a, R) + e(b, R) + c(a, b) <= d(a) + d(b) - c(a, b).  So:
   Only a single atom w is left, tight with a and b exactly when
   c(a, b) + c(a, w) + c(b, w) = k: those triangles, with a and b, are the
   new block, found in one pass over the rows of a and b;
-- over > 0: the walk runs, unless its own bound at the root,
-  2c(a, b) - k plus the sum over w != a, b of
-  max(0, c(a, w) + c(b, w) + d(w) - k), is negative, where it would stop
-  before its first hit (``_settled_block`` decides both rules).
+- over > 0: with the gains g(w) = c(a, w) + c(b, w) + d(w) - k over the
+  atoms w != a, b, the walk's own bound gives
+  f(M) <= 2c(a, b) - k + (the sum of g over R), as an edge inside R is
+  counted at both ends among their d(w) - c(a, w) - c(b, w) other edges.
+  So nothing is done when the bound at the root, 2c(a, b) - k plus the
+  sum of max(0, g(w)), is negative, where the walk would stop before its
+  first hit.  Else, with g1 >= g2 >= ... sorted, a tight M of five or more
+  atoms has three or more in R, and the sum of g over R is at most
+  g1 + g2 + g3 plus the sum of max(0, gi) for i > 3.  When 2c(a, b) - k
+  plus that is negative, only a single atom w is left, as for over = 0,
+  and the tight triangles are the new block.  Only when it is not does
+  the walk run (``_settled_block`` decides these rules).
 
 Repeated rounds.  Padding makes greedy add one matching level after
 level: the isolated vertices pair up at sum 0, the same pairs again at
@@ -426,24 +434,32 @@ def _settled_block(
 ) -> set[int] | None:
     """The atoms that a new edge between atoms a and b joins into a block,
     empty when it joins none, decided in O(n) without a walk; None when
-    only the walk can tell.  ``over`` = d(a) + d(b) - c(a, b) - k >= 0;
-    see the module docstring for both rules."""
+    only the walk can tell, as a block of five or more atoms may form.
+    ``over`` = d(a) + d(b) - c(a, b) - k >= 0.  The new block is the union
+    of the tight triangles {a, b, w} when over = 0, or when over > 0 and
+    the gains of the three best atoms w rule out a larger tight set; it is
+    empty when the walk's root bound is negative.  See the module
+    docstring for the rules."""
     row_a, row_b = con.adjacency_counts[a], con.adjacency_counts[b]
     inner = row_a[b]
-    if over == 0:
-        # the tight triangles {a, b, w}
-        group = {
-            w
-            for w, (p, q) in enumerate(zip(row_a, row_b))
-            if p + q == k - inner and w != a and w != b
-        }
-        return group | {a, b} if group else group
-    # the forced walk's bound at its root, where it stops when negative
-    tops = [p + q + d for p, q, d in zip(row_a, row_b, con.degrees)]
-    tops[a] = tops[b] = 0
-    if 2 * inner - k + sum(x - k for x in tops if x > k) < 0:
-        return set()
-    return None
+    if over > 0:
+        gains = [p + q + d - k for p, q, d in zip(row_a, row_b, con.degrees)]
+        gains[a] = gains[b] = -k  # leave a and b out: no gain is lower
+        # the forced walk's bound at its root, where it stops when negative
+        root = 2 * inner - k + sum(g for g in gains if g > 0)
+        if root < 0:
+            return set()
+        # 2c(a, b) - k + g1 + g2 + g3 + the positive gi, i > 3: below 0,
+        # no tight set holds three atoms besides a and b
+        if root + sum(min(g, 0) for g in sorted(gains)[-3:]) >= 0:
+            return None
+    # the tight triangles {a, b, w}
+    group = {
+        w
+        for w, (p, q) in enumerate(zip(row_a, row_b))
+        if p + q == k - inner and w != a and w != b
+    }
+    return group | {a, b} if group else group
 
 
 def _find_exchange(

@@ -149,6 +149,15 @@ class Multigraph:
         return out
 
 
+def _line_fields(raw: str) -> list[str]:
+    """The fields of one line of the format: none for a blank line or a
+    comment, which is ``c`` alone or ``c`` and a space, then anything."""
+    line = raw.strip()
+    if line == "c" or line.startswith("c "):
+        return []
+    return line.split()
+
+
 def parse(text: str) -> Multigraph:
     """Parse the line-oriented multigraph format.
 
@@ -161,10 +170,9 @@ def parse(text: str) -> Multigraph:
     m_declared = 0
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
+        fields = _line_fields(raw)
+        if not fields:
             continue
-        fields = line.split()
         if fields[0] == "p":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate problem line")

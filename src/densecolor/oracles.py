@@ -172,6 +172,29 @@ def _walk_odd_sets(
     den * (t(w) + d(w)) - num, stays below ``slack``.  Reads only ``n``,
     ``degrees`` and ``adjacency_counts``; vertices are not range-checked.
 
+    The same sum also cuts single branches.  With g(w) =
+    den * (t(w) + d(w)) - num, every P + R has value
+    den * 2|E(P + R)| - num * (|P + R| - 1) <= B + sum over R of g(w),
+    where B = den * 2|E(P)| - num * (|P| - 1); the bound above is B plus
+    the positive g(w), and when it reaches ``slack`` let
+    spare = bound - ``slack`` >= 0.  The child that adds v walks the sets
+    P + v + R, R among the later candidates.
+
+    - A child v with g(v) < -spare holds no hit: g(v) < 0 is not in the
+      bound, so each of its sets has value at most bound + g(v) < slack.
+      It is skipped.
+    - A candidate w with g(w) > spare is in every hit below P: a set
+      without w has value at most bound - g(w) < slack, as g(w) > 0 is in
+      the bound.  The children after w never add w, so the loop stops
+      after w's child.
+
+    Both cuts use the threshold of the node's entry.  Being a hit depends
+    only on the ratio num/den (with slack 0 or 1, S is a hit exactly when
+    2|E(S)|/(|S| - 1) reaches, or at slack 1 passes, it), and ``on_hit``
+    only raises it; so a branch with no hit at that threshold has none
+    later.  Every cut drops only subtrees without a hit, so the hits, their
+    order and the thresholds returned are those of the walk without them.
+
     Vertices of degree 0 are left out of the walk when the starting
     threshold is at least the maximum degree D: with gap = den * D - num,
     the walk skips them when gap <= 0 and 2 * gap < ``slack`` (gap < 0 at
@@ -207,17 +230,22 @@ def _walk_odd_sets(
                 num, den = threshold
         if idx == last:
             return False
-        cut = num // den  # den * x > num exactly when x > cut, x integral
+        at_num, at_den = num, den  # the threshold the cuts below are made at
+        cut = at_num // at_den  # den * x > num exactly when x > cut, x integral
         top, picked = 2 * inner, 0
         for w in candidates[idx:]:
             x = to_subset[w] + deg[w]
             if x > cut:
                 top += x
                 picked += 1
-        if den * top - num * (size - 1 + picked) < slack:
+        spare = at_den * top - at_num * (size - 1 + picked) - slack
+        if spare < 0:
             return False
         for i in range(idx, last):
             v = candidates[i]
+            gain = at_den * (to_subset[v] + deg[v]) - at_num
+            if gain < -spare:  # no hit holds v
+                continue
             row = cnt[v]
             later = candidates[i + 1 :]
             for w in later:
@@ -229,6 +257,8 @@ def _walk_odd_sets(
                 to_subset[w] -= row[w]
             if hit:
                 return True
+            if gain > spare:  # every hit holds v, and no later child does
+                return False
         return False
 
     return walk(0, len(subset), sum(to_subset[v] for v in subset) // 2)

@@ -5,14 +5,17 @@ itertools.combinations with direct edge recounts, and colorability from
 plain index-order enumeration whose conflict checks re-scan the edge list
 against the definitions each time.  No orderings, no bitmasks, no bounds;
 the total enumeration only skips color relabelings (first-use rule).
-Use only on tiny instances.  The one exception is ``brute_find_exchange``,
-the earlier exchange rule, which tests each addition with the library's
-odd-set walk (``can_add_edge``, itself checked against recounting) so that
-it runs on the hosts where greedy stalls.
+Use only on tiny instances.  Two exceptions run on larger inputs:
+``brute_find_exchange``, the earlier exchange rule, which tests each
+addition with the library's odd-set walk (``can_add_edge``, itself checked
+against recounting) so that it runs on the hosts where greedy stalls; and
+``reference_walk_odd_sets``, the odd-set walk before its branch cuts,
+against which the library's walk is checked call by call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -295,3 +298,79 @@ def brute_find_exchange(
                 if b != y and can_add_edge(g2, y, b, k):
                     return (x, y), (x, a), (y, b)
     return None
+
+
+def reference_walk_odd_sets(
+    graph,
+    num: int,
+    den: int,
+    slack: int,
+    on_hit: Callable[[list[int], int], tuple[int, int] | None],
+    *,
+    forced: tuple[int, ...] = (),
+) -> bool:
+    """``oracles._walk_odd_sets`` as it was before its branch cuts: the
+    same walk, hits and callback contract, with a bound that drops only a
+    whole node (no hit is left when den * 2|E(P)| - num * (|P| - 1), plus
+    the positive terms den * (t(w) + d(w)) - num, stays below ``slack``)."""
+    cnt = graph.adjacency_counts
+    deg = graph.degrees
+    subset = sorted(set(forced))
+    gap = den * max(deg, default=0) - num
+    lone = gap <= 0 and 2 * gap < slack  # no hit holds a vertex of degree 0
+    candidates = [
+        v for v in range(graph.n) if v not in subset and (deg[v] or not lone)
+    ]
+    to_subset = [sum(col) for col in zip([0] * graph.n, *(cnt[w] for w in subset))]
+    last = len(candidates)
+
+    def walk(idx: int, size: int, inner: int) -> bool:
+        nonlocal num, den
+        if size >= 3 and size % 2 == 1:
+            if den * 2 * inner - num * (size - 1) >= slack:
+                threshold = on_hit(subset, inner)
+                if threshold is None:
+                    return True
+                num, den = threshold
+        if idx == last:
+            return False
+        cut = num // den
+        top, picked = 2 * inner, 0
+        for w in candidates[idx:]:
+            x = to_subset[w] + deg[w]
+            if x > cut:
+                top += x
+                picked += 1
+        if den * top - num * (size - 1 + picked) < slack:
+            return False
+        for i in range(idx, last):
+            v = candidates[i]
+            row = cnt[v]
+            later = candidates[i + 1 :]
+            for w in later:
+                to_subset[w] += row[w]
+            subset.append(v)
+            hit = walk(i + 1, size + 1, inner + to_subset[v])
+            subset.pop()
+            for w in later:
+                to_subset[w] -= row[w]
+            if hit:
+                return True
+        return False
+
+    return walk(0, len(subset), sum(to_subset[v] for v in subset) // 2)
+
+
+def walk_calls(walk, graph, num, den, slack, make_on_hit, forced=()):
+    """Run ``walk`` with a fresh callback from ``make_on_hit``; returns its
+    ``on_hit`` calls, each (subset, edges, returned threshold), and its
+    result."""
+    on_hit = make_on_hit()
+    calls = []
+
+    def recorded(subset, edges):
+        threshold = on_hit(subset, edges)
+        calls.append((tuple(subset), edges, threshold))
+        return threshold
+
+    return calls, walk(graph, num, den, slack, recorded, forced=forced)

@@ -239,6 +239,25 @@ class TestSearchCommand:
         doc = json.loads(result.stdout)
         assert len(doc["instances"]) == 2
 
+    def test_corpus_rejects_content_that_parse_rejects(self, tmp_path):
+        # "cxyz" is no comment to ``parse``, so it may not open a corpus file
+        path = tmp_path / "corpus.mg"
+        path.write_text("cxyz junk\n" + T2_TEXT)
+        assert run_cli("density", stdin="cxyz junk\n" + T2_TEXT).returncode == 4
+        result = run_cli("search", "--corpus", str(path), "--format", "json")
+        assert result.returncode == 4
+        assert "content before the first problem line" in result.stderr
+
+    def test_corpus_splits_where_parse_reads_a_problem_line(self, tmp_path):
+        # ``parse`` splits a line at any whitespace, a tab included
+        text = "c two graphs\np\tmultigraph 3 1\ne 1 2\n" + C5_TEXT
+        path = tmp_path / "corpus.mg"
+        path.write_text(text)
+        result = run_cli("search", "--corpus", str(path), "--format", "json")
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        assert [(rec["n"], rec["m"]) for rec in doc["instances"]] == [(3, 1), (5, 5)]
+
     def test_corpus_directory(self, tmp_path):
         (tmp_path / "a.mg").write_text(T2_TEXT)
         (tmp_path / "b.mg").write_text(C5_TEXT)

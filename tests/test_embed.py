@@ -30,7 +30,13 @@ from densecolor.embed import (
 )
 from densecolor.oracles import _no_host_reason
 
-from brute import brute_find_exchange, brute_greedy_host, brute_saturate
+from brute import (
+    brute_find_exchange,
+    brute_greedy_host,
+    brute_saturate,
+    reference_walk_odd_sets,
+    walk_calls,
+)
 
 T2 = gen_fat_cycle(3, 2)
 
@@ -408,37 +414,72 @@ class TestSaturate:
             assert added == brute_saturate(host, k)
 
 
+def padded_inputs(rng, cores):
+    """``cores`` displaced cores on n <= 15, and fat C3, C5 and C7 padded
+    with isolated vertices up to n = 19, each with its k."""
+    inputs = [displaced_core(rng, n_max=15) for _ in range(cores)]
+    for c, mu in ((3, 4), (3, 7), (5, 5), (5, 7), (7, 6)):
+        core = gen_fat_cycle(c, mu)
+        k = chromatic_index(core).k
+        inputs += [(Multigraph(n, core.edges), k) for n in range(c, min(k, 20))]
+    return inputs
+
+
 class TestBlockRules:
     def test_rules_agree_with_the_walk(self, monkeypatch):
         # wherever the degrees settle an added edge's block upkeep, the
-        # forced contracted walk that the rules replace finds the same
+        # forced contracted walk that the rules replace finds the same; a
+        # new block of five or more atoms is always left to the walk
         settled = embed_mod._settled_block
-        seen = {"triangles": 0, "bounded": 0}
+        seen = {"triangles": 0, "bounded": 0, "three-atom": 0, "five-plus": 0}
 
         def checked(con, a, b, k, over):
             group = settled(con, a, b, k, over)
+            hits = set()
+
+            def collect(subset, edges):
+                hits.update(subset)
+                return k, 1
+
+            embed_mod._walk_odd_sets(con, k, 1, 0, collect, forced=(a, b))
+            if len(hits) >= 5:
+                assert group is None
+                seen["five-plus"] += 1
             if group is not None:
-                hits = set()
-
-                def collect(subset, edges):
-                    hits.update(subset)
-                    return k, 1
-
-                embed_mod._walk_odd_sets(con, k, 1, 0, collect, forced=(a, b))
                 assert hits == group
-                seen["triangles" if over == 0 else "bounded"] += 1
+                row_a, row_b = con.adjacency_counts[a], con.adjacency_counts[b]
+                root = 2 * row_a[b] - k + sum(
+                    max(0, row_a[w] + row_b[w] + con.degrees[w] - k)
+                    for w in range(con.n)
+                    if w not in (a, b)
+                )
+                rule = "triangles" if over == 0 else "bounded" if root < 0 else "three-atom"
+                seen[rule] += 1
             return group
 
         monkeypatch.setattr(embed_mod, "_settled_block", checked)
-        rng = random.Random(21)
-        inputs = [displaced_core(rng, n_max=15) for _ in range(300)]
-        for c, mu in ((3, 4), (3, 7), (5, 5), (5, 7)):
-            core = gen_fat_cycle(c, mu)
-            k = chromatic_index(core).k
-            inputs += [(Multigraph(n, core.edges), k) for n in range(c, min(k, 20))]
-        for graph, k in inputs:
+        for graph, k in padded_inputs(random.Random(21), 1_000):
             embed_k_dense(graph, k)
         assert seen["triangles"] >= 100 and seen["bounded"] >= 100
+        assert seen["three-atom"] >= 100 and seen["five-plus"] >= 100
+
+    def test_contracted_walks_match_the_reference(self, monkeypatch):
+        # saturation's forced walks of the contracted host make the same
+        # on_hit calls as the walk that cuts whole nodes only
+        walk = embed_mod._walk_odd_sets
+        walks = []
+
+        def checked(con, num, den, slack, on_hit, *, forced=()):
+            args = (con, num, den, slack, lambda: lambda subset, edges: (num, den), forced)
+            calls, result = walk_calls(walk, *args)
+            assert (calls, result) == walk_calls(reference_walk_odd_sets, *args)
+            walks.append(len(calls))
+            return walk(con, num, den, slack, on_hit, forced=forced)
+
+        monkeypatch.setattr(embed_mod, "_walk_odd_sets", checked)
+        for graph, k in padded_inputs(random.Random(22), 300):
+            embed_k_dense(graph, k)
+        assert len(walks) >= 400 and sum(walks) >= 100
 
 
 class TestContracted:
@@ -534,7 +575,7 @@ class TestLargeHost:
 
     @pytest.mark.parametrize(
         "c,mu,n,k,walks,grows",
-        [(3, 8, 13, 24, 11, 44), (5, 7, 15, 18, 8, 25), (3, 13, 19, 39, 32, 111)],
+        [(3, 8, 13, 24, 3, 44), (5, 7, 15, 18, 4, 25), (3, 13, 19, 39, 24, 111)],
         ids=["fat-c3-m8-n13", "fat-c5-m7-n15", "fat-c3-m13-n19"],
     )
     def test_saturation_walks_are_few(self, monkeypatch, c, mu, n, k, walks, grows):

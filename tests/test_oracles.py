@@ -42,6 +42,8 @@ from brute import (
     brute_maximal_k_dense,
     brute_smallest_maximizer,
     brute_total_chromatic,
+    reference_walk_odd_sets,
+    walk_calls,
 )
 
 T2 = gen_fat_cycle(3, 2)
@@ -614,6 +616,109 @@ class TestWalkSkipsIsolatedVertices:
         assert len(walks) == 1
         assert len(walks[0]) == 8
         assert {v for subsets in walks for s in subsets for v in s} == {0, 1, 2}
+
+
+def beat():
+    """``density``'s callback: each hit raises the threshold to its ratio."""
+    return lambda subset, edges: (2 * edges, len(subset) - 1)
+
+
+def rise(n: int, floor: int):
+    """``_density_ceiling``'s callback on n vertices from ``floor``: each
+    hit raises the threshold to just below its ceiling."""
+
+    def make():
+        top = [floor]
+
+        def on_hit(subset, edges):
+            top[0] = max(top[0], -(-2 * edges // (len(subset) - 1)))
+            return n * top[0] - 1, n
+
+        return on_hit
+
+    return make
+
+
+def stop_at(hits: int, k: int):
+    """Keeps the threshold k, then stops the walk at hit number ``hits``."""
+
+    def make():
+        seen = [0]
+
+        def on_hit(subset, edges):
+            seen[0] += 1
+            return None if seen[0] == hits else (k, 1)
+
+        return on_hit
+
+    return make
+
+
+def node_count(walk, graph, num, den, slack, make_on_hit) -> int:
+    """The nodes ``walk`` visits: calls of its inner ``walk`` function."""
+    node = next(
+        c for c in walk.__code__.co_consts if getattr(c, "co_name", None) == "walk"
+    )
+    nodes = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is node:
+            nodes[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        walk(graph, num, den, slack, make_on_hit())
+    finally:
+        sys.setprofile(None)
+    return nodes[0]
+
+
+class TestWalkBranchCuts:
+    def test_same_calls_as_the_reference_walk(self):
+        # the walk's branch cuts drop only subtrees without a hit: every
+        # on_hit call, each returned threshold and the result are those of
+        # the walk that cuts whole nodes only, at slack 0 and 1, with and
+        # without forced vertices, for callbacks that raise the threshold,
+        # keep it or stop the walk
+        rng = random.Random(23)
+        graphs = list(planted_core_graphs(29, 200))
+        for _ in range(200):
+            n = rng.randint(3, 11)
+            cap = rng.randint(1, 4)
+            m = rng.randint(0, min(4 * n, cap * n * (n - 1) // 2))
+            graphs.append(gen_random_multigraph(n, m, cap, rng.getrandbits(32)))
+        walks = hits = 0
+        for g in graphs:
+            if rng.random() < 0.3:
+                g, _ = with_isolated(g, rng)
+            delta = g.max_degree()
+            pair = tuple(rng.sample(range(g.n), 2))
+            runs = [
+                (0, 1, 1, beat, ()),
+                (delta, 1, 1, rise(g.n, delta), ()),
+                (delta // 2, 1, 1, rise(g.n, delta // 2), pair[:1]),
+            ]
+            for k in range(max(delta - 1, 1), delta + 3):
+                runs += [
+                    (k, 1, 0, lambda: lambda subset, edges, k=k: (k, 1), forced)
+                    for forced in ((), pair[:1], pair)
+                ]
+                runs.append((k, 1, 1, stop_at(rng.randint(1, 3), k), rng.choice(((), pair))))
+            for num, den, slack, make_on_hit, forced in runs:
+                args = (g, num, den, slack, make_on_hit, forced)
+                calls, result = walk_calls(oracles._walk_odd_sets, *args)
+                assert (calls, result) == walk_calls(reference_walk_odd_sets, *args)
+                walks += 1
+                hits += len(calls)
+        assert walks >= 7_000 and hits >= 4_000
+
+    def test_fewer_nodes_than_the_reference_walk(self):
+        # density on a sparse random multigraph at n = 17 walks from
+        # threshold 0, the walk's deepest use; the cuts halve its nodes
+        g = gen_random_multigraph(17, 40, 2, 1)
+        ours = node_count(oracles._walk_odd_sets, g, 0, 1, 1, beat)
+        theirs = node_count(reference_walk_odd_sets, g, 0, 1, 1, beat)
+        assert (ours, theirs) == (1248, 2531)
 
 
 class TestDensityIdentity:
