@@ -1,4 +1,4 @@
-"""Run configuration: enumeration caps and the search budget.
+"""Run configuration: the odd-set enumeration cap and the search budget.
 
 Every cap is enforced with an explicit error; no oracle ever degrades to an
 approximate answer when an instance is too large.
@@ -12,17 +12,10 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class RunConfig:
     density_max_n: int = 20          # odd-subset enumeration cap
-    chi_index_max_edges: int = 40    # exact chromatic-index cap
-    total_max_elements: int = 24     # exact total-coloring cap (n + m)
     node_budget: int = 5_000_000     # backtracking nodes per oracle call
 
     def __post_init__(self) -> None:
-        for name in (
-            "density_max_n",
-            "chi_index_max_edges",
-            "total_max_elements",
-            "node_budget",
-        ):
+        for name in ("density_max_n", "node_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -56,21 +56,9 @@ __all__ = [
 ]
 
 
-class _Budget:
-    """Search-node meter; raises once the configured cap is crossed."""
-
-    __slots__ = ("limit", "spent")
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self.spent = 0
-
-    def spend(self) -> None:
-        self.spent += 1
-        if self.spent > self.limit:
-            raise BudgetExceededError(
-                f"search budget of {self.limit} nodes exhausted"
-            )
+def _exhausted(limit: int) -> BudgetExceededError:
+    """The error of a search that would spend more than ``limit`` nodes."""
+    return BudgetExceededError(f"search budget of {limit} nodes exhausted")
 
 
 @dataclass(frozen=True)
@@ -371,10 +359,10 @@ def _parallel_pred(edges) -> list[int]:
 
 
 def _edge_color_search(
-    graph: Multigraph, k: int, budget: _Budget
-) -> list[int] | None:
+    graph: Multigraph, k: int, spent: int, limit: int
+) -> tuple[list[int] | None, int]:
     """Proper k-edge-coloring by ``_conflict_color_search``, or None when
-    none exists.
+    none exists, with the nodes spent so far.
 
     Edge e conflicts with every other edge at its ends.  Twins on the same
     (u, v) share one row, ``inc[u] + inc[v]`` with each id at its first
@@ -385,7 +373,7 @@ def _edge_color_search(
     """
     deg = graph.degrees
     if max(deg, default=0) > k:
-        return None
+        return None, spent
     edges = graph.edges
     inc = graph.incidence
     shared = {(u, v): list(dict.fromkeys(inc[u] + inc[v])) for u, v in set(edges)}
@@ -397,7 +385,7 @@ def _edge_color_search(
         return (-(deg[u] + deg[v]), lo, hi, e)
 
     order = sorted(range(graph.m), key=rank)
-    return _conflict_color_search(rows, order, _parallel_pred(edges), k, budget)
+    return _conflict_color_search(rows, order, _parallel_pred(edges), k, spent, limit)
 
 
 def _no_host_reason(
@@ -422,6 +410,9 @@ def _no_host_reason(
     return None
 
 
+CHI_INDEX_MAX_EDGES = 40  # exhaustive chromatic-index search cap (m)
+
+
 def chromatic_index(
     graph: Multigraph, config: RunConfig = DEFAULT_CONFIG
 ) -> ChromaticCertificate:
@@ -439,7 +430,7 @@ def chromatic_index(
     saturation starts from, so the embedding walks G no more.  The
     certificate keeps that host and its coloring (``host``), so callers
     that extend the host coloring next do not embed or color again.
-    Every other graph within ``chi_index_max_edges`` is searched from L
+    Every other graph within ``CHI_INDEX_MAX_EDGES`` is searched from L
     upwards; when the returned k exceeds both bounds, infeasibility of k-1
     was certified by an exhausted backtracking run.
     """
@@ -455,8 +446,7 @@ def chromatic_index(
             from .embed import DenseHost, embed_k_dense  # embed imports this module
 
             g_prime, report = embed_k_dense(graph, lower, config, tight_sets=tight)
-            budget = _Budget(config.node_budget)
-            colors = _color(g_prime, lower, budget)
+            colors, spent = _color(g_prime, lower, 0, config.node_budget)
             if colors is None:
                 raise GuaranteeViolationError(
                     f"no {lower}-edge-coloring of the embedded graph was found; "
@@ -471,17 +461,17 @@ def chromatic_index(
                     "this is a bug"
                 )
             return ChromaticCertificate(
-                "chromatic-index", lower, witness, "density", budget.spent, host
+                "chromatic-index", lower, witness, "density", spent, host
             )
-    if graph.m > config.chi_index_max_edges:
+    if graph.m > CHI_INDEX_MAX_EDGES:
         raise InstanceTooLargeError(
-            f"chromatic-index search capped at m = {config.chi_index_max_edges}, "
+            f"chromatic-index search capped at m = {CHI_INDEX_MAX_EDGES}, "
             f"got {graph.m}"
         )
-    budget = _Budget(config.node_budget)
+    spent = 0
     upper = delta + graph.multiplicity()  # Vizing's bound for multigraphs
     for k in range(lower, upper + 1):
-        assignment = _color(graph, k, budget)
+        assignment, spent = _color(graph, k, spent, config.node_budget)
         if assignment is not None:
             if k == delta:
                 reason = "max-degree"
@@ -494,7 +484,7 @@ def chromatic_index(
                 k,
                 EdgeColoring(k, tuple(assignment)),
                 reason,
-                budget.spent,
+                spent,
             )
     raise GuaranteeViolationError(
         "no edge coloring found within Delta + multiplicity; this is a bug"
@@ -502,8 +492,8 @@ def chromatic_index(
 
 
 def _dense_class_search(
-    graph: Multigraph, k: int, budget: _Budget
-) -> list[int] | None:
+    graph: Multigraph, k: int, spent: int, limit: int
+) -> tuple[list[int] | None, int]:
     """k-edge-coloring of a k-dense graph, one color class at a time.
 
     In a k-dense graph every class of a proper k-coloring is forced to be a
@@ -547,15 +537,16 @@ def _dense_class_search(
     still to try.  A dead end gives back the trail's edges past the latest
     choice point, last first, and resumes there with its next choice.  A
     node is spent at each class start and at each edge or miss taken, in
-    depth-first order; the meter runs in a local and is written back to
-    the budget on every exit.
+    depth-first order.  The meter counts on from ``spent`` and raises
+    once it passes ``limit``; the count comes back with the coloring, or
+    with None when there is none.
     """
     n, m = graph.n, graph.m
     size = (n - 1) // 2
     edges = graph.edges
     un_deg = list(graph.degrees)
     if max(un_deg) > k:
-        return None
+        return None, spent
     assign = [0] * m
     # low[v][w]: the lowest unassigned edge on the pair; partners[v]: the
     # vertices w whose pair with v still has one; next_twin[e]: the next id
@@ -570,7 +561,6 @@ def _dense_class_search(
         partners[u] |= 1 << v
         partners[v] |= 1 << u
     everyone = (1 << n) - 1
-    spent, limit = budget.spent, budget.limit
     walk_after = spent + 2 * (k + m + 1)
 
     def rest_too_dense(color: int) -> bool:
@@ -587,16 +577,14 @@ def _dense_class_search(
     while True:
         spent += 1
         if spent > limit:
-            budget.spent = spent
-            raise BudgetExceededError(f"search budget of {limit} nodes exhausted")
+            raise _exhausted(limit)
         if choice is None:  # a class node: anchor at the lowest unassigned edge
             color += 1
             anchor += 1
             while anchor < m and assign[anchor]:
                 anchor += 1
             if anchor == m:
-                budget.spent = spent
-                return assign
+                return assign, spent
             if color <= k:
                 choice, covered, count, missed = anchor, 0, 0, False
                 continue
@@ -680,8 +668,7 @@ def _dense_class_search(
                         continue
         # a dead end: back to the latest choice point
         if not points:
-            budget.spent = spent
-            return None
+            return None, spent
         mark, color, anchor, covered, count, missed, left = points[-1]
         choice = left.pop()
         if not left:
@@ -697,8 +684,11 @@ def _dense_class_search(
             partners[v] |= 1 << u
 
 
-def _color(graph: Multigraph, k: int, budget: _Budget) -> list[int] | None:
-    """Exhaustive k-edge-coloring search, or None when none exists.
+def _color(
+    graph: Multigraph, k: int, spent: int, limit: int
+) -> tuple[list[int] | None, int]:
+    """Exhaustive k-edge-coloring search, or None when none exists, with
+    the nodes spent so far (counted on from ``spent``, up to ``limit``).
 
     A k-dense graph is decomposed into exact near-perfect matching classes,
     which handles the large dense hosts produced by the embedding and
@@ -706,8 +696,8 @@ def _color(graph: Multigraph, k: int, budget: _Budget) -> list[int] | None:
     the generic edge-by-edge search.
     """
     if _is_dense_whole(graph, k):
-        return _dense_class_search(graph, k, budget)
-    return _edge_color_search(graph, k, budget)
+        return _dense_class_search(graph, k, spent, limit)
+    return _edge_color_search(graph, k, spent, limit)
 
 
 def find_k_edge_coloring(
@@ -718,7 +708,7 @@ def find_k_edge_coloring(
     Unlike :func:`chromatic_index` this has no edge cap (only the node
     budget) and proves nothing about k-1.
     """
-    assignment = _color(graph, k, _Budget(config.node_budget))
+    assignment, _ = _color(graph, k, 0, config.node_budget)
     if assignment is None:
         return None
     return EdgeColoring(k, tuple(assignment))
@@ -751,8 +741,9 @@ def _conflict_color_search(
     order: list[int],
     pred: list[int],
     k: int,
-    budget: _Budget,
-) -> list[int] | None:
+    spent: int,
+    limit: int,
+) -> tuple[list[int] | None, int]:
     """Proper coloring of a conflict graph with colors 1..k, or None: the
     one backtracking engine of the edge and total searches.
 
@@ -763,8 +754,10 @@ def _conflict_color_search(
     most one color beyond those in use, and a color above its pred's (any
     color while pred is uncolored).  A branch ends when an uncolored
     element has every color forbidden.  The search is one loop over an
-    explicit stack, so its depth meets no recursion limit; it spends a
-    node at the root and one per color that survives the cut.
+    explicit stack, so its depth meets no recursion limit.  It spends a
+    node at the root and one per color that survives the cut, counting on
+    from ``spent`` and raising once it passes ``limit``, and returns the
+    count with the coloring, or with None.
 
     Exhaustive: relabeling colors, or swapping two twins' colors, keeps a
     coloring proper.  Among the colorings these moves reach from a proper
@@ -778,18 +771,19 @@ def _conflict_color_search(
     """
     count = len(neighbors)
     if count == 0:
-        return []
+        return [], spent
     full = (1 << k) - 1
     forbidden = [0] * count
     assign = [0] * count
-    spend = budget.spend
     # per position: the colors left to try, the elements its color newly
     # forbade, and the colors open to it (those in use, plus one)
     avail = [0] * count
     touched: list[list[int]] = [[]] * count
     palette = [1 & full] * count
     pos = 0
-    spend()
+    spent += 1
+    if spent > limit:
+        raise _exhausted(limit)
     while True:
         i = order[pos]
         color = assign[i]
@@ -805,7 +799,7 @@ def _conflict_color_search(
                 options &= -1 << assign[pred[i]]  # above the twin's color
         if not options:
             if not pos:
-                return None
+                return None, spent
             pos -= 1
             continue
         bit = options & -options
@@ -820,11 +814,16 @@ def _conflict_color_search(
                 dead |= forbidden[j] == full
         if dead:
             continue
-        spend()
+        spent += 1
+        if spent > limit:
+            raise _exhausted(limit)
         pos += 1
         if pos == count:
-            return assign
+            return assign, spent
         palette[pos] = (palette[pos - 1] | bit << 1) & full
+
+
+TOTAL_MAX_ELEMENTS = 24  # exhaustive total-coloring search cap (n + m)
 
 
 def total_chromatic_number(
@@ -841,9 +840,9 @@ def total_chromatic_number(
     order and take ascending colors.
     """
     n, m = graph.n, graph.m
-    if n + m > config.total_max_elements:
+    if n + m > TOTAL_MAX_ELEMENTS:
         raise InstanceTooLargeError(
-            f"total-coloring search capped at n + m = {config.total_max_elements}, "
+            f"total-coloring search capped at n + m = {TOTAL_MAX_ELEMENTS}, "
             f"got {n + m}"
         )
     if n + m == 0:
@@ -854,16 +853,18 @@ def total_chromatic_number(
     order = sorted(range(n + m), key=lambda x: (-len(neighbors[x]), x))
     pred = [-1] * n + [p + n if p >= 0 else -1 for p in _parallel_pred(graph.edges)]
     lower = graph.max_degree() + 1
-    budget = _Budget(config.node_budget)
+    spent = 0
     for k in range(lower, n + m + 1):
-        assignment = _conflict_color_search(neighbors, order, pred, k, budget)
+        assignment, spent = _conflict_color_search(
+            neighbors, order, pred, k, spent, config.node_budget
+        )
         if assignment is not None:
             reason = "max-degree" if k == lower else "exhaustion"
             witness = TotalColoring(
                 k, tuple(assignment[n:]), tuple(assignment[:n])
             )
             return ChromaticCertificate(
-                "total-chromatic-number", k, witness, reason, budget.spent
+                "total-chromatic-number", k, witness, reason, spent
             )
     raise GuaranteeViolationError(
         "no total coloring found with n + m colors; this is a bug"

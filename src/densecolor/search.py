@@ -4,13 +4,14 @@ Scans a corpus of instances for graphs with chi' >= Delta + 3 and checks
 whether the total chromatic number collapses to chi'.  When
 ``chromatic_index`` settled chi' on its host route, the certificate's host
 coloring is extended and restricted to a total chi'-coloring (method
-``totalize``): no second embedding and no total-coloring search.  Every
-other in-hypothesis instance goes to the exhaustive total-coloring
-oracle, or is skipped, with the reason it has no host, when it is too
-large for that.  Any violation would be emitted as a counterexample
-certificate carrying the graph and both exact certificates; a
-``GuaranteeViolationError`` (an in-hypothesis graph without a host among
-them) propagates with its certificate.
+``totalize``): no second embedding and no total-coloring search.  Any
+other in-hypothesis instance goes to the exhaustive total-coloring oracle
+once the pipeline has said why it has no host, and is skipped, with that
+reason, when the oracle refuses it as too large.  Any violation would be
+emitted as a counterexample certificate carrying the graph and both
+exact certificates; a ``GuaranteeViolationError`` (among them an
+in-hypothesis graph with no host and no reason for none) propagates with
+its certificate at every size.
 """
 
 from __future__ import annotations
@@ -99,70 +100,56 @@ def _evaluate(
 ) -> tuple[InstanceRecord, CounterexampleCertificate | None]:
     name, graph, config = item
     delta = graph.max_degree()
+
+    def record(status, chi_prime=None, chi_total=None, method=None, detail=None):
+        return InstanceRecord(
+            name, graph.n, graph.m, delta, chi_prime, chi_total, status, method,
+            detail,
+        )
+
     try:
         chi_cert = chromatic_index(graph, config)
     except (InstanceTooLargeError, BudgetExceededError) as exc:
-        rec = InstanceRecord(
-            name, graph.n, graph.m, delta, None, None, "skipped", None, str(exc)
-        )
-        return rec, None
+        return record("skipped", detail=str(exc)), None
     k = chi_cert.k
     if k < delta + 3:
-        rec = InstanceRecord(
-            name, graph.n, graph.m, delta, k, None, "out-of-hypothesis", None,
-            f"chi' = {k} < Delta + 3 = {delta + 3}",
-        )
-        return rec, None
+        detail = f"chi' = {k} < Delta + 3 = {delta + 3}"
+        return record("out-of-hypothesis", k, detail=detail), None
     # inside the conjecture hypothesis: settle chi'' by the host that settled
-    # chi', else by the oracle, else skip with the reason there is no host
-    if chi_cert.host is None and graph.n + graph.m <= config.total_max_elements:
-        try:
-            total_cert = total_chromatic_number(graph, config)
-        except BudgetExceededError as exc:
-            rec = InstanceRecord(
-                name, graph.n, graph.m, delta, k, None, "skipped",
-                "total-oracle", str(exc),
-            )
-            return rec, None
-        if total_cert.k == k:
-            rec = InstanceRecord(
-                name, graph.n, graph.m, delta, k, total_cert.k, "holds",
-                "total-oracle", None,
-            )
-            return rec, None
-        rec = InstanceRecord(
-            name, graph.n, graph.m, delta, k, total_cert.k, "violation",
-            "total-oracle", f"chi'' = {total_cert.k} differs from chi' = {k}",
-        )
-        # both witnesses re-verify before the certificate is emitted
-        if not is_proper_edge_coloring(graph, chi_cert.witness) or not (
-            is_proper_total_coloring(graph, total_cert.witness)
-        ):
-            raise GuaranteeViolationError(
-                f"counterexample witness for {name} failed re-verification"
-            )
-        cert = CounterexampleCertificate(
-            name, serialize(graph), chi_cert.to_doc(), total_cert.to_doc()
-        )
-        return rec, cert
+    # chi', else, with the reason there is no host, by the total oracle
     try:
         _totalize_with(graph, chi_cert, config)
-    except HypothesisNotMetError as exc:
-        rec = InstanceRecord(
-            name, graph.n, graph.m, delta, k, None, "skipped", "totalize",
-            f"too large for the total oracle and {exc}",
-        )
-        return rec, None
-    except InstanceTooLargeError as exc:
-        rec = InstanceRecord(
-            name, graph.n, graph.m, delta, k, None, "skipped", "totalize", str(exc)
-        )
-        return rec, None
-    # a verified total k-coloring plus chi'' >= chi' settles equality
-    rec = InstanceRecord(
-        name, graph.n, graph.m, delta, k, k, "holds", "totalize", None
+    except (HypothesisNotMetError, InstanceTooLargeError) as exc:
+        no_host = exc
+    else:
+        # a verified total k-coloring plus chi'' >= chi' settles equality
+        return record("holds", k, k, "totalize"), None
+    try:
+        total_cert = total_chromatic_number(graph, config)
+    except InstanceTooLargeError:
+        detail = str(no_host)
+        if isinstance(no_host, HypothesisNotMetError):
+            detail = f"too large for the total oracle and {detail}"
+        return record("skipped", k, method="totalize", detail=detail), None
+    except BudgetExceededError as exc:
+        return record("skipped", k, method="total-oracle", detail=str(exc)), None
+    if total_cert.k == k:
+        return record("holds", k, k, "total-oracle"), None
+    rec = record(
+        "violation", k, total_cert.k, "total-oracle",
+        f"chi'' = {total_cert.k} differs from chi' = {k}",
     )
-    return rec, None
+    # both witnesses re-verify before the certificate is emitted
+    if not is_proper_edge_coloring(graph, chi_cert.witness) or not (
+        is_proper_total_coloring(graph, total_cert.witness)
+    ):
+        raise GuaranteeViolationError(
+            f"counterexample witness for {name} failed re-verification"
+        )
+    cert = CounterexampleCertificate(
+        name, serialize(graph), chi_cert.to_doc(), total_cert.to_doc()
+    )
+    return rec, cert
 
 
 def search_goldberg(

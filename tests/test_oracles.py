@@ -112,19 +112,19 @@ def padded_fat_cycle(c: int, n: int) -> tuple[Multigraph, int]:
     return Multigraph(n, gen_fat_cycle(c, mu).edges), mu
 
 
-def exact_meter(graph: Multigraph, max_n: int, nodes: int):
-    """chromatic_index spends exactly ``nodes``: a budget of that many lets
-    it finish with the same certificate, and one fewer stops it at its last
+def exact_meter(oracle, graph: Multigraph, max_n: int, nodes: int):
+    """``oracle`` spends exactly ``nodes``: a budget of that many lets it
+    finish with the same certificate, and one fewer stops it at its last
     node.  Returns the certificate."""
-    cert = chromatic_index(graph, RunConfig(density_max_n=max_n))
+    cert = oracle(graph, RunConfig(density_max_n=max_n))
     assert cert.search_nodes == nodes
     exact = RunConfig(density_max_n=max_n, node_budget=nodes)
-    assert chromatic_index(graph, exact) == cert
+    assert oracle(graph, exact) == cert
     short = RunConfig(density_max_n=max_n, node_budget=nodes - 1)
     with pytest.raises(
         BudgetExceededError, match=f"^search budget of {nodes - 1} nodes exhausted$"
     ):
-        chromatic_index(graph, short)
+        oracle(graph, short)
     return cert
 
 
@@ -285,8 +285,9 @@ class TestChromaticIndex:
         assert cert.lower_bound_reason == "max-degree"
 
     def test_edge_cap(self):
-        with pytest.raises(InstanceTooLargeError):
-            chromatic_index(gen_fat_cycle(5, 2), RunConfig(chi_index_max_edges=9))
+        # n = 45 is past the density cap, so there is no host route
+        with pytest.raises(InstanceTooLargeError, match="capped at m = 40, got 45"):
+            chromatic_index(gen_fat_cycle(45, 1))
 
     def test_budget_exhaustion_is_an_error(self):
         with pytest.raises(BudgetExceededError):
@@ -363,20 +364,26 @@ class TestChromaticIndex:
         # branching on the most constrained vertex under 2.5k; the counts
         # are pinned, each exactly
         g, mu = padded_fat_cycle(c, n)
-        cert = exact_meter(g, n + 1, PADDED_NODES[c, n])
+        cert = exact_meter(chromatic_index, g, n + 1, PADDED_NODES[c, n])
         assert cert.k == math.ceil(2 * c * mu / (c - 1))
         assert cert.host is not None
         assert is_proper_edge_coloring(g, cert.witness)
 
     @pytest.mark.parametrize(
-        ("graph", "k", "nodes"),
-        [(PETERSEN_LESS_VERTEX, 4, 28), (CORE4_SLOW, 13, 182)],
-        ids=["petersen-less-vertex", "core4-slow"],
+        ("oracle", "graph", "k", "nodes"),
+        [
+            (chromatic_index, PETERSEN_LESS_VERTEX, 4, 28),
+            (chromatic_index, CORE4_SLOW, 13, 182),
+            (total_chromatic_number, gen_fat_cycle(5, 3), 8, 148),
+        ],
+        ids=["petersen-less-vertex", "core4-slow", "total-fat-c5-m3"],
     )
-    def test_node_meter_is_exact(self, graph, k, nodes):
+    def test_node_meter_is_exact(self, oracle, graph, k, nodes):
         # Petersen less a vertex: the class search refutes k = 3 and the
-        # edge search colors at 4; the padded core's host backtracks hard
-        assert exact_meter(graph, 20, nodes).k == k
+        # edge search colors at 4; the padded core's host backtracks hard;
+        # the total oracle refutes 7 colors on fat C5 and colors at 8, so
+        # its count runs on across the climb
+        assert exact_meter(oracle, graph, 20, nodes).k == k
 
     def test_host_route_matches_brute(self):
         # wherever L = max(Delta, ceil rho) meets max(Delta + 2, n + 1),
@@ -821,8 +828,8 @@ class TestFeasibilitySearch:
         assert peak < 10_000_000
 
     def test_no_edge_cap(self):
-        g = gen_fat_cycle(7, 4)  # 28 edges, fine without the oracle cap
-        phi = find_k_edge_coloring(g, 10, RunConfig(chi_index_max_edges=1))
+        g = gen_fat_cycle(45, 1)  # 45 edges, past the chromatic-index cap
+        phi = find_k_edge_coloring(g, 3)
         assert phi is not None and is_proper_edge_coloring(g, phi)
 
     def test_dense_decomposition_on_large_host(self):
@@ -853,11 +860,11 @@ class TestFeasibilitySearch:
     def test_class_search_matches_backtracking_on_dense_instances(self):
         import random
 
-        from densecolor.oracles import _Budget, _dense_class_search, _edge_color_search
+        from densecolor.oracles import _dense_class_search, _edge_color_search
 
         def check(g, k):
-            a = _dense_class_search(g, k, _Budget(10**7))
-            b = _edge_color_search(g, k, _Budget(10**7))
+            a, _ = _dense_class_search(g, k, 0, 10**7)
+            b, _ = _edge_color_search(g, k, 0, 10**7)
             assert (a is None) == (b is None)
             if a is not None:
                 assert is_proper_edge_coloring(g, EdgeColoring(k, tuple(a)))

@@ -38,7 +38,7 @@ class TestFatCycleCorpus:
         assert by_name["fat-c5-m4"].status == "out-of-hypothesis"
 
     def test_fat_cycles_past_the_chi_index_cap(self):
-        # m = 42..72 > chi_index_max_edges; L = ceil(rho) meets
+        # m = 42..72 > CHI_INDEX_MAX_EDGES; L = ceil(rho) meets
         # max(Delta + 2, n + 1), so the host route settles chi' and only
         # C7 with mu = 7, 8 (L = Delta + 3) are inside the search hypothesis
         instances = [(f"c{n}-m{m}", gen_fat_cycle(n, m)) for n, m in (
@@ -134,9 +134,15 @@ class TestGuaranteeViolations:
             return dataclasses.replace(real(graph, config), host=None)
 
         monkeypatch.setattr(search_mod, "chromatic_index", hostless)
-        with pytest.raises(GuaranteeViolationError) as info:
-            search_goldberg([("fat-c5-m6", self.graph)])
-        assert info.value.certificate == serialize(self.graph)
+        # fat C3 with mu = 3 (n + m = 12) fits the total oracle, which
+        # must not record it as holding in place of the missing host
+        for name, graph in (
+            ("fat-c5-m6", self.graph),
+            ("fat-c3-m3", gen_fat_cycle(3, 3)),
+        ):
+            with pytest.raises(GuaranteeViolationError) as info:
+                search_goldberg([(name, graph)])
+            assert info.value.certificate == serialize(graph)
 
     def test_failed_extension_raises(self, monkeypatch):
         def refuse(graph, phi, k):

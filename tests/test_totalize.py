@@ -35,6 +35,7 @@ from densecolor import (
 import densecolor.coloring as coloring_mod
 import densecolor.embed as embed_mod
 import densecolor.oracles as oracles_mod
+from densecolor.oracles import CHI_INDEX_MAX_EDGES
 from densecolor.totalize import _totalize_with
 
 # the package's ``totalize`` function shadows the module of that name
@@ -234,7 +235,7 @@ class TestTotalize:
         g = Multigraph(9, gen_fat_cycle(3, 4).edges)
         cert = totalize(g)
         assert cert.k == 12
-        assert cert.g_prime.m > RunConfig().chi_index_max_edges
+        assert cert.g_prime.m > CHI_INDEX_MAX_EDGES
         assert is_k_dense(cert.g_prime, range(cert.g_prime.n), 12)
         assert is_proper_edge_coloring(cert.g_prime, cert.g_prime_coloring)
         assert is_proper_total_coloring(g, cert.coloring)
@@ -244,7 +245,7 @@ class TestTotalize:
         g = Multigraph(6, ((0, 1),) * 7 + ((0, 2),) * 7 + ((1, 2),) * 5)
         cert = totalize(g)
         assert cert.k == 19
-        assert cert.g_prime.m > RunConfig().chi_index_max_edges
+        assert cert.g_prime.m > CHI_INDEX_MAX_EDGES
         assert is_k_dense(cert.g_prime, range(cert.g_prime.n), 19)
         assert is_proper_total_coloring(g, cert.coloring)
 
@@ -290,7 +291,7 @@ class TestTotalize:
         assert chromatic_index(graph, config).host is not None
 
     def test_in_hypothesis_beyond_chi_index_cap(self):
-        # m = 49 > chi_index_max_edges, but L = ceil(rho) = 17 meets the
+        # m = 49 > CHI_INDEX_MAX_EDGES, but L = ceil(rho) = 17 meets the
         # hypothesis, so the host's 17-coloring certifies chi'(G) = 17 in
         # both totalize and chromatic_index
         g = gen_fat_cycle(7, 7)
