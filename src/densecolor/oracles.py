@@ -9,7 +9,8 @@ graphs with chi' > Delta + 1.
 Every odd-set question (density, k-dense sets, the embedding's feasibility
 check) goes through one pruned lexicographic walk, ``_walk_odd_sets``.
 
-Every returned number comes with a machine-checkable witness, and every
+Every returned number comes with a machine-checkable witness, which the
+oracle that makes it checks once (``_checked``), and every
 "no smaller palette exists" claim is certified by an exhausted search (or by
 a bound that makes the search unnecessary: the max degree or the density).
 Caps and the node budget are explicit errors, never silent truncation.
@@ -28,6 +29,7 @@ from .coloring import (
     TotalColoring,
     coloring_to_doc,
     is_proper_edge_coloring,
+    is_proper_total_coloring,
 )
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
@@ -59,6 +61,21 @@ __all__ = [
 def _exhausted(limit: int) -> BudgetExceededError:
     """The error of a search that would spend more than ``limit`` nodes."""
     return BudgetExceededError(f"search budget of {limit} nodes exhausted")
+
+
+def _checked(graph: Multigraph, witness: EdgeColoring | TotalColoring):
+    """``witness``, once it is a proper coloring of ``graph``; a clash is a
+    bug, and raises with the graph as certificate."""
+    if isinstance(witness, TotalColoring):
+        proper = is_proper_total_coloring(graph, witness)
+    else:
+        proper = is_proper_edge_coloring(graph, witness)
+    if not proper:
+        raise GuaranteeViolationError(
+            "solver produced an improper coloring; this is a bug",
+            certificate=serialize(graph),
+        )
+    return witness
 
 
 @dataclass(frozen=True)
@@ -425,7 +442,7 @@ def chromatic_index(
     finds one.  The host route settles chi' = L when L >= max(Delta+2, n+1)
     and the host's density checks fit under density_max_n (both decided by
     ``_no_host_reason``): G embeds into an L-dense host, and the host's
-    L-edge-coloring restricted to G (verified here) attains the bound.  The
+    L-edge-coloring restricted to G attains the bound.  The
     walk has proved density <= L and found G's tight sets, the blocks that
     saturation starts from, so the embedding walks G no more.  The
     certificate keeps that host and its coloring (``host``), so callers
@@ -454,12 +471,9 @@ def chromatic_index(
                     certificate=serialize(g_prime),
                 )
             host = DenseHost(g_prime, report, EdgeColoring(lower, tuple(colors)))
-            witness = EdgeColoring(lower, host.coloring.colors[: graph.m])
-            if not is_proper_edge_coloring(graph, witness):
-                raise GuaranteeViolationError(
-                    "the host coloring restricted to the graph is not proper; "
-                    "this is a bug"
-                )
+            witness = _checked(
+                graph, EdgeColoring(lower, host.coloring.colors[: graph.m])
+            )
             return ChromaticCertificate(
                 "chromatic-index", lower, witness, "density", spent, host
             )
@@ -479,13 +493,8 @@ def chromatic_index(
                 reason = "density"
             else:
                 reason = "exhaustion"
-            return ChromaticCertificate(
-                "chromatic-index",
-                k,
-                EdgeColoring(k, tuple(assignment)),
-                reason,
-                spent,
-            )
+            witness = _checked(graph, EdgeColoring(k, tuple(assignment)))
+            return ChromaticCertificate("chromatic-index", k, witness, reason, spent)
     raise GuaranteeViolationError(
         "no edge coloring found within Delta + multiplicity; this is a bug"
     )
@@ -711,7 +720,7 @@ def find_k_edge_coloring(
     assignment, _ = _color(graph, k, 0, config.node_budget)
     if assignment is None:
         return None
-    return EdgeColoring(k, tuple(assignment))
+    return _checked(graph, EdgeColoring(k, tuple(assignment)))
 
 
 def _total_conflicts(graph: Multigraph) -> list[list[int]]:
@@ -860,8 +869,8 @@ def total_chromatic_number(
         )
         if assignment is not None:
             reason = "max-degree" if k == lower else "exhaustion"
-            witness = TotalColoring(
-                k, tuple(assignment[n:]), tuple(assignment[:n])
+            witness = _checked(
+                graph, TotalColoring(k, tuple(assignment[n:]), tuple(assignment[:n]))
             )
             return ChromaticCertificate(
                 "total-chromatic-number", k, witness, reason, spent
@@ -894,10 +903,14 @@ def gs_verify(
     )
 
 
+def _critical_at(graph: Multigraph, k: int, config: RunConfig) -> bool:
+    """``is_edge_critical`` for a graph whose chromatic index k is known."""
+    return all(
+        chromatic_index(graph.without_edge(eid), config).k < k
+        for eid in range(graph.m)
+    )
+
+
 def is_edge_critical(graph: Multigraph, config: RunConfig = DEFAULT_CONFIG) -> bool:
     """True when deleting any single edge lowers the chromatic index."""
-    base = chromatic_index(graph, config).k
-    for eid in range(graph.m):
-        if chromatic_index(graph.without_edge(eid), config).k >= base:
-            return False
-    return True
+    return _critical_at(graph, chromatic_index(graph, config).k, config)

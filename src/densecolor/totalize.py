@@ -37,10 +37,10 @@ from .errors import GuaranteeViolationError
 from .multigraph import Multigraph, serialize
 from .oracles import (
     ChromaticCertificate,
+    _critical_at,
     _is_dense_whole,
     _no_host_reason,
     chromatic_index,
-    is_edge_critical,
 )
 
 __all__ = [
@@ -299,7 +299,7 @@ def corollary_applicable(
             pairs.append((relabel[u], relabel[v]))
         sub = Multigraph(len(vertex_ids), tuple(pairs))
     sub_cert = chromatic_index(sub, config)
-    critical = is_edge_critical(sub, config)
+    critical = _critical_at(sub, sub_cert.k, config)
     threshold = Fraction(graph.n - 2, cert.k - delta - 1)
     size_ok = threshold <= sub.n
     if not critical:

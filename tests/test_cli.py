@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import io
 import json
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from densecolor import (
     totalize,
 )
 from densecolor.cli import main
+
+import densecolor.oracles as oracles_mod
 
 # the package's ``totalize`` function shadows the module of that name
 totalize_mod = importlib.import_module("densecolor.totalize")
@@ -62,6 +65,40 @@ class TestChiCommands:
         doc = json.loads(result.stdout)
         assert doc["k"] == 4
         assert "vertices" in doc["coloring"]
+
+    def test_chi_index_text(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(T2_TEXT))
+        assert main(["chi-index"]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "chi' = 6",
+            "lower bound reason: density",
+            "search nodes: 13",
+        ]
+
+    def test_chi_total_text(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(C5_TEXT))
+        assert main(["chi-total"]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "chi'' = 4",
+            "lower bound reason: exhaustion",
+            "search nodes: 28",
+        ]
+
+    def test_clashing_total_coloring_exits_5(self, capsys, monkeypatch):
+        # the total oracle checks its witness; a clash is a guarantee
+        # violation that prints the graph
+        real = oracles_mod._conflict_color_search
+
+        def clashing(neighbors, *args):
+            colors, spent = real(neighbors, *args)
+            return (None if colors is None else [1] * len(colors)), spent
+
+        monkeypatch.setattr(oracles_mod, "_conflict_color_search", clashing)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(C5_TEXT))
+        assert main(["chi-total"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver produced an improper coloring")
+        assert C5_TEXT in err
 
     def test_too_large_exit_code(self):
         big = serialize(fixture("fat-c5-m4"))
@@ -323,8 +360,6 @@ class TestDeepHosts:
 
 class TestMainFunction:
     def test_in_process_entry_point(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(T2_TEXT))
         assert main(["density", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -399,6 +434,13 @@ class TestSettingsFlags:
         path.write_text(C5_TEXT)
         assert main(["density", "--max-n", "3", str(path)]) == 3
         assert "capped" in capsys.readouterr().err
+
+    def test_max_n_is_at_most_500(self, tmp_path, capsys):
+        path = tmp_path / "t2.mg"
+        path.write_text(T2_TEXT)
+        assert main(["density", "--max-n", "501", str(path)]) == 4
+        assert "density_max_n is at most 500" in capsys.readouterr().err
+        assert main(["density", "--max-n", "500", str(path)]) == 0
 
     def test_budget_caps_chi_total(self, tmp_path, capsys):
         path = tmp_path / "c5.mg"

@@ -9,6 +9,7 @@ import pytest
 from densecolor import (
     BudgetExceededError,
     EdgeColoring,
+    GuaranteeViolationError,
     InstanceTooLargeError,
     Multigraph,
     RunConfig,
@@ -28,6 +29,8 @@ from densecolor import (
     is_proper_edge_coloring,
     is_proper_total_coloring,
     maximal_k_dense_subgraphs,
+    search_goldberg,
+    serialize,
     total_chromatic_number,
 )
 
@@ -902,3 +905,69 @@ class TestFeasibilitySearch:
             if len(edges) == 3 * k:
                 outcomes.append(check(Multigraph(7, tuple(edges)), k))
         assert outcomes.count(True) >= 40 and outcomes.count(False) >= 5
+
+
+class TestDensityCapLimit:
+    # the odd-set walk recurses once per vertex of its set, so the cap
+    # stays where the deepest walk fits the interpreter's frames
+    def test_cap_is_at_most_500(self):
+        assert RunConfig(density_max_n=500).density_max_n == 500
+        with pytest.raises(ValueError, match="density_max_n is at most 500"):
+            RunConfig(density_max_n=501)
+
+    def test_walk_499_deep(self):
+        # only the whole cycle is denser than Delta = 2, at 499/249
+        assert oracles._density_ceiling(cycle(499), 2) == (3, [])
+
+
+def clash_every_coloring(monkeypatch, elements=None):
+    """Make the conflict search return color 1 for every element wherever
+    it finds a coloring; with ``elements``, only in searches over that
+    many elements."""
+    real = oracles._conflict_color_search
+
+    def clashing(neighbors, *args):
+        colors, spent = real(neighbors, *args)
+        if colors is not None and elements in (None, len(neighbors)):
+            colors = [1] * len(neighbors)
+        return colors, spent
+
+    monkeypatch.setattr(oracles, "_conflict_color_search", clashing)
+
+
+class TestEveryColoringIsChecked:
+    # the oracle that returns a coloring checks it; a clash raises with the
+    # graph as its certificate
+    @pytest.mark.parametrize(
+        "call",
+        [
+            total_chromatic_number,
+            lambda g: chromatic_index(g, RunConfig(density_max_n=3)),
+            lambda g: find_k_edge_coloring(g, 3),
+        ],
+        ids=["total", "chi-index-exhaustive", "find-k"],
+    )
+    def test_clashing_engine_raises(self, monkeypatch, call):
+        clash_every_coloring(monkeypatch)
+        with pytest.raises(GuaranteeViolationError) as info:
+            call(C5)
+        assert info.value.certificate == serialize(C5)
+
+    def test_clashing_host_coloring_raises(self, monkeypatch):
+        # the host route's witness, restricted from the host's coloring
+        def clashing(graph, k, spent, limit):
+            return [1] * graph.m, spent
+
+        monkeypatch.setattr(oracles, "_dense_class_search", clashing)
+        with pytest.raises(GuaranteeViolationError) as info:
+            chromatic_index(T2)
+        assert info.value.certificate == serialize(T2)
+
+    def test_search_records_no_clashing_total_coloring(self, monkeypatch):
+        # chi' = 9 < n + 1 = 10, so the total oracle settles chi'' over
+        # n + m = 18 elements; the chi' search over 9 stays intact
+        g = Multigraph(9, gen_fat_cycle(3, 3).edges)
+        clash_every_coloring(monkeypatch, elements=g.n + g.m)
+        with pytest.raises(GuaranteeViolationError) as info:
+            search_goldberg([("t3", g)])
+        assert info.value.certificate == serialize(g)

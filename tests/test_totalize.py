@@ -445,3 +445,31 @@ class TestCorollary:
     def test_bad_designation(self):
         with pytest.raises(ValueError, match="leaves"):
             corollary_applicable(T2, {0, 1}, edge_ids=(2,))
+
+    def test_subgraph_chromatic_index_computed_once(self, monkeypatch):
+        # chi'(H) feeds both the equality test and the criticality test
+        g = fixture("t2-k1")
+        sub, _, _ = g.induced_subgraph((0, 1, 2))
+        calls = []
+        real = oracles_mod.chromatic_index
+
+        def counted(graph, config):
+            calls.append(graph)
+            return real(graph, config)
+
+        for module in (oracles_mod, totalize_mod):
+            monkeypatch.setattr(module, "chromatic_index", counted)
+        report = corollary_applicable(g, {0, 1, 2})
+        assert calls.count(sub) == 1
+        assert report.to_doc() == {
+            "applicable": True,
+            "reason": "all conditions hold",
+            "chi_prime": 6,
+            "delta": 4,
+            "graph_n": 4,
+            "subgraph_n": 3,
+            "subgraph_chi_prime": 6,
+            "subgraph_is_critical": True,
+            "threshold": "2",
+            "size_ok": True,
+        }
