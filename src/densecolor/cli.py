@@ -36,6 +36,7 @@ from .errors import (
     EXIT_TOO_LARGE,
     EXIT_VERIFY_FAILED,
 )
+from .embed import embed_k_dense
 from .generators import (
     fixture,
     fixture_names,
@@ -116,8 +117,9 @@ def cmd_chi_total(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    cert = totalize(_load_graph(args.graph), _config_from(args))
-    g_prime, report = cert.g_prime, cert.pipeline.embedding
+    graph = _load_graph(args.graph)
+    config = _config_from(args)
+    g_prime, report = embed_k_dense(graph, chromatic_index(graph, config).k, config)
     doc = {
         "graph": {"n": g_prime.n, "edges": [list(e) for e in g_prime.edges]},
         "report": report.to_doc(),
@@ -146,6 +148,8 @@ def cmd_totalize(args: argparse.Namespace) -> int:
         f"embedding added {len(cert.pipeline.embedding.added_edges)} edges "
         f"(parity vertex: {cert.pipeline.embedding.parity_vertex_added})",
     ] + _coloring_lines(coloring_to_doc(cert.coloring))
+    if cert.pipeline.peeled:
+        lines.insert(1, "peeled: " + " ".join(map(str, cert.pipeline.peeled)))
     if args.witness:
         lines.append("host graph:")
         lines.extend(serialize(cert.g_prime).splitlines())

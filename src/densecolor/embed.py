@@ -6,8 +6,10 @@ k(n'-1)/2 edges, maximum degree at most k-1 and density at most k, keeping
 G's vertex and edge ids as a prefix.  A k-edge-coloring of G', restricted
 to G, settles chi'(G') = chi'(G) = k whenever k is a lower bound on
 chi'(G).  Only ``oracles.chromatic_index``, on its host route, embeds
-and colors; every other embedding is a direct library call, and the
-pipeline takes its host from that certificate.  ``embed_k_dense``
+and colors, and it embeds G's core (G less the low-degree vertices it
+peels); every other embedding is a direct library call (the ``embed``
+command's among them, which embeds G itself), and the pipeline takes its
+host from that certificate.  ``embed_k_dense``
 raises the error of ``oracles._no_host_reason``, the one test of the two
 preconditions (the hypothesis and the density cap) that also picks
 ``chromatic_index``'s route, and so says why an input has no host.  The

@@ -9,6 +9,11 @@ graphs with chi' > Delta + 1.
 Every odd-set question (density, k-dense sets, the embedding's feasibility
 check) goes through one pruned lexicographic walk, ``_walk_odd_sets``.
 
+``chromatic_index``'s host route first peels G (``_peel``): vertices of
+degree at most k - Delta come off, the core that is left is embedded and
+colored, and the peeled vertices go back into a total k-coloring greedily
+(``_add_back``).  The rule and its proof are in ``chromatic_index``.
+
 Every returned number comes with a machine-checkable witness, which the
 oracle that makes it checks once (``_checked``), and every
 "no smaller palette exists" claim is certified by an exhausted search (or by
@@ -18,6 +23,7 @@ Caps and the node budget are explicit errors, never silent truncation.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -104,10 +110,14 @@ class ChromaticCertificate:
     ``lower_bound_reason`` records why k-1 colors are impossible:
     ``max-degree`` (k equals the maximum degree, or Delta+1 for the total
     number), ``density`` (k equals the density ceiling), or ``exhaustion``
-    (the k-1 search ran to completion without a coloring).  ``host`` is
-    the k-dense host, with its coloring, whose restriction gave the
-    witness on the host route of :func:`chromatic_index`, else None; it
-    stays out of the document.
+    (the k-1 search ran to completion without a coloring).  On the host
+    route of :func:`chromatic_index`, ``host`` is the k-dense host, with
+    its coloring, of G's core: G itself when ``peeled`` is empty, and the
+    host's coloring restricted to G is the witness.  Else ``peeled`` lists
+    the vertices of G taken off before embedding, in peel order, and
+    ``total`` is the total k-coloring of G that the route built from the
+    host; the witness is its edge part.  Off the host route ``host`` and
+    ``total`` are None.  The three stay out of the document.
     """
 
     quantity: str
@@ -116,6 +126,8 @@ class ChromaticCertificate:
     lower_bound_reason: str
     search_nodes: int
     host: DenseHost | None = field(default=None, repr=False, compare=False)
+    peeled: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    total: TotalColoring | None = field(default=None, repr=False, compare=False)
 
     def to_doc(self) -> dict:
         return {
@@ -406,25 +418,107 @@ def _edge_color_search(
 
 
 def _no_host_reason(
-    graph: Multigraph, k: int, config: RunConfig
+    graph: Multigraph, k: int, config: RunConfig, core_n: int | None = None
 ) -> HypothesisNotMetError | InstanceTooLargeError | None:
     """None when ``graph`` has a k-dense host, else the error that says
     why not.
 
-    The hypothesis comes first: k below max(Delta+2, n+1).  Then the cap:
-    the host's density checks, on n vertices plus a parity vertex when n
-    is even, would pass ``density_max_n``.  ``chromatic_index`` picks its
-    route with this O(n) test; ``embed_k_dense`` and ``totalize`` raise
-    the error it returns.
+    The host is built on G itself, or, with ``core_n`` given, on G's core
+    of ``core_n`` vertices (``_peel``).  The hypothesis comes first: k
+    below max(Delta+2, n+1), n the host's own vertex count.  Then the cap:
+    the walk of G, or the host's density checks, on n vertices plus a
+    parity vertex when n is even, would pass ``density_max_n``.
+    ``chromatic_index`` picks its route with this O(n) test;
+    ``embed_k_dense`` and ``totalize`` raise the error it returns.
     """
+    n = graph.n if core_n is None else core_n
     delta = graph.max_degree()
-    if k < max(delta + 2, graph.n + 1):
-        return HypothesisNotMetError(k, delta + 2, graph.n + 1)
-    if graph.n + 1 - graph.n % 2 > config.density_max_n:
+    if k < max(delta + 2, n + 1):
+        return HypothesisNotMetError(k, delta + 2, n + 1)
+    if max(graph.n, n + 1 - n % 2) > config.density_max_n:
         return InstanceTooLargeError(
             f"embedding needs density checks; capped at n = {config.density_max_n}"
         )
     return None
+
+
+def _peel(graph: Multigraph, k: int) -> tuple[int, ...]:
+    """The vertices of G that the host route at palette k takes off, in
+    peel order: again and again the lowest-index vertex whose degree among
+    the vertices still left is at most k - Delta (see ``chromatic_index``).
+    The vertices never taken off are G's core, the same set in any order."""
+    cap = k - graph.max_degree()
+    deg = list(graph.degrees)
+    edges, incidence = graph.edges, graph.incidence
+    ready = [v for v, d in enumerate(deg) if d <= cap]  # ascending, so a heap
+    left = [True] * graph.n
+    order: list[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        left[v] = False
+        order.append(v)
+        for e in incidence[v]:
+            u, w = edges[e]
+            w = u if w == v else w
+            if left[w]:
+                deg[w] -= 1
+                if deg[w] == cap:  # pushed once, as it falls to the cap
+                    heapq.heappush(ready, w)
+    return tuple(order)
+
+
+def _add_back(
+    graph: Multigraph,
+    peeled: tuple[int, ...],
+    core_ids: tuple[int, ...],
+    core_edge_ids: tuple[int, ...],
+    host: DenseHost,
+) -> TotalColoring:
+    """A total k-coloring of G: the host's coloring extended to a total one
+    and restricted to the core, whose vertex ``i`` is G's ``core_ids[i]``
+    and edge ``j`` G's ``core_edge_ids[j]`` (a prefix of the host's ids),
+    with the peeled vertices added back greedily in reverse peel order (see
+    ``chromatic_index``).  Each added vertex takes, edge by edge, the
+    smallest color free at both ends of its edges to the vertices already
+    back, then the smallest color free of those edges and of its
+    neighbours back.  An improper host coloring fails the extension's own
+    check and raises with the host as certificate."""
+    from .totalize import extend_to_total  # totalize imports this module
+
+    k = host.coloring.k
+    try:
+        core = extend_to_total(host.g_prime, host.coloring, k)
+    except ValueError:
+        raise GuaranteeViolationError(
+            "solver produced an improper coloring; this is a bug",
+            certificate=serialize(host.g_prime),
+        ) from None
+    edges = graph.edges
+    vertex = [0] * graph.n  # 0 until the vertex is back
+    edge = [0] * graph.m
+    present = [1] * graph.n  # bit c: color c is at the vertex's edges; bit 0 bars 0
+    for v, c in zip(core_ids, core.vertex_colors):
+        vertex[v] = c
+    for e, c in zip(core_edge_ids, core.edge_colors):
+        edge[e] = c
+        u, v = edges[e]
+        present[u] |= 1 << c
+        present[v] |= 1 << c
+    for v in reversed(peeled):
+        near = 0  # the colors of v's neighbours that are back
+        for e in graph.incidence[v]:
+            u, w = edges[e]
+            w = u if w == v else w
+            if vertex[w]:
+                seen = present[v] | present[w] | 1 << vertex[w]
+                bit = ~seen & (seen + 1)  # the lowest free color
+                edge[e] = bit.bit_length() - 1
+                present[v] |= bit
+                present[w] |= bit
+                near |= 1 << vertex[w]
+        seen = present[v] | near
+        vertex[v] = (~seen & (seen + 1)).bit_length() - 1
+    return TotalColoring(k, tuple(edge), tuple(vertex))
 
 
 CHI_INDEX_MAX_EDGES = 40  # exhaustive chromatic-index search cap (m)
@@ -439,17 +533,42 @@ def chromatic_index(
     once, from threshold Delta (``_density_ceiling``): only a density above
     Delta moves L or the lower-bound reason, and the walk returns
     ceil(rho) with every odd set of density exactly ceil(rho) whenever it
-    finds one.  The host route settles chi' = L when L >= max(Delta+2, n+1)
-    and the host's density checks fit under density_max_n (both decided by
-    ``_no_host_reason``): G embeds into an L-dense host, and the host's
-    L-edge-coloring restricted to G attains the bound.  The
-    walk has proved density <= L and found G's tight sets, the blocks that
-    saturation starts from, so the embedding walks G no more.  The
+    finds one.  The host route settles chi' = k = L when k >= Delta+2,
+    G's core C (below) has |C| + 1 <= k, and the host's density checks fit
+    under density_max_n (all three decided by ``_no_host_reason``): C
+    embeds into a k-dense host, and the host's k-edge-coloring restricted
+    to C, with the peeled vertices added back, attains the bound.  The
+    walk has proved density <= k and found G's tight sets, the blocks that
+    saturation starts from, so the embedding walks no more.  The
     certificate keeps that host and its coloring (``host``), so callers
     that extend the host coloring next do not embed or color again.
     Every other graph within ``CHI_INDEX_MAX_EDGES`` is searched from L
     upwards; when the returned k exceeds both bounds, infeasibility of k-1
     was certified by an exhausted backtracking run.
+
+    Peeling.  With k >= Delta+2, ``_peel`` takes off, lowest index first,
+    a vertex whose degree d among the vertices still left is at most
+    k - Delta; what is never taken off is the core C.  Any total
+    k-coloring of the vertices left takes a peeled vertex v back: its
+    edges to them are colored one at a time, and the i-th edge vw sees at
+    most (d(w) - mu(vw)) + 1 + (i - 1) <= Delta + i - 1 < k colors (w's
+    other edges, w, and v's earlier edges), as i <= d <= k - Delta; then v
+    sees at most 2d <= 2(k - Delta) <= Delta < k colors, its d edges and
+    d neighbours, since k = L <= chi' <= floor(3 Delta / 2) (Shannon).  So
+    a total k-coloring of C gives one of G, adding the peeled vertices
+    back in reverse peel order (``_add_back``).  If G meets the hypothesis
+    so does C, as |C| <= n and Delta(C) <= Delta.
+
+    No odd set S with 2|E(S)| > (k - 1)(|S| - 1) holds a peeled vertex.
+    Let v be the first of S to be peeled; all of S was left then, so
+    d_S(v) <= k - Delta, and 2|E(S)| = 2|E(S - v)| + 2 d_S(v)
+    <= Delta(|S| - 1) - d_S(v) + 2 d_S(v) <= Delta(|S| - 1) + k - Delta.
+    With k - Delta >= 2 that bound is below (k - 1)(|S| - 1) once
+    |S| >= 3, a contradiction.  So the densest set lies in C, C's L is k
+    too, and G's tight sets are C's, which the walk of G has found: C is
+    not walked again.  Peeling costs one comparison when there is nothing
+    to peel (every degree above k - Delta); then C is G and the route
+    runs no peel state at all.
     """
     if graph.m == 0:
         return ChromaticCertificate(
@@ -459,10 +578,18 @@ def chromatic_index(
     lower = delta
     if graph.n <= config.density_max_n:
         lower, tight = _density_ceiling(graph, delta) or (delta, [])
-        if _no_host_reason(graph, lower, config) is None:
+        core, peeled = graph, ()
+        if lower >= delta + 2 and min(graph.degrees) <= lower - delta:
+            peeled = _peel(graph, lower)
+            core, core_ids, core_edge_ids = graph.induced_subgraph(
+                set(range(graph.n)).difference(peeled)
+            )
+            index = {v: i for i, v in enumerate(core_ids)}
+            tight = [[index[v] for v in subset] for subset in tight]
+        if _no_host_reason(graph, lower, config, core.n) is None:
             from .embed import DenseHost, embed_k_dense  # embed imports this module
 
-            g_prime, report = embed_k_dense(graph, lower, config, tight_sets=tight)
+            g_prime, report = embed_k_dense(core, lower, config, tight_sets=tight)
             colors, spent = _color(g_prime, lower, 0, config.node_budget)
             if colors is None:
                 raise GuaranteeViolationError(
@@ -471,11 +598,25 @@ def chromatic_index(
                     certificate=serialize(g_prime),
                 )
             host = DenseHost(g_prime, report, EdgeColoring(lower, tuple(colors)))
-            witness = _checked(
-                graph, EdgeColoring(lower, host.coloring.colors[: graph.m])
+            if not peeled:
+                witness = _checked(
+                    graph, EdgeColoring(lower, host.coloring.colors[: graph.m])
+                )
+                return ChromaticCertificate(
+                    "chromatic-index", lower, witness, "density", spent, host
+                )
+            total = _checked(
+                graph, _add_back(graph, peeled, core_ids, core_edge_ids, host)
             )
             return ChromaticCertificate(
-                "chromatic-index", lower, witness, "density", spent, host
+                "chromatic-index",
+                lower,
+                EdgeColoring(lower, total.edge_colors),
+                "density",
+                spent,
+                host,
+                peeled,
+                total,
             )
     if graph.m > CHI_INDEX_MAX_EDGES:
         raise InstanceTooLargeError(

@@ -8,15 +8,21 @@ pairwise disjoint), and restricts back to G.  The extension and the
 restriction verify their output, so the result witnesses
 chi''(G) = chi'(G) = k.
 
-chi'(G) comes from ``chromatic_index``, the one producer of hosts.  Its
-host route embeds G at L = max(Delta, ceil(rho)) whenever L meets the
-hypothesis, and the certificate keeps that host and its coloring, which
-the pipeline extends and restricts.  By Goldberg-Seymour chi'(G) = L
-whenever chi'(G) meets the hypothesis, so an input without a host is
-refused: ``HypothesisNotMetError`` carries the exact chi'(G) of the
-search, ``InstanceTooLargeError`` names the density cap, and an input
-that meets both is a counterexample (or a bug) and raises
-``GuaranteeViolationError`` carrying G.
+chi'(G) comes from ``chromatic_index``, the one producer of the hosts
+the pipeline extends.  Its host route first peels G: vertices of degree
+at most k - Delta come off, k = L = max(Delta, ceil(rho)), and what is
+left is G's core C (G itself when nothing peels).  It embeds C at L
+whenever L meets the hypothesis on C, k >= max(Delta+2, |C|+1), and the
+certificate keeps that host and its coloring.  With nothing peeled the
+pipeline extends and restricts them; else the route has already extended
+them, added the peeled vertices back greedily and checked the total
+coloring of G, which the pipeline takes as it is.  So the pipeline needs
+|C| + 1 <= k where the theorem needs n + 1 <= k.  By Goldberg-Seymour
+chi'(G) = L whenever chi'(G) meets the hypothesis, so an input without a
+host is refused: ``HypothesisNotMetError`` carries the exact chi'(G) of
+the search and the core's n + 1, ``InstanceTooLargeError`` names the
+density cap, and an input that meets both is a counterexample (or a bug)
+and raises ``GuaranteeViolationError`` carrying G.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .oracles import (
     _critical_at,
     _is_dense_whole,
     _no_host_reason,
+    _peel,
     chromatic_index,
 )
 
@@ -57,13 +64,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PipelineRecord:
+    """How the pipeline certified G.  ``peeled`` lists G's vertices taken
+    off before embedding, in peel order, and is empty when none was; the
+    hypothesis and the embedding are then those of G's core, on the
+    core's vertex ids.  The document carries ``peeled`` only when it is
+    not empty."""
+
     chi_prime: int
     hypothesis_delta_plus_2: int
     hypothesis_n_plus_1: int
     embedding: EmbeddingReport
+    peeled: tuple[int, ...] = ()
 
     def to_doc(self) -> dict:
-        return {
+        doc = {
             "chi_prime": self.chi_prime,
             "hypothesis": {
                 "delta_plus_2": self.hypothesis_delta_plus_2,
@@ -71,6 +85,9 @@ class PipelineRecord:
             },
             "embedding": self.embedding.to_doc(),
         }
+        if self.peeled:
+            doc["peeled"] = list(self.peeled)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -192,15 +209,21 @@ def _totalize_with(
     graph: Multigraph, chi: ChromaticCertificate, config: RunConfig
 ) -> TotalizeCertificate:
     """``totalize`` after its first step: ``chi`` settles chi'(graph), so a
-    caller that already holds it does not pay for the search twice, and
-    its host is extended.  Without a host, k = chi'(graph) is checked
-    against the hypothesis and the density cap, whose errors say why no
-    host exists; a k that passes both means no host where one must exist.
+    caller that already holds it does not pay for the search twice.  Its
+    host is extended and restricted, or, when the route peeled G, its
+    total coloring of G is taken as it is.  Without a host,
+    k = chi'(graph) is checked against the hypothesis, on G's core at k,
+    and the density cap, whose errors say why no host exists; a k that
+    passes both means no host where one must exist.
     """
     k = chi.k
     host = chi.host
+    delta = graph.max_degree()
     if host is None:
-        reason = _no_host_reason(graph, k, config)
+        core_n = graph.n
+        if k >= delta + 2:
+            core_n -= len(_peel(graph, k))
+        reason = _no_host_reason(graph, k, config, core_n)
         if reason is not None:
             raise reason
         raise GuaranteeViolationError(
@@ -208,13 +231,17 @@ def _totalize_with(
             "built; this contradicts Goldberg-Seymour (or is a bug)",
             certificate=serialize(graph),
         )
-    psi_prime = extend_to_total(host.g_prime, host.coloring, k)
-    psi = restrict_total(host.g_prime, psi_prime, graph)
+    if chi.total is not None:
+        psi = chi.total
+    else:
+        psi_prime = extend_to_total(host.g_prime, host.coloring, k)
+        psi = restrict_total(host.g_prime, psi_prime, graph)
     record = PipelineRecord(
         chi_prime=k,
-        hypothesis_delta_plus_2=graph.max_degree() + 2,
-        hypothesis_n_plus_1=graph.n + 1,
+        hypothesis_delta_plus_2=delta + 2,
+        hypothesis_n_plus_1=graph.n - len(chi.peeled) + 1,
         embedding=host.report,
+        peeled=chi.peeled,
     )
     return TotalizeCertificate(k, psi, record, host.g_prime, host.coloring)
 

@@ -22,6 +22,7 @@ from densecolor import (
     cycle,
     density,
     disjoint_union,
+    embed_k_dense,
     fixture,
     fixture_names,
     gen_fat_cycle,
@@ -80,39 +81,50 @@ def test_criterion_01_fat_triangle_end_to_end():
 
 
 def test_criterion_02_nontrivial_embedding():
+    # embed_k_dense builds G's own host; totalize peels the two isolated
+    # vertices first and embeds only T2, which is already 6-dense
     t0 = time.perf_counter()
     g = fixture("t2-2k1")
+    g_prime, emb = embed_k_dense(g, 6)
     cert = totalize(g)
     elapsed = time.perf_counter() - t0
-    emb = cert.pipeline.embedding
     ok = (
         cert.k == 6
         and len(emb.added_edges) == 6
         and (emb.final_n, emb.final_m) == (5, 12)
-        and is_k_dense(cert.g_prime, range(5), 6)
-        and chromatic_index(cert.g_prime).k == 6
+        and is_k_dense(g_prime, range(5), 6)
+        and chromatic_index(g_prime).k == 6
         and is_proper_total_coloring(g, cert.coloring)
+        and cert.g_prime == gen_fat_cycle(3, 2)
+        and cert.pipeline.peeled == (3, 4)
         and elapsed < 5.0
     )
     report(
         2,
         ok,
-        f"T2+2K1 embedded with 6 added edges to (n=5, m=12), verified total "
-        f"6-coloring in {elapsed:.3f}s",
+        f"T2+2K1 embedded with 6 added edges to (n=5, m=12); totalize embeds "
+        f"only T2 and gives a verified total 6-coloring in {elapsed:.3f}s",
     )
 
 
 def test_criterion_03_parity_step():
     g = fixture("t2-k1")
+    g_prime, emb = embed_k_dense(g, 6)
     cert = totalize(g)
-    emb = cert.pipeline.embedding
     ok = (
         emb.parity_vertex_added
         and cert.k == 6
-        and is_k_dense(cert.g_prime, range(5), 6)
+        and is_k_dense(g_prime, range(5), 6)
         and is_proper_total_coloring(g, cert.coloring)
+        and cert.g_prime == gen_fat_cycle(3, 2)
+        and cert.pipeline.peeled == (3,)
     )
-    report(3, ok, "even-order T2+K1 triggers the isolated-vertex parity step, k=6")
+    report(
+        3,
+        ok,
+        "even-order T2+K1 triggers the isolated-vertex parity step, k=6; "
+        "totalize embeds only T2",
+    )
 
 
 def test_criterion_04_fat_c5_mult_4():

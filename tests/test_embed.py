@@ -20,6 +20,7 @@ from densecolor import (
     gen_random_multigraph,
     is_k_dense,
     is_proper_edge_coloring,
+    is_proper_total_coloring,
     maximal_k_dense_subgraphs,
 )
 import densecolor.embed as embed_mod
@@ -526,18 +527,28 @@ class TestContracted:
         assert all(row == [0] * 7 for row in con.adjacency_counts)
 
 
+def fat_c3_m4_beside(t: int) -> tuple[tuple[int, int], ...]:
+    """Fat C3 with mu = 4 (L = 12, Delta = 8) beside K_t on vertices
+    3..t+2: for t >= 6 every degree is above L - Delta = 4, so nothing is
+    peeled."""
+    clique = tuple((u, v) for u in range(3, t + 3) for v in range(u + 1, t + 3))
+    return gen_fat_cycle(3, 4).edges + clique
+
+
 class TestRouteDecision:
     # chromatic_index takes the host route exactly when _no_host_reason
-    # returns None at L = max(Delta, ceil rho); each precondition at its bound
+    # returns None at L = max(Delta, ceil rho); each precondition at its
+    # bound, on graphs with nothing to peel, so the core is G itself
     @pytest.mark.parametrize(
         "edges,n,cap,has_host",
         [
-            (gen_fat_cycle(3, 4).edges, 11, 20, True),  # L = n + 1
-            (gen_fat_cycle(3, 4).edges, 12, 20, False),  # L = n
+            (fat_c3_m4_beside(8), 11, 20, True),  # L = n + 1
+            # T2 twice (L = 6 = n); every degree is 4 > L - Delta = 2
+            (fixture("t2-t2").edges, 6, 20, False),  # L = n
             (((0, 1),) * 2 + ((1, 2),) * 5 + ((0, 2),) * 5, 3, 20, True),  # L = Delta + 2
             (((0, 1),) * 1 + ((1, 2),) * 5 + ((0, 2),) * 5, 3, 20, False),  # L = Delta + 1
-            (gen_fat_cycle(3, 4).edges, 10, 11, True),  # host n = cap
-            (gen_fat_cycle(3, 4).edges, 10, 10, False),  # host n = cap + 1
+            (fat_c3_m4_beside(7), 10, 11, True),  # host n = cap
+            (fat_c3_m4_beside(7), 10, 10, False),  # host n = cap + 1
         ],
         ids=["n-plus-1", "n-plus-1-minus-1", "delta-plus-2", "delta-plus-2-minus-1",
              "cap", "cap-plus-1"],
@@ -548,6 +559,24 @@ class TestRouteDecision:
         lower = max(graph.max_degree(), ceil(density(graph, config).value))
         assert (_no_host_reason(graph, lower, config) is None) == has_host
         assert (chromatic_index(graph, config).host is not None) == has_host
+
+    @pytest.mark.parametrize(
+        "n,cap,peeled",
+        [(12, 20, tuple(range(3, 12))), (10, 10, tuple(range(3, 10)))],
+        ids=["n-plus-1-minus-1", "cap-plus-1"],
+    )
+    def test_padded_input_is_decided_by_its_core(self, n, cap, peeled):
+        # fat C3 with mu = 4 padded with isolated vertices: G itself has no
+        # host at L = 12 (L = n, or a host one vertex past the cap), but
+        # its isolated vertices peel, and the 3-vertex core has one
+        graph = Multigraph(n, gen_fat_cycle(3, 4).edges)
+        config = RunConfig(density_max_n=cap)
+        assert _no_host_reason(graph, 12, config) is not None
+        assert _no_host_reason(graph, 12, config, graph.n - len(peeled)) is None
+        cert = chromatic_index(graph, config)
+        assert (cert.k, cert.peeled) == (12, peeled)
+        assert cert.host.g_prime == gen_fat_cycle(3, 4)  # already 12-dense
+        assert is_proper_total_coloring(graph, cert.total)
 
 
 class TestLargeHost:

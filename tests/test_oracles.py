@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from densecolor import (
     cycle,
     density,
     disjoint_union,
+    embed_k_dense,
     find_k_edge_coloring,
     gen_fat_cycle,
     gen_random_multigraph,
@@ -32,9 +34,11 @@ from densecolor import (
     search_goldberg,
     serialize,
     total_chromatic_number,
+    totalize,
 )
 
 import densecolor.embed as embed_mod
+from densecolor.embed import DenseHost
 import densecolor.oracles as oracles
 
 from brute import (
@@ -96,8 +100,12 @@ CORE4_SLOW = Multigraph(
     ((0, 1),) * 5 + ((0, 2),) + ((0, 3),) * 5 + ((1, 2),) * 2 + ((1, 3),) * 3
     + ((2, 3),) * 2,
 )
-# chromatic_index's search_nodes on each padded_fat_cycle(c, n), under
-# density_max_n = n + 1
+# T2 beside the circulant C17(1, 2) on vertices 3..19: n = 20, m = 40
+T2_C17 = Multigraph(
+    20, T2.edges + tuple((3 + i, 3 + (i + s) % 17) for s in (1, 2) for i in range(17))
+)
+# the class search's nodes on the host of each padded_fat_cycle(c, n)
+# itself (``padded_host_route``), under density_max_n = n + 1
 PADDED_NODES = {
     (3, 19): 220, (3, 21): 2174, (3, 23): 2461, (3, 25): 360,
     (5, 19): 210, (5, 21): 261, (5, 23): 310, (5, 25): 380,
@@ -113,6 +121,21 @@ def padded_fat_cycle(c: int, n: int) -> tuple[Multigraph, int]:
     while math.ceil(2 * c * mu / (c - 1)) < max(2 * mu + 2, n + 1):
         mu += 1
     return Multigraph(n, gen_fat_cycle(c, mu).edges), mu
+
+
+def padded_host_route(graph: Multigraph, config: RunConfig):
+    """The host of G itself, padding and all, colored by the class search:
+    the host route as it ran before peeling, which ``embed_k_dense`` and
+    ``oracles._color`` still run.  A certificate of G's chi' = L with that
+    host."""
+    k = max(graph.max_degree(), math.ceil(density(graph, config).value))
+    g_prime, report = embed_k_dense(graph, k, config)
+    colors, spent = oracles._color(g_prime, k, 0, config.node_budget)
+    host = DenseHost(g_prime, report, EdgeColoring(k, tuple(colors)))
+    witness = EdgeColoring(k, tuple(colors[: graph.m]))
+    return oracles.ChromaticCertificate(
+        "chromatic-index", k, witness, "density", spent, host
+    )
 
 
 def exact_meter(oracle, graph: Multigraph, max_n: int, nodes: int):
@@ -305,14 +328,16 @@ class TestChromaticIndex:
     @pytest.mark.parametrize(
         "graph,config,k,nodes",
         [
-            # n = 20 puts the host past the density cap: the edge search at 13
-            (Multigraph(20, gen_fat_cycle(5, 5).edges), RunConfig(), 13, 1530),
+            # n = 20 puts the host past the density cap: the edge search at
+            # 6 (T2 beside the 4-regular circulant C17(1, 2), so every
+            # degree is above L - Delta = 2 and nothing is peeled)
+            (T2_C17, RunConfig(), 6, 42),
             # K7 is 7-dense: the class search at 7
             (complete(7), RunConfig(), 7, 29),
             # no density bound: 6 is refuted by exhaustion, then 7 colored
             (gen_fat_cycle(7, 3), RunConfig(density_max_n=3), 7, 63),
         ],
-        ids=["fat-c5-m5-n20", "k7", "fat-c7-m3-exhaustion"],
+        ids=["t2-c17-n20", "k7", "fat-c7-m3-exhaustion"],
     )
     def test_k_loop_visit_order_is_pinned(self, graph, config, k, nodes):
         cert = chromatic_index(graph, config)
@@ -352,38 +377,69 @@ class TestChromaticIndex:
         assert is_proper_edge_coloring(g, cert.witness)
 
     def test_host_over_the_density_cap_falls_back_to_the_k_loop(self):
-        # n = 20 = density_max_n is even, so the host would need a 21st
-        # vertex; the k-loop settles chi' = L = 21 instead
-        g = Multigraph(20, gen_fat_cycle(3, 7).edges)
-        cert = chromatic_index(g)
-        assert cert.k == 21
+        # the 4-vertex core of CORE4_SLOW has nothing to peel (degrees 5 to
+        # 11 > L - Delta = 2), and n = 4 = density_max_n is even, so the
+        # host would need a 5th vertex; the k-loop settles chi' = L = 13
+        g, _, _ = CORE4_SLOW.induced_subgraph(range(4))
+        cert = chromatic_index(g, RunConfig(density_max_n=4))
+        assert cert.k == 13
         assert cert.host is None
         assert is_proper_edge_coloring(g, cert.witness)
+        # padding is no longer what puts a host over the cap: fat C3 with
+        # mu = 7 at n = 20 = density_max_n peels to its 3-vertex core
+        padded = Multigraph(20, gen_fat_cycle(3, 7).edges)
+        cert = chromatic_index(padded)
+        assert (cert.k, cert.peeled) == (21, tuple(range(3, 20)))
+        assert cert.host is not None
+        assert is_proper_edge_coloring(padded, cert.witness)
 
     @pytest.mark.parametrize("n", [19, 21, 23, 25])
     @pytest.mark.parametrize("c", [3, 5, 7, 9])
     def test_padded_fat_cycle_hosts_color_within_small_budget(self, c, n):
-        # the id-order class search needed up to 427k nodes on these hosts,
-        # branching on the most constrained vertex under 2.5k; the counts
-        # are pinned, each exactly
+        # the id-order class search needed up to 427k nodes on the hosts of
+        # G itself, branching on the most constrained vertex under 2.5k; the
+        # counts are pinned, each exactly.  chromatic_index now peels the
+        # padding and embeds only the fat cycle
         g, mu = padded_fat_cycle(c, n)
-        cert = exact_meter(chromatic_index, g, n + 1, PADDED_NODES[c, n])
+        cert = exact_meter(padded_host_route, g, n + 1, PADDED_NODES[c, n])
         assert cert.k == math.ceil(2 * c * mu / (c - 1))
-        assert cert.host is not None
         assert is_proper_edge_coloring(g, cert.witness)
+        routed = chromatic_index(g, RunConfig(density_max_n=n + 1))
+        assert routed.k == cert.k
+        assert routed.host is not None and routed.host.g_prime.n == c
+        assert routed.peeled == tuple(range(c, n))
+
+    @pytest.mark.parametrize("n", [19, 21, 23, 25])
+    @pytest.mark.parametrize("c", [3, 5, 7, 9])
+    def test_padded_fat_cycles_certify_by_their_core(self, c, n):
+        # the host of G itself took up to 0.11 s to build and color; the
+        # padding peels, and the fat cycle's host certifies in well under
+        # 10 ms
+        g, mu = padded_fat_cycle(c, n)
+        config = RunConfig(density_max_n=n + 1)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            cert = totalize(g, config)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.010
+        assert cert.k == math.ceil(2 * c * mu / (c - 1))
+        assert cert.pipeline.peeled == tuple(range(c, n))
+        assert is_proper_total_coloring(g, cert.coloring)
 
     @pytest.mark.parametrize(
         ("oracle", "graph", "k", "nodes"),
         [
             (chromatic_index, PETERSEN_LESS_VERTEX, 4, 28),
-            (chromatic_index, CORE4_SLOW, 13, 182),
+            (padded_host_route, CORE4_SLOW, 13, 182),
             (total_chromatic_number, gen_fat_cycle(5, 3), 8, 148),
         ],
         ids=["petersen-less-vertex", "core4-slow", "total-fat-c5-m3"],
     )
     def test_node_meter_is_exact(self, oracle, graph, k, nodes):
         # Petersen less a vertex: the class search refutes k = 3 and the
-        # edge search colors at 4; the padded core's host backtracks hard;
+        # edge search colors at 4; the host of the padded core, padding
+        # and all, backtracks hard;
         # the total oracle refutes 7 colors on fat C5 and colors at 8, so
         # its count runs on across the climb
         assert exact_meter(oracle, graph, 20, nodes).k == k
@@ -430,13 +486,18 @@ class TestChromaticIndex:
             return hit
 
         monkeypatch.setattr(oracles, "_walk_odd_sets", counted)
-        cert = chromatic_index(g)
+        # the host of G itself, padding and all; chromatic_index now peels
+        # the padding and colors the host of the 4-vertex core
+        cert = padded_host_route(g, RunConfig())
         k = 13
         host_m = k * (9 - 1) // 2
-        # the walks after the density walk of G run on a class boundary's
-        # uncolored rest (fewer edges, threshold k - c); the first cut
-        # comes after c = 10 classes of four edges
-        cuts = [w for w in walks[1:] if w[2]]
+        # the walks of G (density, then the embedding's premise) stop at no
+        # set; the walks that do run on a class boundary's uncolored rest
+        # (fewer edges, threshold k - c); the first cut comes after c = 10
+        # classes of four edges
+        assert [w[2] for w in walks[:2]] == [False, False]
+        assert walks[0][0] == walks[1][0] == g.m
+        cuts = [w for w in walks[2:] if w[2]]
         assert cuts[0] == (host_m - 10 * 4, k - 10, True)
         assert cert.k == k == math.ceil(brute_density(g)[0])
         assert cert.search_nodes == 182
@@ -963,11 +1024,23 @@ class TestEveryColoringIsChecked:
             chromatic_index(T2)
         assert info.value.certificate == serialize(T2)
 
+    def test_clashing_host_coloring_of_a_core_raises(self, monkeypatch):
+        # T2 beside an isolated vertex peels to T2, whose host is itself:
+        # the extension of the host's coloring meets the clash
+        def clashing(graph, k, spent, limit):
+            return [1] * graph.m, spent
+
+        monkeypatch.setattr(oracles, "_dense_class_search", clashing)
+        with pytest.raises(GuaranteeViolationError) as info:
+            chromatic_index(Multigraph(4, T2.edges))
+        assert info.value.certificate == serialize(T2)
+
     def test_search_records_no_clashing_total_coloring(self, monkeypatch):
-        # chi' = 9 < n + 1 = 10, so the total oracle settles chi'' over
+        # the density cap of 8 keeps the walk of G, and so the host route,
+        # off this 9-vertex graph, so the total oracle settles chi'' over
         # n + m = 18 elements; the chi' search over 9 stays intact
         g = Multigraph(9, gen_fat_cycle(3, 3).edges)
         clash_every_coloring(monkeypatch, elements=g.n + g.m)
         with pytest.raises(GuaranteeViolationError) as info:
-            search_goldberg([("t3", g)])
+            search_goldberg([("t3", g)], RunConfig(density_max_n=8))
         assert info.value.certificate == serialize(g)

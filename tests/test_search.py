@@ -10,6 +10,7 @@ import densecolor
 from densecolor import (
     GuaranteeViolationError,
     Multigraph,
+    RunConfig,
     cycle,
     gen_fat_cycle,
     search_goldberg,
@@ -19,6 +20,11 @@ import densecolor.search as search_mod
 
 # the package's ``totalize`` function shadows the module of that name
 totalize_mod = importlib.import_module("densecolor.totalize")
+
+# the octahedron K(2,2,2) on vertices 3..8, its parts {3, 4}, {5, 6}, {7, 8}
+OCTAHEDRON = tuple(
+    (u, v) for u in range(3, 9) for v in range(u + 1, 9) if (u - 3) // 2 != (v - 3) // 2
+)
 
 
 class TestFatCycleCorpus:
@@ -84,15 +90,30 @@ class TestStatuses:
         assert rec.chi_total == rec.chi_prime == 15
 
     def test_large_instance_outside_pipeline_is_skipped(self):
-        # fat triangle (mult 5) plus 12 isolated vertices: chi' = 15 clears
-        # Delta + 3 = 13 but not n + 1 = 16, and n + m = 30 is past the
-        # oracle cap, so the instance is skipped with a reason
+        # fat triangle (mult 3) beside the octahedron K(2,2,2) on vertices
+        # 3..8: every degree is above chi' - Delta = 3, so nothing peels;
+        # chi' = 9 clears Delta + 3 = 9 but not n + 1 = 10, and
+        # n + m = 30 is past the oracle cap, so the instance is skipped
+        # with a reason
+        g = Multigraph(9, gen_fat_cycle(3, 3).edges + OCTAHEDRON)
+        outcome = search_goldberg([("t3-octahedron", g)])
+        rec = outcome.records[0]
+        assert (rec.n, rec.m, rec.chi_prime) == (9, 21, 9)
+        assert rec.status == "skipped"
+        assert rec.method == "totalize"
+        assert rec.detail.startswith(
+            "too large for the total oracle and hypothesis not met"
+        )
+
+    def test_padded_instance_holds_by_its_core(self):
+        # fat triangle (mult 5) plus 12 isolated vertices: chi' = 15 is
+        # below n + 1 = 16, but the isolated vertices peel, and the
+        # triangle's host settles chi'' = chi' (it was skipped before)
         g = Multigraph(15, gen_fat_cycle(3, 5).edges)
         outcome = search_goldberg([("t5-12k1", g)])
         rec = outcome.records[0]
-        assert rec.status == "skipped"
-        assert rec.method == "totalize"
-        assert "hypothesis" in (rec.detail or "")
+        assert (rec.status, rec.method) == ("holds", "totalize")
+        assert rec.chi_total == rec.chi_prime == 15
 
 
 class TestViolationPlumbing:
@@ -106,10 +127,10 @@ class TestViolationPlumbing:
             return dataclasses.replace(cert, k=cert.k + 1)
 
         monkeypatch.setattr(search_mod, "total_chromatic_number", doctored)
-        # six isolated vertices put chi' = 9 below n + 1 = 10, outside the
-        # host route, so the oracle settles chi'' (n + m = 18)
+        # the density cap of 8 keeps this 9-vertex graph off the host
+        # route, so the oracle settles chi'' (n + m = 18)
         g = Multigraph(9, gen_fat_cycle(3, 3).edges)
-        outcome = search_goldberg([("t3", g)])
+        outcome = search_goldberg([("t3", g)], RunConfig(density_max_n=8))
         rec = outcome.records[0]
         assert rec.status == "violation"
         assert rec.method == "total-oracle"

@@ -1,6 +1,11 @@
 import importlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +23,9 @@ from densecolor import (
     corollary_inequality,
     cycle,
     density,
+    embed_k_dense,
     extend_to_total,
+    find_k_edge_coloring,
     fixture,
     gen_fat_cycle,
     is_k_dense,
@@ -50,6 +57,16 @@ C5 = cycle(5)
 def multi_core(n, counts):
     """n vertices holding a core given by its pair multiplicities."""
     return Multigraph(n, tuple(p for p, c in counts.items() for _ in range(c)))
+
+
+def clique(lo, hi):
+    """The edges of the complete graph on vertices lo..hi-1."""
+    return tuple((u, v) for u in range(lo, hi) for v in range(u + 1, hi))
+
+
+# L = 13 = Delta + 2 and n = 4: every degree is above L - Delta = 2, so
+# nothing peels, and the host adds a parity vertex
+CORE4 = multi_core(4, {(0, 1): 5, (0, 2): 1, (0, 3): 5, (1, 2): 2, (1, 3): 3, (2, 3): 2})
 
 
 class TestExtend:
@@ -164,12 +181,16 @@ class TestRestrict:
         assert restrict_total(T2, psi, T2) == psi
 
     def test_pipeline_restriction(self):
-        g = fixture("t2-2k1")
-        cert = totalize(g)
-        psi = restrict_total(cert.g_prime, extend_to_total(cert.g_prime, cert.g_prime_coloring, 6), g)
-        assert is_proper_total_coloring(g, psi)
+        # CORE4 has nothing to peel, so the pipeline's host is its own: a
+        # parity vertex and eight added edges
+        cert = totalize(CORE4)
+        assert (cert.g_prime.n, cert.pipeline.peeled) == (5, ())
+        psi = restrict_total(
+            cert.g_prime, extend_to_total(cert.g_prime, cert.g_prime_coloring, 13), CORE4
+        )
+        assert is_proper_total_coloring(CORE4, psi)
         # original edge ids keep their colors
-        assert psi.edge_colors == cert.g_prime_coloring.colors[: g.m]
+        assert psi.edge_colors == cert.g_prime_coloring.colors[: CORE4.m]
 
     def test_restrict_to_empty_graph(self):
         phi = chromatic_index(T2).witness
@@ -215,37 +236,56 @@ class TestTotalize:
         assert brute_total_chromatic(g) == 6
 
     def test_host_finished_by_exchange_move(self):
+        # G's own host stalls in greedy and is finished by one exchange
+        # move; its coloring extends and restricts as the pipeline's does.
+        # totalize peels the isolated pair and embeds T2, with no move (no
+        # seeded input without a vertex to peel has needed one)
         g = fixture("2k1-t2")
+        g_prime, report = embed_k_dense(g, 6)
+        assert len(report.exchange_moves) == 1
+        phi = find_k_edge_coloring(g_prime, 6)
+        psi = restrict_total(g_prime, extend_to_total(g_prime, phi, 6), g)
+        assert is_proper_total_coloring(g, psi)
         cert = totalize(g)
         assert cert.k == 6
         assert is_proper_total_coloring(g, cert.coloring)
-        assert len(cert.pipeline.embedding.exchange_moves) == 1
+        assert cert.pipeline.peeled == (0, 1)
+        assert cert.pipeline.embedding.exchange_moves == ()
 
     def test_vertex_colors_come_from_host_missing_sets(self):
-        g = fixture("t2-k1")
-        cert = totalize(g)
-        for v in range(g.n):
+        # CORE4's host adds a parity vertex; G's vertices keep the colors
+        # they miss in the host's coloring
+        cert = totalize(CORE4)
+        assert cert.pipeline.embedding.parity_vertex_added
+        for v in range(CORE4.n):
             assert cert.coloring.vertex_colors[v] in missing_colors(
                 cert.g_prime, cert.g_prime_coloring, v
             )
 
     def test_host_beyond_oracle_cap(self):
         # the 48-edge host exceeds the exact oracle cap, but a found
-        # k-coloring plus monotonicity from the input still pins chi'(G) = k
-        g = Multigraph(9, gen_fat_cycle(3, 4).edges)
+        # k-coloring plus monotonicity from the input still pins chi'(G) = k;
+        # fat C3 (mult 4) beside K6, whose degrees 5 > k - Delta = 4 keep
+        # every vertex in the core
+        g = Multigraph(9, gen_fat_cycle(3, 4).edges + clique(3, 9))
         cert = totalize(g)
         assert cert.k == 12
-        assert cert.g_prime.m > CHI_INDEX_MAX_EDGES
+        assert cert.pipeline.peeled == ()
+        assert cert.g_prime.m == 48 > CHI_INDEX_MAX_EDGES
         assert is_k_dense(cert.g_prime, range(cert.g_prime.n), 12)
         assert is_proper_edge_coloring(cert.g_prime, cert.g_prime_coloring)
         assert is_proper_total_coloring(g, cert.coloring)
 
     def test_heavy_parallel_core_beyond_cap(self):
-        # chi' = 19 host with 57 edges and huge parallel classes
-        g = Multigraph(6, ((0, 1),) * 7 + ((0, 2),) * 7 + ((1, 2),) * 5)
+        # chi' = 19 host with 76 edges and huge parallel classes: the heavy
+        # triangle beside K6 plus a perfect matching, whose degrees
+        # 6 > k - Delta = 5 keep every vertex in the core
+        heavy = ((0, 1),) * 7 + ((0, 2),) * 7 + ((1, 2),) * 5
+        g = Multigraph(9, heavy + clique(3, 9) + ((3, 4), (5, 6), (7, 8)))
         cert = totalize(g)
         assert cert.k == 19
-        assert cert.g_prime.m > CHI_INDEX_MAX_EDGES
+        assert cert.pipeline.peeled == ()
+        assert cert.g_prime.m == 76 > CHI_INDEX_MAX_EDGES
         assert is_k_dense(cert.g_prime, range(cert.g_prime.n), 19)
         assert is_proper_total_coloring(g, cert.coloring)
 
@@ -378,10 +418,10 @@ class TestTotalize:
         if saturated:
             assert events[walks] == "saturate"
 
-    def test_each_coloring_checked_once(self, monkeypatch):
-        # G's chi' witness in chromatic_index, the host coloring in the
-        # extension pass, G's total coloring in restrict_total
-        g = Multigraph(9, gen_fat_cycle(3, 4).edges)
+    @staticmethod
+    def count_checks(monkeypatch, g):
+        """totalize(g), with the graphs of its properness checks (and
+        whether each was of a total coloring) and of its extensions."""
         checks = []
         clash_free = coloring_mod._clash_free
 
@@ -398,8 +438,24 @@ class TestTotalize:
             return extend(graph, phi, k)
 
         monkeypatch.setattr(totalize_mod, "extend_to_total", counted_extend)
-        cert = totalize(g)
+        return totalize(g), checks, extended
+
+    def test_each_coloring_checked_once(self, monkeypatch):
+        # nothing to peel: G's chi' witness in chromatic_index, the host
+        # coloring in the extension pass, G's total coloring in
+        # restrict_total
+        g = gen_fat_cycle(5, 5)
+        cert, checks, extended = self.count_checks(monkeypatch, g)
         assert checks == [(g, False), (g, True)]
+        assert extended == [cert.g_prime]
+
+    def test_each_coloring_checked_once_when_peeled(self, monkeypatch):
+        # the host coloring in the extension pass, then G's total coloring,
+        # with the peeled vertices back, in chromatic_index; its edge part
+        # is the chi' witness, and totalize takes it as it is
+        g = Multigraph(9, gen_fat_cycle(3, 4).edges)
+        cert, checks, extended = self.count_checks(monkeypatch, g)
+        assert checks == [(g, True)]
         assert extended == [cert.g_prime]
 
     def test_matches_exhaustive_total_oracle(self):
@@ -410,6 +466,108 @@ class TestTotalize:
         # against the element-coloring search instead
         g = fixture("fat-c3-m3")
         assert totalize(g).k == total_chromatic_number(g).k == 9
+
+
+def padded_cores(seed, count):
+    """Seeded multigraphs: a 3-, 4- or 5-vertex core with every pair
+    present (multiplicity up to 4, 3 or 2), up to two isolated vertices
+    and up to two pendant vertices, each joined to a vertex before it, on
+    shuffled labels."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        c = rng.choice((3, 3, 4, 5))
+        top = {3: 4, 4: 3, 5: 2}[c]
+        pairs = [(u, v) for u in range(c) for v in range(u + 1, c)]
+        edges = [p for p in pairs for _ in range(rng.randint(1, top))]
+        n = c + rng.randint(0, 2)
+        for _ in range(rng.randint(0, 2)):
+            edges.append((n, rng.randrange(n)))
+            n += 1
+        label = list(range(n))
+        rng.shuffle(label)
+        out.append(Multigraph(n, tuple((label[u], label[v]) for u, v in edges)))
+    return out
+
+
+# fat C3 with mu = 4 beside a 9-vertex path on vertices 3..11: n = 12 and
+# chi' = L = 12, so G itself misses the hypothesis, but the path peels
+PENDANT_PATH = Multigraph(
+    12, gen_fat_cycle(3, 4).edges + tuple((v, v + 1) for v in range(3, 11))
+)
+
+
+def best_time(call, *args, runs=3):
+    """The least wall time of ``runs`` calls, and the last call's result."""
+    best = math.inf
+    for _ in range(runs):
+        start = time.perf_counter()
+        out = call(*args)
+        best = min(best, time.perf_counter() - start)
+    return best, out
+
+
+class TestPeeling:
+    def test_reduced_route_matches_the_exact_oracles(self):
+        # every graph the host route certifies after peeling has the
+        # total chromatic number k = chi' of its certificate: checked by
+        # the total oracle at n + m <= 24 and by brute force at n <= 4
+        reduced = oracle_checked = brute_checked = 0
+        for g in padded_cores(3, 1000):
+            chi = chromatic_index(g)
+            if not chi.peeled:
+                continue
+            reduced += 1
+            assert chi.host is not None
+            assert is_proper_total_coloring(g, chi.total)
+            assert is_proper_edge_coloring(g, chi.witness)
+            cert = totalize(g)
+            assert cert.k == chi.k == chi.total.k
+            assert cert.coloring == chi.total
+            assert cert.pipeline.peeled == chi.peeled
+            assert cert.pipeline.hypothesis_n_plus_1 == cert.g_prime.n + 1 - (
+                cert.pipeline.embedding.parity_vertex_added
+            )
+            if g.n + g.m <= 24:
+                oracle_checked += 1
+                assert total_chromatic_number(g).k == chi.k
+            if g.n <= 4:
+                brute_checked += 1
+                assert brute_total_chromatic(g) == chi.k
+        assert reduced >= 130
+        assert oracle_checked >= 125
+        assert brute_checked >= 30
+
+    def test_pendant_path_certifies_fast(self):
+        # the k-loop settles chi' = 12 < n + 1 = 13 here, and G had no host
+        elapsed, cert = best_time(totalize, PENDANT_PATH)
+        assert elapsed < 0.010
+        assert cert.k == 12
+        assert cert.pipeline.peeled == tuple(range(3, 12))
+        assert cert.pipeline.hypothesis_n_plus_1 == 4
+        assert cert.g_prime == gen_fat_cycle(3, 4)
+        assert is_proper_total_coloring(PENDANT_PATH, cert.coloring)
+
+    def test_peel_order_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # fat C3 (mu = 4, cap L - Delta = 4) beside K6 less the edge 7-8 on
+        # vertices 3..8: 7 and 8 are at the cap, and 7 goes first; then
+        # 3..6 fall to the cap and go in index order before 8
+        path = tmp_path / "g.mg"
+        graph = Multigraph(9, gen_fat_cycle(3, 4).edges + clique(3, 9)[:-1])
+        path.write_text(serialize(graph))
+        outputs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "densecolor", "totalize", "--format", "json",
+                 str(path)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["pipeline"]["peeled"] == [7, 3, 4, 5, 6, 8]
 
 
 class TestCorollary:
