@@ -107,40 +107,6 @@ e(a, R) + e(b, R) + c(a, b) <= d(a) + d(b) - c(a, b).  So:
   and the tight triangles are the new block.  Only when it is not does
   the walk run (``_settled_block`` decides these rules).
 
-Repeated rounds.  Padding makes greedy add one matching level after
-level: the isolated vertices pair up at sum 0, the same pairs again at
-sum 2, and so on.  Say every pick of the sweep at sum 2d joined two
-vertices of degree d, U is the set of their ends, every vertex of U is an
-atom of its own, and the host is not yet k-dense.  Let t >= 1 be at most
-k + c(u, v) - 2d - 3 for every pick uv, with c(u, v) its count now, and
-let every vertex outside U below degree k - 1 have degree above d + t
-(none is below d: with u in U it would make an addable pair of sum below
-2d, which the sweep has passed).  Then for j = 1..t, by induction on j,
-U is at degree d + j, the vertices of degree d + j are U's, and U's
-vertices are still atoms of their own:
-
-- at sum 2(d + j) - 1 nothing is picked: a pair inside U sums to
-  2(d + j), one end in U needs the other at d + j - 1, and two vertices
-  outside U sum above 2(d + t);
-- at sum 2(d + j) only pairs inside U are left, by the same count, and
-  each u in U in ascending order takes the least unmatched vertex of U
-  above it.  That pairs U's vertices in consecutive order, as the sweep at
-  sum 2d did (a degree-d vertex left over would be outside U at degree
-  d), so it picks the same pairs in the same order;
-- the j-th copy of a pick uv has over = 2(d + 1 + j) - c(u, v) - j - k,
-  negative as j <= t, so ``grow`` only counts it and no block forms.
-
-Over < 0 also bounds the rounds.  As c(u, v) <= d + 1, t <= k - 2 - d: U
-is below k - 1 at each of these sums, the last of them at most 2k - 4,
-where the sweep stops.  And each copy leaves f(M) <= f(R) + 2 over < 0 on
-every odd M holding its ends, the whole vertex set among them, so the
-host stays short of k(n - 1)/2 edges: round by round, no copy would be
-the last edge, which skips ``grow``.  ``_repeats`` finds the greatest
-such t, and ``_saturate`` appends the picks t more times, counts each
-pair once with ``_Contracted.add``, raises U's degrees by t and goes on
-at sum 2(d + t) + 1: the same edges in the same order, and the same
-blocks and pair counts, as the sweep round by round.
-
 ``_Contracted.grow`` is that upkeep for one added edge, and one
 ``_Contracted`` holds the blocks for the whole embedding.  When greedy
 stalls they are the stuck host's maximal tight sets, and
@@ -350,13 +316,6 @@ def _saturate(host: Multigraph, k: int, con: _Contracted) -> list[tuple[int, int
     there.  ``todo`` holds the vertices whose degree d leaves a partner
     degree level - d below k - 1 that some vertex has; a matched vertex
     leaves it, as every pair of this sum holding it is dead.
-
-    An even level whose picks ``_repeats`` shows to come back at the next
-    even levels is added that many more times in one step, each pair
-    counted once with ``con.add``: the copies that ``grow`` would only
-    count.  So fat C3 with mu = 8 padded to n = 13 (k = 24), fat C5 with
-    mu = 7 at n = 15 (k = 18) and fat C3 with mu = 13 at n = 19 (k = 39)
-    call ``grow`` 44, 25 and 111 times for 120, 91 and 312 added edges.
     """
     deg = list(host.degrees)
     missing = k * (host.n - 1) // 2 - host.m
@@ -371,7 +330,6 @@ def _saturate(host: Multigraph, k: int, con: _Contracted) -> list[tuple[int, int
         level = max(level + 1, first + second)
         if level > 2 * k - 4:
             break
-        start = len(added)
         live = set(deg) - {k - 1}
         todo = 0  # the vertices that may start a pair at this level
         for d in live:
@@ -394,41 +352,7 @@ def _saturate(host: Multigraph, k: int, con: _Contracted) -> list[tuple[int, int
             if len(added) == missing:
                 break
             con.grow(u, v, k)
-        if level % 2 or len(added) in (start, missing):
-            continue
-        picks = added[start:]
-        rounds = _repeats(picks, level // 2, deg, k, con)
-        if rounds:
-            added += picks * rounds
-            for u, v in picks:
-                con.add(u, v, rounds)
-                deg[u] += rounds
-                deg[v] += rounds
-            # the picked vertices are the only ones at degree level / 2 + 1
-            top = level // 2 + 1
-            by_deg[top + rounds] |= by_deg[top]
-            by_deg[top] = 0
-            level += 2 * rounds
     return added
-
-
-def _repeats(
-    picks: list[tuple[int, int]], d: int, deg: list[int], k: int, con: _Contracted
-) -> int:
-    """How many more rounds of ``picks``, the picks of level 2d with
-    ``deg`` already raised by them, the sweep would take at levels
-    2d + 2, 2d + 4, ... before anything else; 0 when it takes none (see
-    the module docstring)."""
-    for u, v in picks:
-        if deg[u] != d + 1 or con.members[u] != 1 << u or con.members[v] != 1 << v:
-            return 0
-    # each pair's last copy keeps over < 0 in ``_Contracted.grow``
-    rounds = k - 2 * d - 3 + min(con.adjacency_counts[u][v] for u, v in picks)
-    matched = sum(1 << u | 1 << v for u, v in picks)
-    for w, x in enumerate(deg):
-        if x < k - 1 and not matched >> w & 1:
-            rounds = min(rounds, x - d - 1)
-    return max(rounds, 0)
 
 
 def _settled_block(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -112,12 +112,12 @@ class ChromaticCertificate:
     number), ``density`` (k equals the density ceiling), or ``exhaustion``
     (the k-1 search ran to completion without a coloring).  On the host
     route of :func:`chromatic_index`, ``host`` is the k-dense host, with
-    its coloring, of G's core: G itself when ``peeled`` is empty, and the
-    host's coloring restricted to G is the witness.  Else ``peeled`` lists
-    the vertices of G taken off before embedding, in peel order, and
-    ``total`` is the total k-coloring of G that the route built from the
-    host; the witness is its edge part.  Off the host route ``host`` and
-    ``total`` are None.  The three stay out of the document.
+    its coloring, of G's core, which is G itself when ``peeled`` is empty;
+    ``peeled`` lists the vertices of G taken off before embedding, in peel
+    order; and ``total`` is the checked total k-coloring of G that the
+    route built from the host, whose edge part is the witness.  Off the
+    host route ``host`` and ``total`` are None.  The three stay out of the
+    document.
     """
 
     quantity: str
@@ -470,15 +470,17 @@ def _peel(graph: Multigraph, k: int) -> tuple[int, ...]:
 def _add_back(
     graph: Multigraph,
     peeled: tuple[int, ...],
-    core_ids: tuple[int, ...],
-    core_edge_ids: tuple[int, ...],
+    core_ids: Sequence[int],
+    core_edge_ids: Sequence[int],
     host: DenseHost,
 ) -> TotalColoring:
     """A total k-coloring of G: the host's coloring extended to a total one
     and restricted to the core, whose vertex ``i`` is G's ``core_ids[i]``
     and edge ``j`` G's ``core_edge_ids[j]`` (a prefix of the host's ids),
     with the peeled vertices added back greedily in reverse peel order (see
-    ``chromatic_index``).  Each added vertex takes, edge by edge, the
+    ``chromatic_index``).  With nothing peeled the core is G, the maps are
+    ``range(n)`` and ``range(m)``, and this is the host's total coloring
+    restricted to G.  Each added vertex takes, edge by edge, the
     smallest color free at both ends of its edges to the vertices already
     back, then the smallest color free of those edges and of its
     neighbours back.  An improper host coloring fails the extension's own
@@ -493,30 +495,31 @@ def _add_back(
             "solver produced an improper coloring; this is a bug",
             certificate=serialize(host.g_prime),
         ) from None
-    edges = graph.edges
+    edges, incidence = graph.edges, graph.incidence
     vertex = [0] * graph.n  # 0 until the vertex is back
-    edge = [0] * graph.m
-    present = [1] * graph.n  # bit c: color c is at the vertex's edges; bit 0 bars 0
+    edge = [0] * graph.m  # 0 until the edge is colored
     for v, c in zip(core_ids, core.vertex_colors):
         vertex[v] = c
     for e, c in zip(core_edge_ids, core.edge_colors):
         edge[e] = c
-        u, v = edges[e]
-        present[u] |= 1 << c
-        present[v] |= 1 << c
+
+    def present(x: int) -> int:
+        """Bit c: color c is at x's edges; bit 0, no color, is never free."""
+        mask = 1
+        for e in incidence[x]:
+            mask |= 1 << edge[e]
+        return mask
+
     for v in reversed(peeled):
         near = 0  # the colors of v's neighbours that are back
-        for e in graph.incidence[v]:
+        for e in incidence[v]:
             u, w = edges[e]
             w = u if w == v else w
             if vertex[w]:
-                seen = present[v] | present[w] | 1 << vertex[w]
-                bit = ~seen & (seen + 1)  # the lowest free color
-                edge[e] = bit.bit_length() - 1
-                present[v] |= bit
-                present[w] |= bit
+                seen = present(v) | present(w) | 1 << vertex[w]
+                edge[e] = (~seen & (seen + 1)).bit_length() - 1  # the lowest free color
                 near |= 1 << vertex[w]
-        seen = present[v] | near
+        seen = present(v) | near
         vertex[v] = (~seen & (seen + 1)).bit_length() - 1
     return TotalColoring(k, tuple(edge), tuple(vertex))
 
@@ -536,12 +539,14 @@ def chromatic_index(
     finds one.  The host route settles chi' = k = L when k >= Delta+2,
     G's core C (below) has |C| + 1 <= k, and the host's density checks fit
     under density_max_n (all three decided by ``_no_host_reason``): C
-    embeds into a k-dense host, and the host's k-edge-coloring restricted
-    to C, with the peeled vertices added back, attains the bound.  The
-    walk has proved density <= k and found G's tight sets, the blocks that
-    saturation starts from, so the embedding walks no more.  The
-    certificate keeps that host and its coloring (``host``), so callers
-    that extend the host coloring next do not embed or color again.
+    embeds into a k-dense host, and the host's k-edge-coloring, extended
+    to a total one, restricted to C and with the peeled vertices added
+    back, is a total k-coloring of G whose edge part attains the bound.
+    The walk has proved density <= k and found G's tight sets, the blocks
+    that saturation starts from, so the embedding walks no more.  The
+    certificate keeps that host with its coloring (``host``) and the
+    checked total coloring of G (``total``), so ``totalize`` neither
+    embeds nor colors again, and the route makes one coloring check.
     Every other graph within ``CHI_INDEX_MAX_EDGES`` is searched from L
     upwards; when the returned k exceeds both bounds, infeasibility of k-1
     was certified by an exhausted backtracking run.
@@ -567,8 +572,9 @@ def chromatic_index(
     |S| >= 3, a contradiction.  So the densest set lies in C, C's L is k
     too, and G's tight sets are C's, which the walk of G has found: C is
     not walked again.  Peeling costs one comparison when there is nothing
-    to peel (every degree above k - Delta); then C is G and the route
-    runs no peel state at all.
+    to peel (every degree above k - Delta); then C is G, ``_peel`` does
+    not run, and ``_add_back`` only restricts the host's total coloring
+    to G.
     """
     if graph.m == 0:
         return ChromaticCertificate(
@@ -579,6 +585,7 @@ def chromatic_index(
     if graph.n <= config.density_max_n:
         lower, tight = _density_ceiling(graph, delta) or (delta, [])
         core, peeled = graph, ()
+        core_ids, core_edge_ids = range(graph.n), range(graph.m)
         if lower >= delta + 2 and min(graph.degrees) <= lower - delta:
             peeled = _peel(graph, lower)
             core, core_ids, core_edge_ids = graph.induced_subgraph(
@@ -598,13 +605,6 @@ def chromatic_index(
                     certificate=serialize(g_prime),
                 )
             host = DenseHost(g_prime, report, EdgeColoring(lower, tuple(colors)))
-            if not peeled:
-                witness = _checked(
-                    graph, EdgeColoring(lower, host.coloring.colors[: graph.m])
-                )
-                return ChromaticCertificate(
-                    "chromatic-index", lower, witness, "density", spent, host
-                )
             total = _checked(
                 graph, _add_back(graph, peeled, core_ids, core_edge_ids, host)
             )

@@ -2,13 +2,12 @@
 
 Scans a corpus of instances for graphs with chi' >= Delta + 3 and checks
 whether the total chromatic number collapses to chi'.  When
-``chromatic_index`` settled chi' on its host route, the certificate's host
-coloring is extended and restricted to a total chi'-coloring, or, when the
-route peeled G, its total coloring of G is taken (method ``totalize``): no
-second embedding and no total-coloring search.  Any
-other in-hypothesis instance goes to the exhaustive total-coloring oracle
-once the pipeline has said why it has no host, and is skipped, with that
-reason, when the oracle refuses it as too large.  Any violation would be
+``chromatic_index`` settled chi' on its host route, the certificate's
+total chi'-coloring of G settles it (method ``totalize``): no second
+embedding and no total-coloring search.  Any other in-hypothesis instance
+goes to the exhaustive total-coloring oracle once the pipeline has said
+why it has no host, and is skipped, with that reason, when the oracle
+refuses it as too large.  Any violation would be
 emitted as a counterexample certificate carrying the graph and both
 exact certificates, whose witnesses the oracles that made them have
 checked, so the harness checks none again; a ``GuaranteeViolationError``

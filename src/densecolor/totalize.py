@@ -4,19 +4,20 @@ The pipeline settles k = chi'(G), checks the hypothesis
 k >= max(Delta+2, n+1), embeds G into a k-dense supergraph G', k-edge-colors
 G', extends that coloring to a total k-coloring by giving each vertex its
 smallest missing color (the k-dense structure makes the missing sets
-pairwise disjoint), and restricts back to G.  The extension and the
-restriction verify their output, so the result witnesses
+pairwise disjoint), and restricts back to G, so the result witnesses
 chi''(G) = chi'(G) = k.
 
-chi'(G) comes from ``chromatic_index``, the one producer of the hosts
-the pipeline extends.  Its host route first peels G: vertices of degree
-at most k - Delta come off, k = L = max(Delta, ceil(rho)), and what is
-left is G's core C (G itself when nothing peels).  It embeds C at L
-whenever L meets the hypothesis on C, k >= max(Delta+2, |C|+1), and the
-certificate keeps that host and its coloring.  With nothing peeled the
-pipeline extends and restricts them; else the route has already extended
-them, added the peeled vertices back greedily and checked the total
-coloring of G, which the pipeline takes as it is.  So the pipeline needs
+All four steps run inside ``chromatic_index``, the one producer of the
+hosts and of the total colorings the pipeline returns.  Its host route
+first peels G: vertices of degree at most k - Delta come off,
+k = L = max(Delta, ceil(rho)), and what is left is G's core C (G itself
+when nothing peels).  It embeds C at L whenever L meets the hypothesis on
+C, k >= max(Delta+2, |C|+1), colors the host, extends the coloring with
+``extend_to_total``, restricts it to C, adds the peeled vertices back
+greedily and checks the total coloring of G once; the certificate keeps
+the host, its coloring and that total coloring, which the pipeline takes
+as it is.  ``restrict_total`` stays public for restricting a host's total
+coloring by hand; the pipeline does not call it.  So the pipeline needs
 |C| + 1 <= k where the theorem needs n + 1 <= k.  By Goldberg-Seymour
 chi'(G) = L whenever chi'(G) meets the hypothesis, so an input without a
 host is refused: ``HypothesisNotMetError`` carries the exact chi'(G) of
@@ -192,8 +193,8 @@ def totalize(
     """Produce a verified total chi'(G)-coloring of G via dense embedding.
 
     ``chromatic_index`` settles chi'(G) and, on its host route, returns
-    the host with its coloring, which is extended and restricted as it
-    is, so the call embeds once and colors once.
+    the host with its coloring and the checked total coloring of G built
+    from them, so the call embeds once, colors once and checks once.
 
     Raises HypothesisNotMetError when chi'(G) < max(Delta+2, n+1),
     InstanceTooLargeError when the host would pass ``density_max_n``, and
@@ -209,12 +210,11 @@ def _totalize_with(
     graph: Multigraph, chi: ChromaticCertificate, config: RunConfig
 ) -> TotalizeCertificate:
     """``totalize`` after its first step: ``chi`` settles chi'(graph), so a
-    caller that already holds it does not pay for the search twice.  Its
-    host is extended and restricted, or, when the route peeled G, its
-    total coloring of G is taken as it is.  Without a host,
-    k = chi'(graph) is checked against the hypothesis, on G's core at k,
-    and the density cap, whose errors say why no host exists; a k that
-    passes both means no host where one must exist.
+    caller that already holds it does not pay for the search twice.  On
+    the host route its total coloring of G is taken as it is.  Without a
+    host, k = chi'(graph) is checked against the hypothesis, on G's core
+    at k, and the density cap, whose errors say why no host exists; a k
+    that passes both means no host where one must exist.
     """
     k = chi.k
     host = chi.host
@@ -231,11 +231,6 @@ def _totalize_with(
             "built; this contradicts Goldberg-Seymour (or is a bug)",
             certificate=serialize(graph),
         )
-    if chi.total is not None:
-        psi = chi.total
-    else:
-        psi_prime = extend_to_total(host.g_prime, host.coloring, k)
-        psi = restrict_total(host.g_prime, psi_prime, graph)
     record = PipelineRecord(
         chi_prime=k,
         hypothesis_delta_plus_2=delta + 2,
@@ -243,7 +238,7 @@ def _totalize_with(
         embedding=host.report,
         peeled=chi.peeled,
     )
-    return TotalizeCertificate(k, psi, record, host.g_prime, host.coloring)
+    return TotalizeCertificate(k, chi.total, record, host.g_prime, host.coloring)
 
 
 def corollary_inequality(

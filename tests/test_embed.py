@@ -310,8 +310,8 @@ def hub_entry_state(rng):
     """A host on 5, 7 or 9 vertices whose padding, an even number of
     vertices, has the same number of edges to one hub, the other vertices
     joined by random addable pairs: the padding's matching repeats while
-    the triangles it makes with the hub fill up, so the repeated rounds end
-    where a triangle would turn tight, where ``over`` reaches 0."""
+    the triangles it makes with the hub fill up, so the matching repeats
+    until a triangle would turn tight, where ``over`` reaches 0."""
     n = rng.choice((5, 7, 9))
     k = rng.randint(n + 1, n + 6)
     host = Multigraph(n, ())
@@ -345,52 +345,35 @@ class TestSaturate:
             capped += k - 1 in host.degrees
         assert capped >= 30 and tight >= 20
 
-    def test_repeated_rounds_match_min_key_loop(self, monkeypatch):
+    def test_repeated_rounds_match_min_key_loop(self):
         # even padding pairs up into one matching that greedy adds level
-        # after level; the sweep adds the repeats in one step, without
-        # con.grow, and must add what the min-key loop and the sweep without
-        # the step add, and hold the same blocks and pair counts
-        grows = []
-        grow = _Contracted.grow
-
-        def counting(con, u, v, k):
-            grows.append((u, v))
-            grow(con, u, v, k)
-
-        monkeypatch.setattr(_Contracted, "grow", counting)
+        # after level, one edge at a time; the sweep must add what the
+        # min-key loop adds, and hold the same blocks and pair counts as a
+        # recount of the host
         # a 4-vertex core at n = 9 leaves one of its 5 isolated vertices over
         core4 = {(0, 1): 5, (0, 2): 1, (0, 3): 5, (1, 2): 2, (1, 3): 3, (2, 3): 2}
         edges = tuple(p for p, c in core4.items() for _ in range(c))
-        states = [(Multigraph(9, edges), 13, False)]
+        states = [(Multigraph(9, edges), 13)]
         for c, mus in ((3, range(4, 9)), (5, range(5, 8))):
             for mu in mus:
                 g = gen_fat_cycle(c, mu)
                 k = ceil(density(g).value)
                 # n = 9..15 inside the hypothesis, an even n with its parity vertex
                 for n in sorted({n + 1 - n % 2 for n in range(9, min(15, k - 1) + 1)}):
-                    states.append((Multigraph(n, g.edges), k, True))
+                    states.append((Multigraph(n, g.edges), k))
         assert len(states) == 30
         rng = random.Random(20)
-        states += [(*hub_entry_state(rng), None) for _ in range(100)]
-        fired = 0
-        for host, k, fires in states:
-            grows.clear()
+        states += [hub_entry_state(rng) for _ in range(100)]
+        for host, k in states:
             con = held_blocks(host, k)
             added = embed_mod._saturate(host, k, con)
             grown = Multigraph(host.n, host.edges + tuple(added))
-            full = 2 * grown.m == k * (grown.n - 1)
-            if full:  # the edge that makes the host k-dense skips con.grow
+            if 2 * grown.m == k * (grown.n - 1):
+                # the edge that makes the host k-dense skips con.grow
                 grown = Multigraph(host.n, host.edges + tuple(added[:-1]))
             assert vars(con) == vars(held_blocks(grown, k))
-            skip = len(grows) < len(added) - full
-            assert fires is None or skip == fires
-            fired += skip
-            with monkeypatch.context() as patch:
-                patch.setattr(embed_mod, "_repeats", lambda *args: 0)
-                assert added == embed_mod._saturate(host, k, held_blocks(host, k))
             if host.n <= 13:  # the min-key loop takes seconds at n = 15
                 assert added == brute_saturate(host, k)
-        assert fired >= 29 + 50  # 74 of the 100 hub states fire
 
     def test_reentry_after_exchange_matches_min_key_loop(self, monkeypatch):
         # embed_k_dense re-enters greedy after each exchange move, with
@@ -558,7 +541,13 @@ class TestRouteDecision:
         config = RunConfig(density_max_n=cap)
         lower = max(graph.max_degree(), ceil(density(graph, config).value))
         assert (_no_host_reason(graph, lower, config) is None) == has_host
-        assert (chromatic_index(graph, config).host is not None) == has_host
+        cert = chromatic_index(graph, config)
+        assert (cert.host is not None) == has_host
+        # every host-route certificate carries G's total coloring, whose
+        # edge part is the witness
+        assert (cert.total is not None) == has_host
+        if has_host:
+            assert cert.witness.colors == cert.total.edge_colors
 
     @pytest.mark.parametrize(
         "n,cap,peeled",
@@ -577,6 +566,7 @@ class TestRouteDecision:
         assert (cert.k, cert.peeled) == (12, peeled)
         assert cert.host.g_prime == gen_fat_cycle(3, 4)  # already 12-dense
         assert is_proper_total_coloring(graph, cert.total)
+        assert cert.witness.colors == cert.total.edge_colors
 
 
 class TestLargeHost:
@@ -604,15 +594,15 @@ class TestLargeHost:
 
     @pytest.mark.parametrize(
         "c,mu,n,k,walks,grows",
-        [(3, 8, 13, 24, 3, 44), (5, 7, 15, 18, 4, 25), (3, 13, 19, 39, 24, 111)],
+        [(3, 8, 13, 24, 3, 119), (5, 7, 15, 18, 4, 90), (3, 13, 19, 39, 24, 311)],
         ids=["fat-c3-m8-n13", "fat-c5-m7-n15", "fat-c3-m13-n19"],
     )
     def test_saturation_walks_are_few(self, monkeypatch, c, mu, n, k, walks, grows):
         # at most one walk of the contracted host per added edge, and none
         # where the degrees settle the new blocks; the premise walk of G
-        # goes through the oracles module and is not counted here.  The
-        # padding's repeated rounds skip the per-edge upkeep (120, 91 and
-        # 312 added edges)
+        # goes through the oracles module and is not counted here.  Every
+        # added edge but the last, which makes the host k-dense, goes
+        # through grow (120, 91 and 312 added edges)
         calls = []
         walk, grow = embed_mod._walk_odd_sets, _Contracted.grow
 

@@ -1015,14 +1015,19 @@ class TestEveryColoringIsChecked:
         assert info.value.certificate == serialize(C5)
 
     def test_clashing_host_coloring_raises(self, monkeypatch):
-        # the host route's witness, restricted from the host's coloring
+        # nothing to peel: the extension of the host's coloring meets the
+        # clash and raises with the host, which is T2 itself, and for fat
+        # C5 with mu = 5 is G with one edge more
         def clashing(graph, k, spent, limit):
             return [1] * graph.m, spent
 
+        c5_host, _ = embed_k_dense(gen_fat_cycle(5, 5), 13)
+        assert c5_host.m == 26
         monkeypatch.setattr(oracles, "_dense_class_search", clashing)
-        with pytest.raises(GuaranteeViolationError) as info:
-            chromatic_index(T2)
-        assert info.value.certificate == serialize(T2)
+        for graph, host in ((T2, T2), (gen_fat_cycle(5, 5), c5_host)):
+            with pytest.raises(GuaranteeViolationError) as info:
+                chromatic_index(graph)
+            assert info.value.certificate == serialize(host)
 
     def test_clashing_host_coloring_of_a_core_raises(self, monkeypatch):
         # T2 beside an isolated vertex peels to T2, whose host is itself:

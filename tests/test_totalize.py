@@ -440,22 +440,18 @@ class TestTotalize:
         monkeypatch.setattr(totalize_mod, "extend_to_total", counted_extend)
         return totalize(g), checks, extended
 
-    def test_each_coloring_checked_once(self, monkeypatch):
-        # nothing to peel: G's chi' witness in chromatic_index, the host
-        # coloring in the extension pass, G's total coloring in
-        # restrict_total
-        g = gen_fat_cycle(5, 5)
-        cert, checks, extended = self.count_checks(monkeypatch, g)
-        assert checks == [(g, False), (g, True)]
-        assert extended == [cert.g_prime]
-
-    def test_each_coloring_checked_once_when_peeled(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "graph",
+        [gen_fat_cycle(5, 5), Multigraph(9, gen_fat_cycle(3, 4).edges)],
+        ids=["nothing-to-peel", "peeled"],
+    )
+    def test_each_coloring_checked_once(self, monkeypatch, graph):
         # the host coloring in the extension pass, then G's total coloring,
-        # with the peeled vertices back, in chromatic_index; its edge part
-        # is the chi' witness, and totalize takes it as it is
-        g = Multigraph(9, gen_fat_cycle(3, 4).edges)
-        cert, checks, extended = self.count_checks(monkeypatch, g)
-        assert checks == [(g, True)]
+        # restricted from the host's and with any peeled vertices back, in
+        # chromatic_index; its edge part is the chi' witness, and totalize
+        # takes it as it is
+        cert, checks, extended = self.count_checks(monkeypatch, graph)
+        assert checks == [(graph, True)]
         assert extended == [cert.g_prime]
 
     def test_matches_exhaustive_total_oracle(self):
