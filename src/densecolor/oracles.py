@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -204,13 +204,17 @@ def _walk_odd_sets(
       without w has value at most bound - g(w) < slack, as g(w) > 0 is in
       the bound.  The children after w never add w, so the loop stops
       after w's child.
+    - Once P, the child's v and the candidates after v are fewer than
+      three vertices, the loop stops: that child and every later one walk
+      sets inside them, and a hit has at least three.
 
-    Both cuts use the threshold of the node's entry.  Being a hit depends
-    only on the ratio num/den (with slack 0 or 1, S is a hit exactly when
-    2|E(S)|/(|S| - 1) reaches, or at slack 1 passes, it), and ``on_hit``
-    only raises it; so a branch with no hit at that threshold has none
-    later.  Every cut drops only subtrees without a hit, so the hits, their
-    order and the thresholds returned are those of the walk without them.
+    The first two cuts use the threshold of the node's entry.  Being a hit
+    depends only on the ratio num/den (with slack 0 or 1, S is a hit
+    exactly when 2|E(S)|/(|S| - 1) reaches, or at slack 1 passes, it), and
+    ``on_hit`` only raises it; so a branch with no hit at that threshold
+    has none later.  Every cut drops only subtrees without a hit, so the
+    hits, their order and the thresholds returned are those of the walk
+    without them.
 
     Vertices of degree 0 are left out of the walk when the starting
     threshold is at least the maximum degree D: with gap = den * D - num,
@@ -258,7 +262,8 @@ def _walk_odd_sets(
         spare = at_den * top - at_num * (size - 1 + picked) - slack
         if spare < 0:
             return False
-        for i in range(idx, last):
+        # from i = last + size - 2 on, P, v and the later candidates are < 3
+        for i in range(idx, min(last, last + size - 2)):
             v = candidates[i]
             gain = at_den * (to_subset[v] + deg[v]) - at_num
             if gain < -spare:  # no hit holds v
@@ -470,21 +475,23 @@ def _peel(graph: Multigraph, k: int) -> tuple[int, ...]:
 def _add_back(
     graph: Multigraph,
     peeled: tuple[int, ...],
-    core_ids: Sequence[int],
-    core_edge_ids: Sequence[int],
+    core_ids: tuple[int, ...],
+    core_edge_ids: tuple[int, ...],
     host: DenseHost,
 ) -> TotalColoring:
     """A total k-coloring of G: the host's coloring extended to a total one
-    and restricted to the core, whose vertex ``i`` is G's ``core_ids[i]``
-    and edge ``j`` G's ``core_edge_ids[j]`` (a prefix of the host's ids),
-    with the peeled vertices added back greedily in reverse peel order (see
-    ``chromatic_index``).  With nothing peeled the core is G, the maps are
-    ``range(n)`` and ``range(m)``, and this is the host's total coloring
-    restricted to G.  Each added vertex takes, edge by edge, the
-    smallest color free at both ends of its edges to the vertices already
-    back, then the smallest color free of those edges and of its
-    neighbours back.  An improper host coloring fails the extension's own
-    check and raises with the host as certificate."""
+    and taken to G.  With nothing peeled, G is the core and its vertex and
+    edge ids are a prefix of the host's, so its coloring is the prefix of
+    the host's; ``core_ids`` and ``core_edge_ids`` are then ignored (the
+    caller passes them empty) and G's incidence is not read.
+    Otherwise the coloring is restricted to the core, whose vertex ``i`` is
+    G's ``core_ids[i]`` and edge ``j`` G's ``core_edge_ids[j]`` (a prefix of
+    the host's ids), and the peeled vertices are added back greedily in
+    reverse peel order (see ``chromatic_index``).  Each added vertex takes,
+    edge by edge, the smallest color free at both ends of its edges to the
+    vertices already back, then the smallest color free of those edges and
+    of its neighbours back.  An improper host coloring fails the
+    extension's own check and raises with the host as certificate."""
     from .totalize import extend_to_total  # totalize imports this module
 
     k = host.coloring.k
@@ -495,6 +502,10 @@ def _add_back(
             "solver produced an improper coloring; this is a bug",
             certificate=serialize(host.g_prime),
         ) from None
+    if not peeled:
+        return TotalColoring(
+            k, core.edge_colors[: graph.m], core.vertex_colors[: graph.n]
+        )
     edges, incidence = graph.edges, graph.incidence
     vertex = [0] * graph.n  # 0 until the vertex is back
     edge = [0] * graph.m  # 0 until the edge is colored
@@ -573,8 +584,9 @@ def chromatic_index(
     too, and G's tight sets are C's, which the walk of G has found: C is
     not walked again.  Peeling costs one comparison when there is nothing
     to peel (every degree above k - Delta); then C is G, ``_peel`` does
-    not run, and ``_add_back`` only restricts the host's total coloring
-    to G.
+    not run, and ``_add_back`` takes G's total coloring as the prefix of
+    the host's, with no copy into G-sized arrays and no read of G's
+    incidence.
     """
     if graph.m == 0:
         return ChromaticCertificate(
@@ -584,8 +596,7 @@ def chromatic_index(
     lower = delta
     if graph.n <= config.density_max_n:
         lower, tight = _density_ceiling(graph, delta) or (delta, [])
-        core, peeled = graph, ()
-        core_ids, core_edge_ids = range(graph.n), range(graph.m)
+        core, peeled, core_ids, core_edge_ids = graph, (), (), ()
         if lower >= delta + 2 and min(graph.degrees) <= lower - delta:
             peeled = _peel(graph, lower)
             core, core_ids, core_edge_ids = graph.induced_subgraph(

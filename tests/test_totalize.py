@@ -534,6 +534,44 @@ class TestPeeling:
         assert oracle_checked >= 125
         assert brute_checked >= 30
 
+    @pytest.mark.parametrize(
+        ("graph", "host_m"),
+        [(gen_fat_cycle(3, 4), 12), (gen_fat_cycle(5, 5), 26)],
+        ids=["host-is-g", "host-gains-an-edge"],
+    )
+    def test_unpeeled_total_is_the_hosts_prefix(self, graph, host_m):
+        # with nothing peeled G's ids are a prefix of the host's, so G's
+        # total coloring is the prefix of the host's extension, and G's
+        # incidence is never built
+        g = Multigraph(graph.n, graph.edges)  # no cached properties yet
+        chi = chromatic_index(g)
+        assert chi.peeled == ()
+        assert chi.host.g_prime.edges[: g.m] == g.edges
+        assert chi.host.g_prime.m == host_m
+        assert "incidence" not in g.__dict__
+        full = extend_to_total(chi.host.g_prime, chi.host.coloring, chi.k)
+        assert chi.total == TotalColoring(
+            chi.k, full.edge_colors[: g.m], full.vertex_colors[: g.n]
+        )
+        assert chi.witness.colors == chi.total.edge_colors
+
+    def test_pendant_path_on_the_core_adds_back(self):
+        # a path hung on vertex 2 of fat C3 with mu = 4 peels whole; the
+        # core keeps the host's colors, and the path's edges and vertices
+        # take the lowest free colors in reverse peel order
+        g = Multigraph(
+            12, gen_fat_cycle(3, 4).edges + tuple((v, v + 1) for v in range(2, 11))
+        )
+        chi = chromatic_index(g)
+        assert chi.peeled == tuple(range(3, 12))
+        assert "incidence" in g.__dict__
+        full = extend_to_total(chi.host.g_prime, chi.host.coloring, chi.k)
+        assert chi.total.edge_colors[:12] == full.edge_colors
+        assert chi.total.vertex_colors[:3] == full.vertex_colors
+        assert chi.total.edge_colors[12:] == (2, 1, 2, 3, 1, 2, 3, 1, 2)
+        assert chi.total.vertex_colors[3:] == (4, 3, 1, 2, 3, 1, 2, 3, 1)
+        assert is_proper_total_coloring(g, chi.total)
+
     def test_pendant_path_certifies_fast(self):
         # the k-loop settles chi' = 12 < n + 1 = 13 here, and G had no host
         elapsed, cert = best_time(totalize, PENDANT_PATH)
