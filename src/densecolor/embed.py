@@ -80,32 +80,13 @@ Every atom has degree below k (a block B sends at most
 zero rows out by its degree-0 rule, and the union of its hits does not
 depend on how the atoms are numbered.
 
-Most added edges need no walk: with degrees d and pair counts c of the
-contracted host, the new edge counted, let
-over = d(a) + d(b) - c(a, b) - k.  A new tight M leaves R = M - {a, b}, a
-union of an odd number of atoms, with
+Most added edges need no walk.  With degrees d and pair counts c of the
+contracted host, the new edge counted, a new tight M leaves
+R = M - {a, b}, a union of an odd number of atoms, with
 f(M) = f(R) + 2(e(a, R) + e(b, R) + c(a, b) - k), and
-e(a, R) + e(b, R) + c(a, b) <= d(a) + d(b) - c(a, b).  So:
-
-- over < 0: f(R) <= 0 leaves no new tight set, and nothing is done;
-- over = 0: before the edge no union of three or more atoms was tight, as
-  the blocks are the maximal tight sets, so such an R has f(R) <= -2 and
-  would need e(a, R) + e(b, R) + c(a, b) >= k + 1 > d(a) + d(b) - c(a, b).
-  Only a single atom w is left, tight with a and b exactly when
-  c(a, b) + c(a, w) + c(b, w) = k: those triangles, with a and b, are the
-  new block, found in one pass over the rows of a and b;
-- over > 0: with the gains g(w) = c(a, w) + c(b, w) + d(w) - k over the
-  atoms w != a, b, the walk's own bound gives
-  f(M) <= 2c(a, b) - k + (the sum of g over R), as an edge inside R is
-  counted at both ends among their d(w) - c(a, w) - c(b, w) other edges.
-  So nothing is done when the bound at the root, 2c(a, b) - k plus the
-  sum of max(0, g(w)), is negative, where the walk would stop before its
-  first hit.  Else, with g1 >= g2 >= ... sorted, a tight M of five or more
-  atoms has three or more in R, and the sum of g over R is at most
-  g1 + g2 + g3 plus the sum of max(0, gi) for i > 3.  When 2c(a, b) - k
-  plus that is negative, only a single atom w is left, as for over = 0,
-  and the tight triangles are the new block.  Only when it is not does
-  the walk run (``_settled_block`` decides these rules).
+e(a, R) + e(b, R) + c(a, b) <= d(a) + d(b) - c(a, b).  So when
+d(a) + d(b) - c(a, b) < k, f(R) <= 0 leaves no new tight set and no walk
+is made; otherwise the forced walk decides.
 
 ``_Contracted.grow`` is that upkeep for one added edge, and one
 ``_Contracted`` holds the blocks for the whole embedding.  When greedy
@@ -239,24 +220,21 @@ class _Contracted:
 
     def grow(self, u: int, v: int, k: int) -> None:
         """Count one more host edge uv, whose ends lie in different atoms,
-        and keep the blocks the maximal tight sets of the host with it: the
-        degrees settle most edges, and a walk of the contracted host forced
-        on the two atoms the rest (see the module docstring)."""
+        and keep the blocks the maximal tight sets of the host with it: when
+        the two atoms' degrees leave room for a new tight set, a walk of the
+        contracted host forced on them finds it (see the module docstring)."""
         self.add(u, v)
         a, b = self.atom[u], self.atom[v]
         # a new tight set needs k edges from {a, b} into it
-        over = self.degrees[a] + self.degrees[b] - self.adjacency_counts[a][b] - k
-        if over < 0:
+        if self.degrees[a] + self.degrees[b] - self.adjacency_counts[a][b] < k:
             return
-        group = _settled_block(self, a, b, k, over)
-        if group is None:
-            group = set()
+        group: set[int] = set()
 
-            def collect(subset: list[int], edges: int) -> tuple[int, int]:
-                group.update(subset)
-                return k, 1
+        def collect(subset: list[int], edges: int) -> tuple[int, int]:
+            group.update(subset)
+            return k, 1
 
-            _walk_odd_sets(self, k, 1, 0, collect, forced=(a, b))
+        _walk_odd_sets(self, k, 1, 0, collect, forced=(a, b))
         if group:
             self.merge(group)
 
@@ -353,39 +331,6 @@ def _saturate(host: Multigraph, k: int, con: _Contracted) -> list[tuple[int, int
                 break
             con.grow(u, v, k)
     return added
-
-
-def _settled_block(
-    con: _Contracted, a: int, b: int, k: int, over: int
-) -> set[int] | None:
-    """The atoms that a new edge between atoms a and b joins into a block,
-    empty when it joins none, decided in O(n) without a walk; None when
-    only the walk can tell, as a block of five or more atoms may form.
-    ``over`` = d(a) + d(b) - c(a, b) - k >= 0.  The new block is the union
-    of the tight triangles {a, b, w} when over = 0, or when over > 0 and
-    the gains of the three best atoms w rule out a larger tight set; it is
-    empty when the walk's root bound is negative.  See the module
-    docstring for the rules."""
-    row_a, row_b = con.adjacency_counts[a], con.adjacency_counts[b]
-    inner = row_a[b]
-    if over > 0:
-        gains = [p + q + d - k for p, q, d in zip(row_a, row_b, con.degrees)]
-        gains[a] = gains[b] = -k  # leave a and b out: no gain is lower
-        # the forced walk's bound at its root, where it stops when negative
-        root = 2 * inner - k + sum(g for g in gains if g > 0)
-        if root < 0:
-            return set()
-        # 2c(a, b) - k + g1 + g2 + g3 + the positive gi, i > 3: below 0,
-        # no tight set holds three atoms besides a and b
-        if root + sum(min(g, 0) for g in sorted(gains)[-3:]) >= 0:
-            return None
-    # the tight triangles {a, b, w}
-    group = {
-        w
-        for w, (p, q) in enumerate(zip(row_a, row_b))
-        if p + q == k - inner and w != a and w != b
-    }
-    return group | {a, b} if group else group
 
 
 def _find_exchange(

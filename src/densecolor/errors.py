@@ -37,6 +37,10 @@ class HypothesisNotMetError(DensecolorError):
             f"(failing bound(s): {', '.join(failed)})"
         )
 
+    def __reduce__(self):
+        # unpickling calls the class with these, not with ``args``
+        return type(self), (self.chi_prime, self.delta_plus_2, self.n_plus_1)
+
 
 class GuaranteeViolationError(DensecolorError):
     """A verified-by-construction step failed its re-check.

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -11,9 +12,13 @@ from fractions import Fraction
 import pytest
 
 from densecolor import (
+    BudgetExceededError,
+    DensecolorError,
     EdgeColoring,
+    GraphFormatError,
     GuaranteeViolationError,
     HypothesisNotMetError,
+    InstanceTooLargeError,
     Multigraph,
     RunConfig,
     TotalColoring,
@@ -227,6 +232,29 @@ class TestTotalize:
             totalize(C5)
         assert info.value.chi_prime == 3
         assert info.value.delta_plus_2 == 4
+
+    def test_every_error_round_trips_through_pickle(self):
+        # a process pool hands a worker's exception back pickled, so
+        # totalize(C5) there must raise the hypothesis error itself
+        with pytest.raises(HypothesisNotMetError) as info:
+            totalize(C5)
+        samples = [
+            DensecolorError("base"),
+            GraphFormatError("line 2: expected 'e u v'"),
+            InstanceTooLargeError("capped at m = 40, got 45"),
+            BudgetExceededError("search budget of 5 nodes exhausted"),
+            info.value,
+            GuaranteeViolationError("stalled", certificate=serialize(T2)),
+        ]
+
+        def subclasses(cls):
+            return {cls}.union(*(subclasses(sub) for sub in cls.__subclasses__()))
+
+        assert {type(exc) for exc in samples} == subclasses(DensecolorError)
+        for exc in samples:
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is type(exc)
+            assert (str(back), vars(back)) == (str(exc), vars(exc))
 
     def test_nontrivial_embedding(self):
         g = fixture("t2-2k1")
