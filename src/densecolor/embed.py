@@ -31,8 +31,11 @@ vertices, from the blocks and the degrees.
 The premise, density(G) <= k, and G's tight sets come from one walk of G,
 ``oracles._density_ceiling``.  ``chromatic_index`` makes that walk from
 Delta and passes the sets it keeps, so on its route the embedding does
-not walk G.  A direct call makes it from k - 1: None means no odd set
-reaches k, so there is no tight set; a ceiling above k breaks the
+not walk G.  A G that is k-dense on its whole vertex set, and that
+``chromatic_index`` has k-colored before any walk, is not walked at all:
+it passes G's one block, V, and as G already has k(n-1)/2 edges nothing
+is added.  A direct call makes the walk from k - 1: None means no odd
+set reaches k, so there is no tight set; a ceiling above k breaks the
 premise; else the kept sets, those of density exactly k, are the tight
 sets.  The parity vertex changes none of this: an odd S holding it has
 ratio 2|E(S')|/|S'| < k, with S' the rest of S, as every degree is below
@@ -378,8 +381,10 @@ def embed_k_dense(
     Checks k >= max(Delta + 2, n + 1) and density(graph) <= k; the caller's
     k is otherwise taken as given.  The density check is one walk of G
     (``oracles._density_ceiling``) that also finds G's tight sets.  A
-    caller that has proved density(graph) <= k passes ``tight_sets``,
-    every odd set of density exactly k, and the walk is skipped.  Steps:
+    caller that has proved density(graph) <= k passes ``tight_sets`` and
+    the walk is skipped: every odd set of density exactly k, or only the
+    maximal ones, the blocks, as saturation starts from the blocks and
+    joins overlapping sets into them.  Steps:
 
     1. If n is even, append one isolated vertex (highest index); else
        start from ``graph`` itself.

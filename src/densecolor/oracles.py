@@ -12,7 +12,11 @@ check) goes through one pruned lexicographic walk, ``_walk_odd_sets``.
 ``chromatic_index``'s host route first peels G (``_peel``): vertices of
 degree at most k - Delta come off, the core that is left is embedded and
 colored, and the peeled vertices go back into a total k-coloring greedily
-(``_add_back``).  The rule and its proof are in ``chromatic_index``.
+(``_add_back``).  A G that is k-dense on its whole vertex set, at
+k = 2m/(n-1) >= Delta, is its own density witness: it is colored at k
+first, under a small node limit, and a coloring settles chi' = k with no
+walk of G.  The rules, the fallbacks and their proofs are in
+``chromatic_index``.
 
 Every returned number comes with a machine-checkable witness, which the
 oracle that makes it checks once (``_checked``), and every
@@ -536,6 +540,10 @@ def _add_back(
 
 
 CHI_INDEX_MAX_EDGES = 40  # exhaustive chromatic-index search cap (m)
+# the nodes, per k + m + 1 (one search that never backtracks), that
+# chromatic_index's first coloring of a whole-dense G may spend before the
+# odd-set walk decides instead
+WHOLE_DENSE_TRY = 4
 
 
 def chromatic_index(
@@ -544,8 +552,9 @@ def chromatic_index(
     """Exact chromatic index with a proper witness coloring.
 
     L = max(Delta, ceil(rho)) is a lower bound.  G's odd sets are walked
-    once, from threshold Delta (``_density_ceiling``): only a density above
-    Delta moves L or the lower-bound reason, and the walk returns
+    at most once, from threshold Delta (``_density_ceiling``), and not at
+    all when G is whole-dense and colored first (below): only a density
+    above Delta moves L or the lower-bound reason, and the walk returns
     ceil(rho) with every odd set of density exactly ceil(rho) whenever it
     finds one.  The host route settles chi' = k = L when k >= Delta+2,
     G's core C (below) has |C| + 1 <= k, and the host's density checks fit
@@ -561,6 +570,28 @@ def chromatic_index(
     Every other graph within ``CHI_INDEX_MAX_EDGES`` is searched from L
     upwards; when the returned k exceeds both bounds, infeasibility of k-1
     was certified by an exhausted backtracking run.
+
+    Whole-dense G.  Let n <= density_max_n, G be k-dense on its whole
+    vertex set (odd n >= 3, 2m = k(n - 1)) at k >= Delta, and G either
+    take the host route at k or have m <= ``CHI_INDEX_MAX_EDGES``.  V is
+    an odd set of density k, so k <= L, and G is colored at k first by
+    ``_dense_class_search`` under min(node_budget, ``WHOLE_DENSE_TRY`` *
+    (k + m + 1)) nodes.  A coloring gives chi' <= k, so chi' = L = k with
+    no walk: reason ``max-degree`` when k = Delta, else ``density``.  On
+    the host route G is its own host, as ``embed_k_dense`` with the one
+    block V adds no edge, and the attempt's coloring is the host's.  Such
+    a G peels nothing at k: when k > Delta each vertex v has
+    d(v) >= k(n - 1) - Delta(n - 1) > k - Delta, as n >= 3.  Otherwise G
+    is walked as below.  When the attempt ran to the end without a
+    coloring and the walk gives L = k, the climb goes on from k + 1 with
+    the attempt's nodes, since its first step would run that search
+    again.  When the attempt ran out of its nodes, or the walk gives
+    L > k, the attempt is dropped.  The attempt is the search that the
+    host route (whose host is then G) or the climb's first step runs at
+    k, stopped earlier; so k, the reason, the witness and
+    ``search_nodes`` are those the walk alone gives, errors included.
+    A G that meets neither route condition is not tried: the walk alone
+    decides it, and the attempt's nodes would be wasted.
 
     Peeling.  With k >= Delta+2, ``_peel`` takes off, lowest index first,
     a vertex whose degree d among the vertices still left is at most
@@ -593,9 +624,29 @@ def chromatic_index(
             "chromatic-index", 0, EdgeColoring(0, ()), "max-degree", 0
         )
     delta = graph.max_degree()
-    lower = delta
+    lower, start, spent, colors, tried = delta, delta, 0, None, None
     if graph.n <= config.density_max_n:
-        lower, tight = _density_ceiling(graph, delta) or (delta, [])
+        whole = 2 * graph.m // (graph.n - 1)  # V's density, when G is whole-dense
+        if (
+            whole >= delta
+            and _is_dense_whole(graph, whole)
+            and (
+                graph.m <= CHI_INDEX_MAX_EDGES
+                or _no_host_reason(graph, whole, config) is None
+            )
+        ):
+            limit = min(config.node_budget, WHOLE_DENSE_TRY * (whole + graph.m + 1))
+            try:
+                colors, tried = _dense_class_search(graph, whole, 0, limit)
+            except BudgetExceededError:
+                pass  # out of nodes: the attempt is dropped
+        if colors is not None:  # V is G's one block, and nothing peels
+            lower, start, spent, tight = whole, whole, tried, [list(range(graph.n))]
+        else:
+            lower, tight = _density_ceiling(graph, delta) or (delta, [])
+            start = lower
+            if lower == whole and tried is not None:  # the attempt refuted L
+                start, spent = whole + 1, tried
         core, peeled, core_ids, core_edge_ids = graph, (), (), ()
         if lower >= delta + 2 and min(graph.degrees) <= lower - delta:
             peeled = _peel(graph, lower)
@@ -608,7 +659,8 @@ def chromatic_index(
             from .embed import DenseHost, embed_k_dense  # embed imports this module
 
             g_prime, report = embed_k_dense(core, lower, config, tight_sets=tight)
-            colors, spent = _color(g_prime, lower, 0, config.node_budget)
+            if colors is None:
+                colors, spent = _color(g_prime, lower, 0, config.node_budget)
             if colors is None:
                 raise GuaranteeViolationError(
                     f"no {lower}-edge-coloring of the embedded graph was found; "
@@ -634,18 +686,18 @@ def chromatic_index(
             f"chromatic-index search capped at m = {CHI_INDEX_MAX_EDGES}, "
             f"got {graph.m}"
         )
-    spent = 0
     upper = delta + graph.multiplicity()  # Vizing's bound for multigraphs
-    for k in range(lower, upper + 1):
-        assignment, spent = _color(graph, k, spent, config.node_budget)
-        if assignment is not None:
+    for k in range(start, upper + 1):
+        if colors is None:  # else the whole-dense attempt colored G at k
+            colors, spent = _color(graph, k, spent, config.node_budget)
+        if colors is not None:
             if k == delta:
                 reason = "max-degree"
             elif k == lower:  # past Delta, lower is ceil(rho)
                 reason = "density"
             else:
                 reason = "exhaustion"
-            witness = _checked(graph, EdgeColoring(k, tuple(assignment)))
+            witness = _checked(graph, EdgeColoring(k, tuple(colors)))
             return ChromaticCertificate("chromatic-index", k, witness, reason, spent)
     raise GuaranteeViolationError(
         "no edge coloring found within Delta + multiplicity; this is a bug"

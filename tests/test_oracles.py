@@ -84,6 +84,50 @@ def planted_core_graphs(seed: int, count: int) -> tuple[Multigraph, ...]:
     return tuple(out)
 
 
+def whole_dense_graphs(seed: int, count: int) -> tuple[Multigraph, ...]:
+    """Seeded multigraphs k-dense on their whole vertex set: n in
+    {3, 5, 7, 9}, k(n-1)/2 <= 45 edges placed at random on pairs of
+    multiplicity below a cap and ends of degree below k, or k - 1 (so
+    k >= Delta, or k > Delta), redrawn when greedy placement gets stuck."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((3, 5, 7, 9))
+        k = rng.randint(2, 90 // (n - 1))
+        top, cap = k - rng.choice((0, 0, 1)), rng.choice((1, 2, 3, k))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        deg, edges = [0] * n, []
+        for _ in range(k * (n - 1) // 2):
+            free = [
+                (u, v)
+                for u, v in pairs
+                if deg[u] < top and deg[v] < top and edges.count((u, v)) < cap
+            ]
+            if not free:
+                break
+            u, v = rng.choice(free)
+            deg[u] += 1
+            deg[v] += 1
+            edges.append((u, v))
+        else:
+            rng.shuffle(edges)
+            out.append(Multigraph(n, tuple(edges)))
+    return tuple(out)
+
+
+def counted_walks(monkeypatch) -> list[Multigraph]:
+    """The graphs that ``oracles._density_ceiling`` walks from now on."""
+    walks = []
+    ceiling = oracles._density_ceiling
+
+    def counted(graph, floor):
+        walks.append(graph)
+        return ceiling(graph, floor)
+
+    monkeypatch.setattr(oracles, "_density_ceiling", counted)
+    return walks
+
+
 def with_isolated(graph: Multigraph, rng: random.Random) -> tuple[Multigraph, list[int]]:
     """``graph`` with 1-3 isolated vertices inserted at random ids, and the
     ids of the inserted vertices."""
@@ -468,6 +512,100 @@ class TestChromaticIndex:
             assert cert.lower_bound_reason == "density"
             assert is_proper_edge_coloring(g, cert.witness)
             assert cert.k == lower == brute_chromatic_index(g)
+
+    def test_whole_dense_graphs_are_colored_before_any_walk(self, monkeypatch):
+        # a G k-dense on V at k = 2m/(n-1) >= Delta, colored at k, proves
+        # chi' = L = k with no walk of G: k is the walk's L, and the witness
+        # and node count are those of the search at k.  Every certificate
+        # is the one of the walk alone (no attempt: WHOLE_DENSE_TRY = 0),
+        # where the attempt refutes k (Petersen less a vertex), runs out of
+        # nodes (the same with mu = 3) or meets L > k (some random graphs)
+        triangles = [g for g in exhaustive_small_multigraphs() if g.n == 3 and g.m]
+        fallbacks = [
+            PETERSEN_LESS_VERTEX,
+            Multigraph(9, PETERSEN_LESS_VERTEX.edges * 3),
+        ]
+
+        def settle(g):
+            try:
+                return chromatic_index(g)
+            except (InstanceTooLargeError, BudgetExceededError) as exc:
+                return type(exc), str(exc)
+
+        walks = counted_walks(monkeypatch)
+        colored = brute_checked = walked_graphs = 0
+        for g in triangles + fallbacks + list(whole_dense_graphs(30, 200)):
+            k, delta = 2 * g.m // (g.n - 1), g.max_degree()
+            walks.clear()
+            cert = settle(g)
+            walked = len(walks)
+            with monkeypatch.context() as plain:
+                plain.setattr(oracles, "WHOLE_DENSE_TRY", 0)
+                alone = settle(g)
+            if isinstance(cert, tuple):
+                assert cert == alone
+                continue
+            assert cert.to_doc() == alone.to_doc()
+            assert (cert.host is None) == (alone.host is None)
+            assert cert.total == alone.total
+            if walked:
+                assert walks[0] is g
+                walked_graphs += 1
+                continue
+            colored += 1
+            assert k >= delta
+            walk = oracles._density_ceiling(g, delta)
+            assert cert.k == (walk[0] if walk else delta) == k
+            colors, spent = oracles._color(g, k, 0, RunConfig().node_budget)
+            assert cert.witness.colors == tuple(colors)
+            assert cert.search_nodes == spent
+            if g.m <= 7:
+                brute_checked += 1
+                assert cert.k == brute_chromatic_index(g)
+        assert colored >= 200 and brute_checked >= 60 and walked_graphs >= 10
+
+    @pytest.mark.parametrize(
+        ("graph", "config", "expected"),
+        [
+            # k = 3 = Delta: the class search refutes 3 and the walk gives
+            # L = 3, so the climb goes on at 4 with the attempt's nodes
+            (PETERSEN_LESS_VERTEX, RunConfig(), (4, "exhaustion", 28, 1)),
+            # the fat triangle's L = 12 passes k = 8: the attempt is dropped
+            # and the host route at 12 peels the 4-fold pair
+            (
+                Multigraph(5, gen_fat_cycle(3, 4).edges + ((3, 4),) * 4),
+                RunConfig(),
+                (12, "density", 25, 1),
+            ),
+            # n = 5 > max_n: neither attempt nor walk, the climb from Delta
+            (
+                gen_fat_cycle(5, 4),
+                RunConfig(density_max_n=4),
+                (10, "exhaustion", 290, 0),
+            ),
+        ],
+        ids=["petersen-less-vertex", "fat-c3-m4-and-a-pair", "fat-c5-m4-past-max-n"],
+    )
+    def test_whole_dense_fallbacks_keep_their_certificates(
+        self, monkeypatch, graph, config, expected
+    ):
+        # the values are those of chromatic_index before the attempt
+        walks = counted_walks(monkeypatch)
+        cert = chromatic_index(graph, config)
+        got = (cert.k, cert.lower_bound_reason, cert.search_nodes, len(walks))
+        assert got == expected
+        assert is_proper_edge_coloring(graph, cert.witness)
+
+    def test_whole_dense_attempt_out_of_budget_walks_and_raises(self, monkeypatch):
+        # fat C5 with mu = 4 under a budget of 5: the attempt runs out and is
+        # dropped, the walk gives L = 10, and the host's coloring runs out
+        # with the same message as without the attempt
+        walks = counted_walks(monkeypatch)
+        with pytest.raises(
+            BudgetExceededError, match="^search budget of 5 nodes exhausted$"
+        ):
+            chromatic_index(gen_fat_cycle(5, 4), RunConfig(node_budget=5))
+        assert len(walks) == 1
 
     def test_density_prune_cuts_a_class_search_exactly(self, monkeypatch):
         # a four-vertex core padded to n = 9 with L = ceil(rho) = 13: the

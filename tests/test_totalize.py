@@ -409,16 +409,24 @@ class TestTotalize:
     @pytest.mark.parametrize(
         ("graph", "walks"),
         [
-            (T2, 1),
+            (T2, 0),
+            (gen_fat_cycle(5, 4), 0),
             (Multigraph(9, gen_fat_cycle(5, 5).edges), 1),
             (Multigraph(9, gen_fat_cycle(3, 4).edges), 1),
         ],
-        ids=["t2-dense", "fat-c5-m5-n9-below-k", "fat-c3-m4-n9-at-k"],
+        ids=[
+            "t2-dense",
+            "fat-c5-m4-dense",
+            "fat-c5-m5-n9-below-k",
+            "fat-c3-m4-n9-at-k",
+        ],
     )
     def test_host_route_walks_the_graph_once(self, monkeypatch, graph, walks):
         # chromatic_index's walk from Delta proves density <= k and keeps
         # G's tight sets, so the embedding walks G no more, rho == k with
-        # edges missing included; that walk comes before saturation
+        # edges missing included; that walk comes before saturation.  A
+        # whole-dense G colored at k = 2m/(n-1) is its own host and
+        # density witness, and is not walked at all
         events = []
 
         def counting(walk):
