@@ -119,7 +119,11 @@ def cmd_chi_total(args: argparse.Namespace) -> int:
 def cmd_embed(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     config = _config_from(args)
-    g_prime, report = embed_k_dense(graph, chromatic_index(graph, config).k, config)
+    cert = chromatic_index(graph, config)
+    if cert.host is not None and not cert.peeled:  # G's own host, already built
+        g_prime, report = cert.host.g_prime, cert.host.report
+    else:
+        g_prime, report = embed_k_dense(graph, cert.k, config)
     doc = {
         "graph": {"n": g_prime.n, "edges": [list(e) for e in g_prime.edges]},
         "report": report.to_doc(),

@@ -7,9 +7,10 @@ G's vertex and edge ids as a prefix.  A k-edge-coloring of G', restricted
 to G, settles chi'(G') = chi'(G) = k whenever k is a lower bound on
 chi'(G).  Only ``oracles.chromatic_index``, on its host route, embeds
 and colors, and it embeds G's core (G less the low-degree vertices it
-peels); every other embedding is a direct library call (the ``embed``
-command's among them, which embeds G itself), and the pipeline takes its
-host from that certificate.  ``embed_k_dense``
+peels); every other embedding is a direct library call, and the pipeline
+takes its host from that certificate.  The ``embed`` command prints that
+host when nothing peels, as it is then G's own, and otherwise embeds G
+itself, padding and all.  ``embed_k_dense``
 raises the error of ``oracles._no_host_reason``, the one test of the two
 preconditions (the hypothesis and the density cap) that also picks
 ``chromatic_index``'s route, and so says why an input has no host.  The
@@ -31,13 +32,13 @@ vertices, from the blocks and the degrees.
 The premise, density(G) <= k, and G's tight sets come from one walk of G,
 ``oracles._density_ceiling``.  ``chromatic_index`` makes that walk from
 Delta and passes the sets it keeps, so on its route the embedding does
-not walk G.  A G that is k-dense on its whole vertex set, and that
-``chromatic_index`` has k-colored before any walk, is not walked at all:
-it passes G's one block, V, and as G already has k(n-1)/2 edges nothing
-is added.  A direct call makes the walk from k - 1: None means no odd
-set reaches k, so there is no tight set; a ceiling above k breaks the
-premise; else the kept sets, those of density exactly k, are the tight
-sets.  The parity vertex changes none of this: an odd S holding it has
+not walk G.  A G whose vertices with edges, V', are k-dense, and whose
+G[V'] ``chromatic_index`` has k-colored before any walk, is not walked
+at all: it embeds the core G[V'], passing its one block, V', and as the
+core already has k(|V'|-1)/2 edges nothing is added.  A direct call
+makes the walk from k - 1: None means no odd set reaches k, so there is
+no tight set; a ceiling above k breaks the premise; else the kept sets,
+those of density exactly k, are the tight sets.  The parity vertex changes none of this: an odd S holding it has
 ratio 2|E(S')|/|S'| < k, with S' the rest of S, as every degree is below
 k, so it lies in no tight set.  When n is odd the embedding starts from G
 itself.

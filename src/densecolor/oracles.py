@@ -12,11 +12,11 @@ check) goes through one pruned lexicographic walk, ``_walk_odd_sets``.
 ``chromatic_index``'s host route first peels G (``_peel``): vertices of
 degree at most k - Delta come off, the core that is left is embedded and
 colored, and the peeled vertices go back into a total k-coloring greedily
-(``_add_back``).  A G that is k-dense on its whole vertex set, at
-k = 2m/(n-1) >= Delta, is its own density witness: it is colored at k
-first, under a small node limit, and a coloring settles chi' = k with no
-walk of G.  The rules, the fallbacks and their proofs are in
-``chromatic_index``.
+(``_add_back``).  A G whose vertices with edges, V', are k-dense, at
+k = 2m/(|V'|-1) >= Delta, is its own density witness, padded or not:
+G[V'] is colored at k first, under a small node limit, and a coloring
+settles chi' = k with no walk of G.  The rules, the fallbacks and their
+proofs are in ``chromatic_index``.
 
 Every returned number comes with a machine-checkable witness, which the
 oracle that makes it checks once (``_checked``), and every
@@ -348,9 +348,10 @@ def density(graph: Multigraph, config: RunConfig = DEFAULT_CONFIG) -> DensityWit
     return DensityWitness(*best) if best else DensityWitness(Fraction(0), None)
 
 
-def _is_dense_whole(graph: Multigraph, k: int) -> bool:
-    """``is_k_dense`` on the whole vertex set: odd n >= 3, 2m = k(n-1)."""
-    n = graph.n
+def _is_dense_whole(graph: Multigraph, k: int, n: int | None = None) -> bool:
+    """``is_k_dense`` on the whole vertex set: odd n >= 3, 2m = k(n-1).
+    With ``n`` given, on a set of n vertices that holds every edge."""
+    n = graph.n if n is None else n
     return n >= 3 and n % 2 == 1 and 2 * graph.m == k * (n - 1)
 
 
@@ -541,8 +542,8 @@ def _add_back(
 
 CHI_INDEX_MAX_EDGES = 40  # exhaustive chromatic-index search cap (m)
 # the nodes, per k + m + 1 (one search that never backtracks), that
-# chromatic_index's first coloring of a whole-dense G may spend before the
-# odd-set walk decides instead
+# chromatic_index's first coloring of a whole-dense G[V'] may spend before
+# the odd-set walk decides instead
 WHOLE_DENSE_TRY = 4
 
 
@@ -553,15 +554,16 @@ def chromatic_index(
 
     L = max(Delta, ceil(rho)) is a lower bound.  G's odd sets are walked
     at most once, from threshold Delta (``_density_ceiling``), and not at
-    all when G is whole-dense and colored first (below): only a density
-    above Delta moves L or the lower-bound reason, and the walk returns
-    ceil(rho) with every odd set of density exactly ceil(rho) whenever it
-    finds one.  The host route settles chi' = k = L when k >= Delta+2,
-    G's core C (below) has |C| + 1 <= k, and the host's density checks fit
-    under density_max_n (all three decided by ``_no_host_reason``): C
-    embeds into a k-dense host, and the host's k-edge-coloring, extended
-    to a total one, restricted to C and with the peeled vertices added
-    back, is a total k-coloring of G whose edge part attains the bound.
+    all when G's vertices with edges are whole-dense and colored first
+    (below): only a density above Delta moves L or the lower-bound reason,
+    and the walk returns ceil(rho) with every odd set of density exactly
+    ceil(rho) whenever it finds one.  The host route settles chi' = k = L
+    when k >= Delta+2, G's core C (below) has |C| + 1 <= k, and the host's
+    density checks fit under density_max_n (all three decided by
+    ``_no_host_reason``): C embeds into a k-dense host, and the host's
+    k-edge-coloring, extended to a total one, restricted to C and with the
+    peeled vertices added back, is a total k-coloring of G whose edge part
+    attains the bound.
     The walk has proved density <= k and found G's tight sets, the blocks
     that saturation starts from, so the embedding walks no more.  The
     certificate keeps that host with its coloring (``host``) and the
@@ -571,27 +573,36 @@ def chromatic_index(
     upwards; when the returned k exceeds both bounds, infeasibility of k-1
     was certified by an exhausted backtracking run.
 
-    Whole-dense G.  Let n <= density_max_n, G be k-dense on its whole
-    vertex set (odd n >= 3, 2m = k(n - 1)) at k >= Delta, and G either
-    take the host route at k or have m <= ``CHI_INDEX_MAX_EDGES``.  V is
-    an odd set of density k, so k <= L, and G is colored at k first by
+    Whole-dense G.  Let n <= density_max_n, V' be G's vertices with
+    edges, n' = |V'| (n' = n when none is isolated), and V' be k-dense
+    (odd n' >= 3, 2m = k(n' - 1)) at k >= Delta.  V' is an odd set of
+    density k, so k <= L.  G is tried at k when it takes the host route at
+    k on the core V' (``_no_host_reason`` at n'), or when it has no
+    isolated vertex and m <= ``CHI_INDEX_MAX_EDGES``: G[V'] is colored by
     ``_dense_class_search`` under min(node_budget, ``WHOLE_DENSE_TRY`` *
     (k + m + 1)) nodes.  A coloring gives chi' <= k, so chi' = L = k with
     no walk: reason ``max-degree`` when k = Delta, else ``density``.  On
-    the host route G is its own host, as ``embed_k_dense`` with the one
-    block V adds no edge, and the attempt's coloring is the host's.  Such
-    a G peels nothing at k: when k > Delta each vertex v has
-    d(v) >= k(n - 1) - Delta(n - 1) > k - Delta, as n >= 3.  Otherwise G
-    is walked as below.  When the attempt ran to the end without a
-    coloring and the walk gives L = k, the climb goes on from k + 1 with
-    the attempt's nodes, since its first step would run that search
-    again.  When the attempt ran out of its nodes, or the walk gives
-    L > k, the attempt is dropped.  The attempt is the search that the
-    host route (whose host is then G) or the climb's first step runs at
-    k, stopped earlier; so k, the reason, the witness and
+    the host route, at k >= Delta + 2, no vertex of V' peels: each has
+    d(v) >= (k - Delta)(n' - 1) > k - Delta, as n' >= 3, and taking off
+    an isolated vertex lowers no degree.  So ``_peel`` would take off
+    exactly the isolated vertices, in ascending order, and they are the
+    peeled vertices without it; G[V'] is the core, and its own host, as
+    ``embed_k_dense`` with the one block V' adds no edge, and the
+    attempt's coloring is the host's.  The walk would give L = k and
+    this core, whose host ``_color`` colors by that class search from 0
+    nodes.  Otherwise G is walked as below.  When the attempt on G with
+    no isolated vertex ran to the end without a coloring and the walk
+    gives L = k, the climb goes on from k + 1 with the attempt's nodes,
+    since its first step would run that search again.  When the attempt
+    ran out of its nodes, or the walk gives L > k, or G has isolated
+    vertices, the attempt is dropped.  The attempt is the search that the
+    host route (whose host is then G[V']) or the climb's first step runs
+    at k, stopped earlier; so k, the reason, the witness and
     ``search_nodes`` are those the walk alone gives, errors included.
-    A G that meets neither route condition is not tried: the walk alone
-    decides it, and the attempt's nodes would be wasted.
+    Off the host route a padded G is not tried, as the climb colors G
+    itself with the edge-by-edge search, another engine; nor is a G that
+    meets neither route condition: the walk alone decides it, and the
+    attempt's nodes would be wasted.
 
     Peeling.  With k >= Delta+2, ``_peel`` takes off, lowest index first,
     a vertex whose degree d among the vertices still left is at most
@@ -626,35 +637,42 @@ def chromatic_index(
     delta = graph.max_degree()
     lower, start, spent, colors, tried = delta, delta, 0, None, None
     if graph.n <= config.density_max_n:
-        whole = 2 * graph.m // (graph.n - 1)  # V's density, when G is whole-dense
+        live = graph.n - graph.degrees.count(0)  # n', the vertices with edges
+        whole = 2 * graph.m // (live - 1)  # V''s density, if V' is whole-dense
+        core, peeled, core_ids, core_edge_ids = graph, (), (), ()
         if (
             whole >= delta
-            and _is_dense_whole(graph, whole)
+            and _is_dense_whole(graph, whole, live)
             and (
-                graph.m <= CHI_INDEX_MAX_EDGES
-                or _no_host_reason(graph, whole, config) is None
+                (live == graph.n and graph.m <= CHI_INDEX_MAX_EDGES)
+                or _no_host_reason(graph, whole, config, live) is None
             )
         ):
+            if live < graph.n:  # V' is the core: only the padding peels
+                peeled = tuple(v for v, d in enumerate(graph.degrees) if not d)
+                core, core_ids, core_edge_ids = graph.induced_subgraph(
+                    set(range(graph.n)).difference(peeled)
+                )
             limit = min(config.node_budget, WHOLE_DENSE_TRY * (whole + graph.m + 1))
             try:
-                colors, tried = _dense_class_search(graph, whole, 0, limit)
+                colors, tried = _dense_class_search(core, whole, 0, limit)
             except BudgetExceededError:
                 pass  # out of nodes: the attempt is dropped
-        if colors is not None:  # V is G's one block, and nothing peels
-            lower, start, spent, tight = whole, whole, tried, [list(range(graph.n))]
-        else:
+        if colors is not None:  # V' is the core's one block
+            lower, start, spent, tight = whole, whole, tried, [list(range(core.n))]
+        else:  # the attempt's core goes with it: walk G, and peel at L
+            core, peeled, core_ids, core_edge_ids = graph, (), (), ()
             lower, tight = _density_ceiling(graph, delta) or (delta, [])
             start = lower
-            if lower == whole and tried is not None:  # the attempt refuted L
-                start, spent = whole + 1, tried
-        core, peeled, core_ids, core_edge_ids = graph, (), (), ()
-        if lower >= delta + 2 and min(graph.degrees) <= lower - delta:
-            peeled = _peel(graph, lower)
-            core, core_ids, core_edge_ids = graph.induced_subgraph(
-                set(range(graph.n)).difference(peeled)
-            )
-            index = {v: i for i, v in enumerate(core_ids)}
-            tight = [[index[v] for v in subset] for subset in tight]
+            if lower == whole and tried is not None and live == graph.n:
+                start, spent = whole + 1, tried  # the attempt refuted L on G
+            if lower >= delta + 2 and min(graph.degrees) <= lower - delta:
+                peeled = _peel(graph, lower)
+                core, core_ids, core_edge_ids = graph.induced_subgraph(
+                    set(range(graph.n)).difference(peeled)
+                )
+                index = {v: i for i, v in enumerate(core_ids)}
+                tight = [[index[v] for v in subset] for subset in tight]
         if _no_host_reason(graph, lower, config, core.n) is None:
             from .embed import DenseHost, embed_k_dense  # embed imports this module
 

@@ -9,8 +9,10 @@ import pytest
 
 from densecolor import (
     Multigraph,
+    chromatic_index,
     coloring_from_doc,
     coloring_to_doc,
+    embed_k_dense,
     fixture,
     gen_fat_cycle,
     is_proper_edge_coloring,
@@ -20,6 +22,7 @@ from densecolor import (
 )
 from densecolor.cli import main
 
+import densecolor.cli as cli_mod
 import densecolor.oracles as oracles_mod
 
 # the package's ``totalize`` function shadows the module of that name
@@ -135,6 +138,42 @@ class TestEmbedCommand:
             {"removed": [0, 1], "added": [[0, 2], [1, 3]]}
         ]
         assert report["final_m"] == 12
+
+    @pytest.mark.parametrize(
+        ("graph", "embeds"),
+        [
+            (gen_fat_cycle(3, 4), 0),
+            (gen_fat_cycle(5, 5), 0),
+            (fixture("t2-k1"), 1),
+            (fixture("2k1-t2"), 1),
+        ],
+        ids=["fat-c3-m4", "fat-c5-m5", "t2-k1", "2k1-t2"],
+    )
+    def test_embed_prints_the_certificate_host_when_nothing_peels(
+        self, graph, embeds, tmp_path, capsys, monkeypatch
+    ):
+        # with nothing peeled chi-index's host is G's own and is printed as
+        # it is; a G that peels is embedded whole, padding and all.  Either
+        # way the document is that of a fresh embed_k_dense(G, chi'(G))
+        path = tmp_path / "g.mg"
+        path.write_text(serialize(graph))
+        expected_graph, expected_report = embed_k_dense(graph, chromatic_index(graph).k)
+        calls = []
+        embed = cli_mod.embed_k_dense
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return embed(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "embed_k_dense", counted)
+        assert main(["embed", "--format", "json", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        edges = [list(e) for e in expected_graph.edges]
+        assert doc == {
+            "graph": {"n": expected_graph.n, "edges": edges},
+            "report": expected_report.to_doc(),
+        }
+        assert calls == [graph] * embeds
 
     @pytest.mark.parametrize(
         ("args", "graph", "code", "message"),

@@ -9,6 +9,7 @@ import pytest
 
 from densecolor import (
     BudgetExceededError,
+    DensecolorError,
     EdgeColoring,
     GuaranteeViolationError,
     InstanceTooLargeError,
@@ -135,6 +136,29 @@ def with_isolated(graph: Multigraph, rng: random.Random) -> tuple[Multigraph, li
     ids = sorted(rng.sample(range(n), graph.n))
     edges = tuple((ids[u], ids[v]) for u, v in graph.edges)
     return Multigraph(n, edges), sorted(set(range(n)) - set(ids))
+
+
+def padded_core_graphs(seed: int, count: int) -> tuple[Multigraph, ...]:
+    """Seeded cores with 1-3 isolated vertices inserted at random ids, in
+    turn: fat C3, C5 or C7 (mu <= 6), K5 with each edge 1-3-fold, a
+    whole-dense core on 3, 5 or 7 vertices (``whole_dense_graphs``), and
+    two random cores on 3, 5 or 7 vertices (multiplicity <= 4)."""
+    rng = random.Random(seed)
+    dense = [g for g in whole_dense_graphs(seed, count) if g.n < 9]
+    out = []
+    for i in range(count):
+        kind = i % 5
+        if kind == 0:
+            core = gen_fat_cycle(rng.choice((3, 5, 7)), rng.randint(1, 6))
+        elif kind == 1:
+            core = Multigraph(5, complete(5).edges * rng.randint(1, 3))
+        elif kind == 2:
+            core = dense[i % len(dense)]
+        else:
+            c = rng.choice((3, 5, 7))
+            core = gen_random_multigraph(c, rng.randint(c, 3 * c), 4, rng.getrandbits(32))
+        out.append(with_isolated(core, rng)[0])
+    return tuple(out)
 
 
 # a 4-vertex core padded to n = 9, on which the host's class search
@@ -564,6 +588,52 @@ class TestChromaticIndex:
                 assert cert.k == brute_chromatic_index(g)
         assert colored >= 200 and brute_checked >= 60 and walked_graphs >= 10
 
+    def test_padded_whole_dense_cores_are_colored_before_any_walk(self, monkeypatch):
+        # a padded G whose vertices with edges, V', are k-dense, on the host
+        # route at k, colors G[V'] at k with no walk of G; the isolated
+        # vertices, in ascending order, are the peeled ones.  Every
+        # chromatic_index and totalize document, errors included, is the
+        # one of the walk alone (no attempt: WHOLE_DENSE_TRY = 0)
+        def settle(oracle, g):
+            try:
+                return oracle(g)
+            except DensecolorError as exc:
+                return type(exc), str(exc)
+
+        def doc(out):
+            return out if isinstance(out, tuple) else out.to_doc(include_witness=True)
+
+        walks = counted_walks(monkeypatch)
+        colored = brute_checked = walked_graphs = 0
+        for g in padded_core_graphs(32, 250):
+            walks.clear()
+            cert = settle(chromatic_index, g)
+            walked = len(walks)
+            pipeline = doc(settle(totalize, g))
+            with monkeypatch.context() as plain:
+                plain.setattr(oracles, "WHOLE_DENSE_TRY", 0)
+                alone = settle(chromatic_index, g)
+                assert doc(settle(totalize, g)) == pipeline
+            if isinstance(cert, tuple):
+                assert cert == alone
+                continue
+            assert cert.to_doc() == alone.to_doc()
+            assert cert.peeled == alone.peeled
+            assert cert.total == alone.total
+            assert cert.host == alone.host
+            if g.m <= 7:
+                brute_checked += 1
+                assert cert.k == brute_chromatic_index(g)
+            if walked:
+                walked_graphs += 1
+                continue
+            colored += 1
+            live = g.n - g.degrees.count(0)
+            assert 2 * g.m == cert.k * (live - 1)
+            assert cert.peeled == tuple(v for v in range(g.n) if not g.degrees[v])
+            assert cert.host.g_prime.n == live
+        assert colored >= 75 and walked_graphs >= 150 and brute_checked >= 50
+
     @pytest.mark.parametrize(
         ("graph", "config", "expected"),
         [
@@ -583,8 +653,31 @@ class TestChromaticIndex:
                 RunConfig(density_max_n=4),
                 (10, "exhaustion", 290, 0),
             ),
+            # padded cores whose V' is whole-dense but has no host at k
+            # (k < Delta + 2), so the climb colors G itself: C3 and K5
+            (
+                Multigraph(6, ((1, 3), (1, 4), (3, 4))),
+                RunConfig(),
+                (3, "density", 4, 1),
+            ),
+            (
+                with_isolated(complete(5), random.Random(5))[0],
+                RunConfig(),
+                (5, "density", 18, 1),
+            ),
+            # padded cores whose V' is even, or has fewer than 3 vertices
+            (CORE4_SLOW, RunConfig(), (13, "density", 40, 1)),
+            (Multigraph(7, ((2, 5),) * 3), RunConfig(), (3, "max-degree", 4, 1)),
         ],
-        ids=["petersen-less-vertex", "fat-c3-m4-and-a-pair", "fat-c5-m4-past-max-n"],
+        ids=[
+            "petersen-less-vertex",
+            "fat-c3-m4-and-a-pair",
+            "fat-c5-m4-past-max-n",
+            "c3-padded",
+            "k5-padded",
+            "core4-slow-n9",
+            "pair-padded",
+        ],
     )
     def test_whole_dense_fallbacks_keep_their_certificates(
         self, monkeypatch, graph, config, expected
@@ -597,15 +690,19 @@ class TestChromaticIndex:
         assert is_proper_edge_coloring(graph, cert.witness)
 
     def test_whole_dense_attempt_out_of_budget_walks_and_raises(self, monkeypatch):
-        # fat C5 with mu = 4 under a budget of 5: the attempt runs out and is
-        # dropped, the walk gives L = 10, and the host's coloring runs out
-        # with the same message as without the attempt
+        # fat C5 with mu = 4 under a budget of 5, alone or padded to n = 9:
+        # the attempt runs out and is dropped, the walk gives L = 10, and
+        # the host's coloring runs out with the same message as without
+        # the attempt
         walks = counted_walks(monkeypatch)
-        with pytest.raises(
-            BudgetExceededError, match="^search budget of 5 nodes exhausted$"
-        ):
-            chromatic_index(gen_fat_cycle(5, 4), RunConfig(node_budget=5))
-        assert len(walks) == 1
+        c5 = gen_fat_cycle(5, 4)
+        for g in (c5, Multigraph(9, c5.edges)):
+            walks.clear()
+            with pytest.raises(
+                BudgetExceededError, match="^search budget of 5 nodes exhausted$"
+            ):
+                chromatic_index(g, RunConfig(node_budget=5))
+            assert walks == [g]
 
     def test_density_prune_cuts_a_class_search_exactly(self, monkeypatch):
         # a four-vertex core padded to n = 9 with L = ceil(rho) = 13: the
@@ -787,8 +884,10 @@ class TestWalkSkipsIsolatedVertices:
         assert violated >= 500
 
     def test_padded_fat_triangle_walks_only_its_core(self, monkeypatch):
-        # fat C3 with mu = 6 padded to n = 14: Delta = 12 and L = 18, so
-        # chromatic_index walks G once, from 12 (a walk that kept the 11
+        # fat C3 with mu = 6 padded to n = 14: Delta = 12, and its three
+        # vertices with edges are 18-dense, so chromatic_index colors that
+        # core at 18 and walks G not at all; the padding peels.  With the
+        # attempt off it walks G once, from 12 (a walk that kept the 11
         # padding vertices would visit 8 nodes), and keeps G's tight sets
         # at 18 on its way: the embedding walks G no more.  Each node but
         # the last stops after one child, as the others cannot reach three
@@ -824,6 +923,10 @@ class TestWalkSkipsIsolatedVertices:
             monkeypatch.setattr(module, "_walk_odd_sets", traced(module._walk_odd_sets))
         cert = chromatic_index(g)
         assert cert.k == 18 and cert.host is not None
+        assert cert.peeled == tuple(range(3, 14))
+        assert walks == []
+        monkeypatch.setattr(oracles, "WHOLE_DENSE_TRY", 0)
+        assert chromatic_index(g).to_doc() == cert.to_doc()
         assert len(walks) == 1
         assert walks[0] == [(0, 1, 2), (0, 1), (0,), ()]  # in return order
         assert {v for subsets in walks for s in subsets for v in s} == {0, 1, 2}

@@ -412,7 +412,7 @@ class TestTotalize:
             (T2, 0),
             (gen_fat_cycle(5, 4), 0),
             (Multigraph(9, gen_fat_cycle(5, 5).edges), 1),
-            (Multigraph(9, gen_fat_cycle(3, 4).edges), 1),
+            (Multigraph(9, gen_fat_cycle(3, 4).edges), 0),
         ],
         ids=[
             "t2-dense",
@@ -424,9 +424,10 @@ class TestTotalize:
     def test_host_route_walks_the_graph_once(self, monkeypatch, graph, walks):
         # chromatic_index's walk from Delta proves density <= k and keeps
         # G's tight sets, so the embedding walks G no more, rho == k with
-        # edges missing included; that walk comes before saturation.  A
-        # whole-dense G colored at k = 2m/(n-1) is its own host and
-        # density witness, and is not walked at all
+        # edges missing included; that walk comes before saturation.  A G
+        # whose vertices with edges, V', are whole-dense, colored at
+        # k = 2m/(|V'|-1), has V' as its host and density witness, and is
+        # not walked at all, padded (fat C3 with mu = 4 at n = 9) or not
         events = []
 
         def counting(walk):
