@@ -15,8 +15,11 @@ colored, and the peeled vertices go back into a total k-coloring greedily
 (``_add_back``).  A G whose vertices with edges, V', are k-dense, at
 k = 2m/(|V'|-1) >= Delta, is its own density witness, padded or not:
 G[V'] is colored at k first, under a small node limit, and a coloring
-settles chi' = k with no walk of G.  The rules, the fallbacks and their
-proofs are in ``chromatic_index``.
+settles chi' = k with no walk of G.  Any other G within the search's edge
+cap, unless its degrees already prove an odd set denser than Delta, is
+colored at Delta first the same way: a Delta-coloring is its own
+certificate, chi' = Delta whatever G's density.  The rules, the
+fallbacks and their proofs are in ``chromatic_index``.
 
 Every returned number comes with a machine-checkable witness, which the
 oracle that makes it checks once (``_checked``), and every
@@ -355,6 +358,25 @@ def _is_dense_whole(graph: Multigraph, k: int, n: int | None = None) -> bool:
     return n >= 3 and n % 2 == 1 and 2 * graph.m == k * (n - 1)
 
 
+def _denser_by_degrees(graph: Multigraph, k: int) -> bool:
+    """True when G's degrees alone prove an odd set of density above k.
+
+    Take G's vertices with edges, V', less its j lowest-degree vertices:
+    the set S_j keeps at least m - D_j edges, D_j the sum of those j
+    degrees, as each edge it loses has an end among them.  So an odd S_j
+    of at least three vertices with 2(m - D_j) > k(|S_j| - 1) is denser
+    than k.  One sort, O(n log n), and no walk.
+    """
+    size, edges = graph.n - graph.degrees.count(0), graph.m
+    for d in sorted(d for d in graph.degrees if d):
+        if size < 3:
+            break
+        if size % 2 and 2 * edges > k * (size - 1):
+            return True
+        size, edges = size - 1, edges - d
+    return False
+
+
 def is_k_dense(graph: Multigraph, vertices, k: int) -> bool:
     """Odd set of at least three vertices inducing exactly k(|S|-1)/2 edges."""
     inside = graph._vertex_set(vertices)
@@ -542,8 +564,8 @@ def _add_back(
 
 CHI_INDEX_MAX_EDGES = 40  # exhaustive chromatic-index search cap (m)
 # the nodes, per k + m + 1 (one search that never backtracks), that
-# chromatic_index's first coloring of a whole-dense G[V'] may spend before
-# the odd-set walk decides instead
+# chromatic_index's first coloring of a whole-dense G[V'], or of G at
+# Delta, may spend before the odd-set walk decides instead
 WHOLE_DENSE_TRY = 4
 
 
@@ -554,12 +576,13 @@ def chromatic_index(
 
     L = max(Delta, ceil(rho)) is a lower bound.  G's odd sets are walked
     at most once, from threshold Delta (``_density_ceiling``), and not at
-    all when G's vertices with edges are whole-dense and colored first
-    (below): only a density above Delta moves L or the lower-bound reason,
-    and the walk returns ceil(rho) with every odd set of density exactly
-    ceil(rho) whenever it finds one.  The host route settles chi' = k = L
-    when k >= Delta+2, G's core C (below) has |C| + 1 <= k, and the host's
-    density checks fit under density_max_n (all three decided by
+    all when G's vertices with edges are whole-dense and colored first,
+    or G is colored at Delta first (below): only a density above Delta
+    moves L or the lower-bound reason, and the walk returns ceil(rho) with
+    every odd set of density exactly ceil(rho) whenever it finds one.
+    The host route settles chi' = k = L when k >= Delta+2, G's core C
+    (below) has |C| + 1 <= k, and the host's density checks fit under
+    density_max_n (all three decided by
     ``_no_host_reason``): C embeds into a k-dense host, and the host's
     k-edge-coloring, extended to a total one, restricted to C and with the
     peeled vertices added back, is a total k-coloring of G whose edge part
@@ -579,10 +602,11 @@ def chromatic_index(
     density k, so k <= L.  G is tried at k when it takes the host route at
     k on the core V' (``_no_host_reason`` at n'), or when it has no
     isolated vertex and m <= ``CHI_INDEX_MAX_EDGES``: G[V'] is colored by
-    ``_dense_class_search`` under min(node_budget, ``WHOLE_DENSE_TRY`` *
-    (k + m + 1)) nodes.  A coloring gives chi' <= k, so chi' = L = k with
-    no walk: reason ``max-degree`` when k = Delta, else ``density``.  On
-    the host route, at k >= Delta + 2, no vertex of V' peels: each has
+    ``_color``, which picks ``_dense_class_search`` on it, under
+    min(node_budget, ``WHOLE_DENSE_TRY`` * (k + m + 1)) nodes.  A coloring
+    gives chi' <= k, so chi' = L = k with no walk: reason ``max-degree``
+    when k = Delta, else ``density``.  On the host route, at
+    k >= Delta + 2, no vertex of V' peels: each has
     d(v) >= (k - Delta)(n' - 1) > k - Delta, as n' >= 3, and taking off
     an isolated vertex lowers no degree.  So ``_peel`` would take off
     exactly the isolated vertices, in ascending order, and they are the
@@ -590,19 +614,35 @@ def chromatic_index(
     ``embed_k_dense`` with the one block V' adds no edge, and the
     attempt's coloring is the host's.  The walk would give L = k and
     this core, whose host ``_color`` colors by that class search from 0
-    nodes.  Otherwise G is walked as below.  When the attempt on G with
-    no isolated vertex ran to the end without a coloring and the walk
-    gives L = k, the climb goes on from k + 1 with the attempt's nodes,
-    since its first step would run that search again.  When the attempt
-    ran out of its nodes, or the walk gives L > k, or G has isolated
-    vertices, the attempt is dropped.  The attempt is the search that the
-    host route (whose host is then G[V']) or the climb's first step runs
-    at k, stopped earlier; so k, the reason, the witness and
-    ``search_nodes`` are those the walk alone gives, errors included.
-    Off the host route a padded G is not tried, as the climb colors G
-    itself with the edge-by-edge search, another engine; nor is a G that
-    meets neither route condition: the walk alone decides it, and the
-    attempt's nodes would be wasted.
+    nodes.  Off the host route a padded G is not tried at k, as the climb
+    colors G itself with the edge-by-edge search, another engine; nor is a
+    G that meets neither route condition, which the walk alone decides.
+
+    Class-1 G.  A G that the whole-dense attempt does not take, with
+    n <= density_max_n and m <= ``CHI_INDEX_MAX_EDGES``, is tried at
+    Delta instead: G itself is colored by ``_color``, the search the
+    climb's first step runs there, under min(node_budget,
+    ``WHOLE_DENSE_TRY`` * (Delta + m + 1)) nodes.  A Delta-coloring gives
+    chi' <= Delta <= L <= chi', so chi' = L = Delta, reason
+    ``max-degree``, whatever G's density: no walk is needed, and the host
+    route, which needs k >= Delta + 2, does not apply.  G is not tried
+    when its degrees already prove L > Delta (``_denser_by_degrees``): for
+    any R of V', e(V' - R) >= m - d(R), as each edge that V' - R loses
+    has an end in R; so with R the j lowest-degree vertices of V', an
+    odd V' - R of at least three vertices with
+    2(m - d(R)) > Delta(|V' - R| - 1) is denser than Delta, and no
+    Delta-coloring exists.  The test is one sort, with no walk.
+
+    Failed attempts.  When an attempt fails G is walked as below.  When
+    the attempt ran on G itself (not on a padded G[V']) to the end
+    without a coloring and the walk gives L at the attempt's k, the climb
+    goes on from k + 1 with the attempt's nodes, since its first step
+    would run that search again.  When the attempt ran out of its nodes,
+    or the walk gives L above its k, or it ran on a padded G[V'], it is
+    dropped.  Each attempt is the search that the host route (whose host
+    is then G[V']) or the climb's first step runs at its k, stopped
+    earlier; so k, the reason, the witness and ``search_nodes`` are those
+    the walk alone gives, errors included.
 
     Peeling.  With k >= Delta+2, ``_peel`` takes off, lowest index first,
     a vertex whose degree d among the vertices still left is at most
@@ -640,6 +680,7 @@ def chromatic_index(
         live = graph.n - graph.degrees.count(0)  # n', the vertices with edges
         whole = 2 * graph.m // (live - 1)  # V''s density, if V' is whole-dense
         core, peeled, core_ids, core_edge_ids = graph, (), (), ()
+        attempt = None  # the palette that core is colored at before any walk
         if (
             whole >= delta
             and _is_dense_whole(graph, whole, live)
@@ -648,24 +689,29 @@ def chromatic_index(
                 or _no_host_reason(graph, whole, config, live) is None
             )
         ):
+            attempt = whole
             if live < graph.n:  # V' is the core: only the padding peels
                 peeled = tuple(v for v, d in enumerate(graph.degrees) if not d)
                 core, core_ids, core_edge_ids = graph.induced_subgraph(
                     set(range(graph.n)).difference(peeled)
                 )
-            limit = min(config.node_budget, WHOLE_DENSE_TRY * (whole + graph.m + 1))
+        elif graph.m <= CHI_INDEX_MAX_EDGES and not _denser_by_degrees(graph, delta):
+            attempt = delta  # a Delta-coloring is its own certificate
+        if attempt is not None:
+            limit = min(config.node_budget, WHOLE_DENSE_TRY * (attempt + graph.m + 1))
             try:
-                colors, tried = _dense_class_search(core, whole, 0, limit)
+                colors, tried = _color(core, attempt, 0, limit)
             except BudgetExceededError:
                 pass  # out of nodes: the attempt is dropped
-        if colors is not None:  # V' is the core's one block
-            lower, start, spent, tight = whole, whole, tried, [list(range(core.n))]
-        else:  # the attempt's core goes with it: walk G, and peel at L
-            core, peeled, core_ids, core_edge_ids = graph, (), (), ()
+        if colors is not None:  # L = attempt; on the host route V' is the one block
+            lower, start, spent, tight = attempt, attempt, tried, [list(range(core.n))]
+        else:  # walk G, and peel at L
             lower, tight = _density_ceiling(graph, delta) or (delta, [])
             start = lower
-            if lower == whole and tried is not None and live == graph.n:
-                start, spent = whole + 1, tried  # the attempt refuted L on G
+            if lower == attempt and tried is not None and core is graph:
+                start, spent = lower + 1, tried  # the attempt refuted L on G
+            # an attempt's G[V'] goes with it
+            core, peeled, core_ids, core_edge_ids = graph, (), (), ()
             if lower >= delta + 2 and min(graph.degrees) <= lower - delta:
                 peeled = _peel(graph, lower)
                 core, core_ids, core_edge_ids = graph.induced_subgraph(

@@ -66,6 +66,14 @@ PETERSEN_LESS_VERTEX = Multigraph(
     + ((5, 7), (6, 8), (8, 5)),
 )
 
+# the Petersen graph itself: Delta = 3 = L, and class 2
+PETERSEN = Multigraph(
+    10,
+    tuple((i, (i + 1) % 5) for i in range(5))
+    + tuple((i, i + 5) for i in range(5))
+    + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
+)
+
 
 def planted_core_graphs(seed: int, count: int) -> tuple[Multigraph, ...]:
     """Seeded multigraphs on 3-9 vertices: a random 3- or 5-vertex core of
@@ -591,7 +599,8 @@ class TestChromaticIndex:
     def test_padded_whole_dense_cores_are_colored_before_any_walk(self, monkeypatch):
         # a padded G whose vertices with edges, V', are k-dense, on the host
         # route at k, colors G[V'] at k with no walk of G; the isolated
-        # vertices, in ascending order, are the peeled ones.  Every
+        # vertices, in ascending order, are the peeled ones.  Any other G
+        # that is not walked was colored at Delta, with reason max-degree.  Every
         # chromatic_index and totalize document, errors included, is the
         # one of the walk alone (no attempt: WHOLE_DENSE_TRY = 0)
         def settle(oracle, g):
@@ -604,7 +613,7 @@ class TestChromaticIndex:
             return out if isinstance(out, tuple) else out.to_doc(include_witness=True)
 
         walks = counted_walks(monkeypatch)
-        colored = brute_checked = walked_graphs = 0
+        colored = at_delta = brute_checked = walked_graphs = 0
         for g in padded_core_graphs(32, 250):
             walks.clear()
             cert = settle(chromatic_index, g)
@@ -627,12 +636,108 @@ class TestChromaticIndex:
             if walked:
                 walked_graphs += 1
                 continue
+            if cert.host is None:  # colored at Delta, G itself, before any walk
+                at_delta += 1
+                assert (cert.k, cert.lower_bound_reason) == (g.max_degree(), "max-degree")
+                continue
             colored += 1
             live = g.n - g.degrees.count(0)
             assert 2 * g.m == cert.k * (live - 1)
             assert cert.peeled == tuple(v for v in range(g.n) if not g.degrees[v])
             assert cert.host.g_prime.n == live
-        assert colored >= 75 and walked_graphs >= 150 and brute_checked >= 50
+        assert colored >= 75 and at_delta >= 75 and walked_graphs >= 75
+        assert brute_checked >= 50
+
+    def test_delta_attempt_keeps_every_document(self, monkeypatch):
+        # a G that the whole-dense attempt does not take, with m within
+        # CHI_INDEX_MAX_EDGES and no odd set its degrees prove denser than
+        # Delta, is colored at Delta on G itself before any walk.  A
+        # coloring proves chi' = L = Delta, reason max-degree, with no walk;
+        # a refutation walks G, and at L = Delta the climb goes on from
+        # Delta + 1 with the attempt's nodes (Petersen).  Every
+        # chromatic_index, totalize --witness and search document, errors
+        # included, is the one of the walk alone (no attempt:
+        # WHOLE_DENSE_TRY = 0)
+        def settle(oracle, g):
+            try:
+                return oracle(g)
+            except DensecolorError as exc:
+                return type(exc), str(exc)
+
+        def docs(g):
+            cert = settle(chromatic_index, g)
+            walked = len(walks)
+            out = [
+                cert if isinstance(cert, tuple) else cert.to_doc(),
+                settle(lambda h: totalize(h).to_doc(include_witness=True), g),
+                settle(lambda h: search_goldberg([("g", h)]).to_doc(), g),
+            ]
+            return cert, walked, out
+
+        rng = random.Random(34)
+        light = [
+            gen_random_multigraph(n, rng.randint(n - 1, 3 * n), 2, rng.getrandbits(32))
+            for n in range(4, 11)
+            for _ in range(40)
+        ]
+        pair = Multigraph(7, ((2, 5),) * 3)
+        past_cap = Multigraph(6, cycle(6).edges * 8)  # class 1, but m = 48: walked
+        named = [PETERSEN, complete(4), pair, past_cap]
+        walks = counted_walks(monkeypatch)
+        at_delta = brute_checked = 0
+        got = {}
+        for g in named + light + list(exhaustive_small_multigraphs()):
+            walks.clear()
+            cert, walked, out = docs(g)
+            with monkeypatch.context() as plain:
+                plain.setattr(oracles, "WHOLE_DENSE_TRY", 0)
+                assert docs(g)[2] == out
+            got[g] = (cert, walked) if isinstance(cert, tuple) else (
+                cert.k, cert.lower_bound_reason, cert.search_nodes, walked
+            )
+            if isinstance(cert, tuple):
+                continue
+            if g.m <= 7:
+                brute_checked += 1
+                assert cert.k == brute_chromatic_index(g)
+            if walked or not g.m:
+                continue
+            live = g.n - g.degrees.count(0)
+            if not (live % 2 and 2 * g.m == cert.k * (live - 1)):
+                at_delta += 1
+                assert (cert.k, cert.lower_bound_reason) == (g.max_degree(), "max-degree")
+        assert got[PETERSEN] == (4, "exhaustion", 47, 1)
+        assert got[complete(4)] == (3, "max-degree", 7, 0)
+        assert got[pair] == (3, "max-degree", 4, 0)
+        capped = "chromatic-index search capped at m = 40, got 48"
+        assert got[past_cap] == ((InstanceTooLargeError, capped), 1)
+        assert at_delta >= 1000 and brute_checked >= 1000
+
+    def test_degree_bound_is_sound(self):
+        # whenever the degrees prove an odd set denser than k, the brute
+        # density exceeds k; they do on fat triangles with one or two
+        # pendant vertices and on a 4-vertex dense core padded to n = 9
+        rng = random.Random(35)
+        sweep = [
+            gen_random_multigraph(n, rng.randint(1, 3 * n), 4, rng.getrandbits(32))
+            for n in range(3, 9)
+            for _ in range(60)
+        ]
+        fired = 0
+        for g in sweep + list(exhaustive_small_multigraphs()):
+            delta = g.max_degree()
+            for k in {delta, rng.randint(0, 2 * delta + 1)}:
+                if oracles._denser_by_degrees(g, k):
+                    fired += 1
+                    assert brute_density(g)[0] > k
+        assert fired >= 500
+        t4 = gen_fat_cycle(3, 4)
+        for g in (
+            Multigraph(4, t4.edges + ((0, 3),)),
+            Multigraph(5, t4.edges + ((0, 3), (1, 4), (1, 4))),
+            CORE4_SLOW,
+        ):
+            assert oracles._denser_by_degrees(g, g.max_degree())
 
     @pytest.mark.parametrize(
         ("graph", "config", "expected"),
@@ -665,9 +770,12 @@ class TestChromaticIndex:
                 RunConfig(),
                 (5, "density", 18, 1),
             ),
-            # padded cores whose V' is even, or has fewer than 3 vertices
+            # padded cores whose V' is even, or has fewer than 3 vertices:
+            # the degrees prove a 4-vertex core denser than Delta, so it is
+            # walked; a 3-fold pair has no odd set, so it is colored at
+            # Delta = 3 on G itself, and not walked
             (CORE4_SLOW, RunConfig(), (13, "density", 40, 1)),
-            (Multigraph(7, ((2, 5),) * 3), RunConfig(), (3, "max-degree", 4, 1)),
+            (Multigraph(7, ((2, 5),) * 3), RunConfig(), (3, "max-degree", 4, 0)),
         ],
         ids=[
             "petersen-less-vertex",
@@ -682,7 +790,8 @@ class TestChromaticIndex:
     def test_whole_dense_fallbacks_keep_their_certificates(
         self, monkeypatch, graph, config, expected
     ):
-        # the values are those of chromatic_index before the attempt
+        # the values are those of chromatic_index before the attempts, but
+        # for the walks that an attempt saves
         walks = counted_walks(monkeypatch)
         cert = chromatic_index(graph, config)
         got = (cert.k, cert.lower_bound_reason, cert.search_nodes, len(walks))
