@@ -9,17 +9,15 @@ graphs with chi' > Delta + 1.
 Every odd-set question (density, k-dense sets, the embedding's feasibility
 check) goes through one pruned lexicographic walk, ``_walk_odd_sets``.
 
-``chromatic_index``'s host route first peels G (``_peel``): vertices of
+``chromatic_index``'s host route first peels G (``_core``): vertices of
 degree at most k - Delta come off, the core that is left is embedded and
 colored, and the peeled vertices go back into a total k-coloring greedily
-(``_add_back``).  A G whose vertices with edges, V', are k-dense, at
-k = 2m/(|V'|-1) >= Delta, is its own density witness, padded or not:
-G[V'] is colored at k first, under a small node limit, and a coloring
-settles chi' = k with no walk of G.  Any other G within the search's edge
-cap, unless its degrees already prove an odd set denser than Delta, is
-colored at Delta first the same way: a Delta-coloring is its own
-certificate, chi' = Delta whatever G's density.  The rules, the
-fallbacks and their proofs are in ``chromatic_index``.
+(``_add_back``).  Before its one walk of G it colors G at a bound b <= L
+that needs no walk: b = k when G's vertices with edges are k-dense at
+k > Delta, padded or not, else b = Delta.  The search is the one the
+route at b would run, under a small node limit, and a coloring settles
+chi' = b.  The rule, its exceptions and their proofs are in
+``chromatic_index``.
 
 Every returned number comes with a machine-checkable witness, which the
 oracle that makes it checks once (``_checked``), and every
@@ -499,6 +497,23 @@ def _peel(graph: Multigraph, k: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _core(
+    graph: Multigraph, k: int
+) -> tuple[Multigraph, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """G's core at palette k, the peel order (``_peel``) and the core's
+    vertex and edge ids in G (``induced_subgraph``).  G itself, with
+    nothing peeled and empty maps, when k < Delta + 2 or no degree is at
+    most k - Delta, so nothing can peel."""
+    delta = graph.max_degree()
+    if k < delta + 2 or min(graph.degrees) > k - delta:
+        return graph, (), (), ()
+    peeled = _peel(graph, k)
+    core, core_ids, core_edge_ids = graph.induced_subgraph(
+        set(range(graph.n)).difference(peeled)
+    )
+    return core, peeled, core_ids, core_edge_ids
+
+
 def _add_back(
     graph: Multigraph,
     peeled: tuple[int, ...],
@@ -563,10 +578,10 @@ def _add_back(
 
 
 CHI_INDEX_MAX_EDGES = 40  # exhaustive chromatic-index search cap (m)
-# the nodes, per k + m + 1 (one search that never backtracks), that
-# chromatic_index's first coloring of a whole-dense G[V'], or of G at
-# Delta, may spend before the odd-set walk decides instead
-WHOLE_DENSE_TRY = 4
+# the nodes, per b + m + 1 (one search that never backtracks), that
+# chromatic_index's one coloring at its pre-walk bound b may spend before
+# the odd-set walk decides instead; 0 makes no attempt
+FIRST_TRY = 4
 
 
 def chromatic_index(
@@ -576,10 +591,10 @@ def chromatic_index(
 
     L = max(Delta, ceil(rho)) is a lower bound.  G's odd sets are walked
     at most once, from threshold Delta (``_density_ceiling``), and not at
-    all when G's vertices with edges are whole-dense and colored first,
-    or G is colored at Delta first (below): only a density above Delta
-    moves L or the lower-bound reason, and the walk returns ceil(rho) with
-    every odd set of density exactly ceil(rho) whenever it finds one.
+    all when G is colored at its pre-walk bound first (below): only a
+    density above Delta moves L or the lower-bound reason, and the walk
+    returns ceil(rho) with every odd set of density exactly ceil(rho)
+    whenever it finds one.
     The host route settles chi' = k = L when k >= Delta+2, G's core C
     (below) has |C| + 1 <= k, and the host's density checks fit under
     density_max_n (all three decided by
@@ -596,53 +611,42 @@ def chromatic_index(
     upwards; when the returned k exceeds both bounds, infeasibility of k-1
     was certified by an exhausted backtracking run.
 
-    Whole-dense G.  Let n <= density_max_n, V' be G's vertices with
-    edges, n' = |V'| (n' = n when none is isolated), and V' be k-dense
-    (odd n' >= 3, 2m = k(n' - 1)) at k >= Delta.  V' is an odd set of
-    density k, so k <= L.  G is tried at k when it takes the host route at
-    k on the core V' (``_no_host_reason`` at n'), or when it has no
-    isolated vertex and m <= ``CHI_INDEX_MAX_EDGES``: G[V'] is colored by
-    ``_color``, which picks ``_dense_class_search`` on it, under
-    min(node_budget, ``WHOLE_DENSE_TRY`` * (k + m + 1)) nodes.  A coloring
-    gives chi' <= k, so chi' = L = k with no walk: reason ``max-degree``
-    when k = Delta, else ``density``.  On the host route, at
-    k >= Delta + 2, no vertex of V' peels: each has
-    d(v) >= (k - Delta)(n' - 1) > k - Delta, as n' >= 3, and taking off
-    an isolated vertex lowers no degree.  So ``_peel`` would take off
-    exactly the isolated vertices, in ascending order, and they are the
-    peeled vertices without it; G[V'] is the core, and its own host, as
-    ``embed_k_dense`` with the one block V' adds no edge, and the
-    attempt's coloring is the host's.  The walk would give L = k and
-    this core, whose host ``_color`` colors by that class search from 0
-    nodes.  Off the host route a padded G is not tried at k, as the climb
-    colors G itself with the edge-by-edge search, another engine; nor is a
-    G that meets neither route condition, which the walk alone decides.
-
-    Class-1 G.  A G that the whole-dense attempt does not take, with
-    n <= density_max_n and m <= ``CHI_INDEX_MAX_EDGES``, is tried at
-    Delta instead: G itself is colored by ``_color``, the search the
-    climb's first step runs there, under min(node_budget,
-    ``WHOLE_DENSE_TRY`` * (Delta + m + 1)) nodes.  A Delta-coloring gives
-    chi' <= Delta <= L <= chi', so chi' = L = Delta, reason
-    ``max-degree``, whatever G's density: no walk is needed, and the host
-    route, which needs k >= Delta + 2, does not apply.  G is not tried
-    when its degrees already prove L > Delta (``_denser_by_degrees``): for
-    any R of V', e(V' - R) >= m - d(R), as each edge that V' - R loses
-    has an end in R; so with R the j lowest-degree vertices of V', an
-    odd V' - R of at least three vertices with
-    2(m - d(R)) > Delta(|V' - R| - 1) is denser than Delta, and no
-    Delta-coloring exists.  The test is one sort, with no walk.
-
-    Failed attempts.  When an attempt fails G is walked as below.  When
-    the attempt ran on G itself (not on a padded G[V']) to the end
-    without a coloring and the walk gives L at the attempt's k, the climb
-    goes on from k + 1 with the attempt's nodes, since its first step
-    would run that search again.  When the attempt ran out of its nodes,
-    or the walk gives L above its k, or it ran on a padded G[V'], it is
-    dropped.  Each attempt is the search that the host route (whose host
-    is then G[V']) or the climb's first step runs at its k, stopped
-    earlier; so k, the reason, the witness and ``search_nodes`` are those
-    the walk alone gives, errors included.
+    Before the walk.  Let n <= density_max_n, V' be G's vertices with
+    edges and n' = |V'|.  G's bound b is k when V' is k-dense (odd
+    n' >= 3, 2m = k(n' - 1)) at k > Delta: V' is then an odd set of
+    density k, so b <= L.  Else b = Delta <= L.  G is colored at b by
+    ``_color``, the search that the route at b would run, under
+    min(node_budget, ``FIRST_TRY`` * (b + m + 1)) nodes: on the host route
+    at b (b >= Delta + 2 and ``_no_host_reason`` at n'), G's core at b
+    (``_core``); otherwise G itself, as the climb's first step does, and
+    only when m <= ``CHI_INDEX_MAX_EDGES``.  A coloring gives
+    chi' <= b <= L <= chi', so chi' = L = b with no walk: reason
+    ``max-degree`` when b = Delta, else ``density``.  Off the host route
+    at b, G has no host at L = b either, as ``_no_host_reason`` that
+    fails at n' fails at n >= n'.
+    On the host route only the padding peels: each v of V' has
+    d(v) >= 2m - Delta(n' - 1) = (b - Delta)(n' - 1) > b - Delta, as the
+    other n' - 1 vertices of V' have degree sum 2m - d(v) <= Delta(n' - 1)
+    and n' >= 3, and taking off an isolated vertex lowers no degree.  So
+    the core is G[V'], with the isolated vertices peeled in ascending
+    order, and it is its own host, as ``embed_k_dense`` with the one
+    block V' adds no edge: ``_color`` picks ``_dense_class_search`` on
+    it, and the walk would give L = b, this core and a host that search
+    colors from 0 nodes.
+    G is not tried at b = Delta when its degrees already prove L > Delta
+    (``_denser_by_degrees``): for any R of V', e(V' - R) >= m - d(R), as
+    each edge that V' - R loses has an end in R; so with R the j
+    lowest-degree vertices of V', an odd V' - R of at least three
+    vertices with 2(m - d(R)) > Delta(|V' - R| - 1) is denser than Delta,
+    and no Delta-coloring exists.  The test is one sort, with no walk.
+    When the attempt finds no coloring G is walked as below.  When it ran
+    on G itself to the end and the walk gives L = b, the climb goes on
+    from b + 1 with the attempt's nodes, since its first step would run
+    that search again.  When it ran out of its nodes, or the walk gives
+    L > b, or it ran on a padded G[V'], it is dropped.  As the attempt is
+    the search that the host route or the climb's first step runs at b,
+    stopped earlier, k, the reason, the witness and ``search_nodes`` are
+    those the walk alone gives, errors included.
 
     Peeling.  With k >= Delta+2, ``_peel`` takes off, lowest index first,
     a vertex whose degree d among the vertices still left is at most
@@ -679,47 +683,33 @@ def chromatic_index(
     if graph.n <= config.density_max_n:
         live = graph.n - graph.degrees.count(0)  # n', the vertices with edges
         whole = 2 * graph.m // (live - 1)  # V''s density, if V' is whole-dense
+        bound = whole if whole > delta and _is_dense_whole(graph, whole, live) else delta
         core, peeled, core_ids, core_edge_ids = graph, (), (), ()
-        attempt = None  # the palette that core is colored at before any walk
-        if (
-            whole >= delta
-            and _is_dense_whole(graph, whole, live)
-            and (
-                (live == graph.n and graph.m <= CHI_INDEX_MAX_EDGES)
-                or _no_host_reason(graph, whole, config, live) is None
-            )
+        route = bound >= delta + 2 and _no_host_reason(graph, bound, config, live) is None
+        if route:  # only the padding peels
+            core, peeled, core_ids, core_edge_ids = _core(graph, bound)
+        if route or (  # else the climb's first step, unless the degrees prove L > Delta
+            graph.m <= CHI_INDEX_MAX_EDGES
+            and not (bound == delta and _denser_by_degrees(graph, delta))
         ):
-            attempt = whole
-            if live < graph.n:  # V' is the core: only the padding peels
-                peeled = tuple(v for v, d in enumerate(graph.degrees) if not d)
-                core, core_ids, core_edge_ids = graph.induced_subgraph(
-                    set(range(graph.n)).difference(peeled)
-                )
-        elif graph.m <= CHI_INDEX_MAX_EDGES and not _denser_by_degrees(graph, delta):
-            attempt = delta  # a Delta-coloring is its own certificate
-        if attempt is not None:
-            limit = min(config.node_budget, WHOLE_DENSE_TRY * (attempt + graph.m + 1))
+            limit = min(config.node_budget, FIRST_TRY * (bound + graph.m + 1))
             try:
-                colors, tried = _color(core, attempt, 0, limit)
+                colors, tried = _color(core, bound, 0, limit)
             except BudgetExceededError:
                 pass  # out of nodes: the attempt is dropped
-        if colors is not None:  # L = attempt; on the host route V' is the one block
-            lower, start, spent, tight = attempt, attempt, tried, [list(range(core.n))]
+        if colors is not None:  # L = bound; on the host route V' is the one block
+            lower, start, spent, tight = bound, bound, tried, [list(range(core.n))]
         else:  # walk G, and peel at L
             lower, tight = _density_ceiling(graph, delta) or (delta, [])
             start = lower
-            if lower == attempt and tried is not None and core is graph:
+            if lower == bound and tried is not None and core is graph:
                 start, spent = lower + 1, tried  # the attempt refuted L on G
-            # an attempt's G[V'] goes with it
-            core, peeled, core_ids, core_edge_ids = graph, (), (), ()
-            if lower >= delta + 2 and min(graph.degrees) <= lower - delta:
-                peeled = _peel(graph, lower)
-                core, core_ids, core_edge_ids = graph.induced_subgraph(
-                    set(range(graph.n)).difference(peeled)
-                )
+            core, peeled, core_ids, core_edge_ids = _core(graph, lower)
+            if peeled:
                 index = {v: i for i, v in enumerate(core_ids)}
                 tight = [[index[v] for v in subset] for subset in tight]
-        if _no_host_reason(graph, lower, config, core.n) is None:
+            route = _no_host_reason(graph, lower, config, core.n) is None
+        if route:
             from .embed import DenseHost, embed_k_dense  # embed imports this module
 
             g_prime, report = embed_k_dense(core, lower, config, tight_sets=tight)
@@ -752,7 +742,7 @@ def chromatic_index(
         )
     upper = delta + graph.multiplicity()  # Vizing's bound for multigraphs
     for k in range(start, upper + 1):
-        if colors is None:  # else the whole-dense attempt colored G at k
+        if colors is None:  # else the attempt colored G at k
             colors, spent = _color(graph, k, spent, config.node_budget)
         if colors is not None:
             if k == delta:

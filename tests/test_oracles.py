@@ -549,7 +549,7 @@ class TestChromaticIndex:
         # a G k-dense on V at k = 2m/(n-1) >= Delta, colored at k, proves
         # chi' = L = k with no walk of G: k is the walk's L, and the witness
         # and node count are those of the search at k.  Every certificate
-        # is the one of the walk alone (no attempt: WHOLE_DENSE_TRY = 0),
+        # is the one of the walk alone (no attempt: FIRST_TRY = 0),
         # where the attempt refutes k (Petersen less a vertex), runs out of
         # nodes (the same with mu = 3) or meets L > k (some random graphs)
         triangles = [g for g in exhaustive_small_multigraphs() if g.n == 3 and g.m]
@@ -572,7 +572,7 @@ class TestChromaticIndex:
             cert = settle(g)
             walked = len(walks)
             with monkeypatch.context() as plain:
-                plain.setattr(oracles, "WHOLE_DENSE_TRY", 0)
+                plain.setattr(oracles, "FIRST_TRY", 0)
                 alone = settle(g)
             if isinstance(cert, tuple):
                 assert cert == alone
@@ -597,12 +597,14 @@ class TestChromaticIndex:
         assert colored >= 200 and brute_checked >= 60 and walked_graphs >= 10
 
     def test_padded_whole_dense_cores_are_colored_before_any_walk(self, monkeypatch):
-        # a padded G whose vertices with edges, V', are k-dense, on the host
-        # route at k, colors G[V'] at k with no walk of G; the isolated
+        # a padded G whose vertices with edges, V', are k-dense at k > Delta
+        # has the pre-walk bound b = k, else b = Delta.  On the host route
+        # at b it colors G[V'] at b with no walk of G; the isolated
         # vertices, in ascending order, are the peeled ones.  Any other G
-        # that is not walked was colored at Delta, with reason max-degree.  Every
-        # chromatic_index and totalize document, errors included, is the
-        # one of the walk alone (no attempt: WHOLE_DENSE_TRY = 0)
+        # that is not walked was colored at b on G itself, with reason
+        # max-degree exactly when b = Delta.  Every chromatic_index and
+        # totalize document, errors included, is the one of the walk alone
+        # (no attempt: FIRST_TRY = 0)
         def settle(oracle, g):
             try:
                 return oracle(g)
@@ -613,14 +615,14 @@ class TestChromaticIndex:
             return out if isinstance(out, tuple) else out.to_doc(include_witness=True)
 
         walks = counted_walks(monkeypatch)
-        colored = at_delta = brute_checked = walked_graphs = 0
+        colored = at_delta = off_route = brute_checked = walked_graphs = 0
         for g in padded_core_graphs(32, 250):
             walks.clear()
             cert = settle(chromatic_index, g)
             walked = len(walks)
             pipeline = doc(settle(totalize, g))
             with monkeypatch.context() as plain:
-                plain.setattr(oracles, "WHOLE_DENSE_TRY", 0)
+                plain.setattr(oracles, "FIRST_TRY", 0)
                 alone = settle(chromatic_index, g)
                 assert doc(settle(totalize, g)) == pipeline
             if isinstance(cert, tuple):
@@ -636,28 +638,36 @@ class TestChromaticIndex:
             if walked:
                 walked_graphs += 1
                 continue
-            if cert.host is None:  # colored at Delta, G itself, before any walk
-                at_delta += 1
-                assert (cert.k, cert.lower_bound_reason) == (g.max_degree(), "max-degree")
+            delta, live = g.max_degree(), g.n - g.degrees.count(0)
+            whole = 2 * g.m // (live - 1)
+            dense = live >= 3 and live % 2 and 2 * g.m == whole * (live - 1)
+            bound = whole if dense and whole > delta else delta
+            assert cert.k == bound
+            if cert.host is None:  # colored at b, G itself, before any walk
+                assert (cert.lower_bound_reason == "max-degree") == (bound == delta)
+                if bound == delta:
+                    at_delta += 1
+                else:
+                    off_route += 1
                 continue
             colored += 1
-            live = g.n - g.degrees.count(0)
-            assert 2 * g.m == cert.k * (live - 1)
+            assert bound > delta
             assert cert.peeled == tuple(v for v in range(g.n) if not g.degrees[v])
             assert cert.host.g_prime.n == live
-        assert colored >= 75 and at_delta >= 75 and walked_graphs >= 75
+        assert colored >= 75 and at_delta >= 75 and off_route >= 40
+        assert walked_graphs >= 35
         assert brute_checked >= 50
 
     def test_delta_attempt_keeps_every_document(self, monkeypatch):
-        # a G that the whole-dense attempt does not take, with m within
-        # CHI_INDEX_MAX_EDGES and no odd set its degrees prove denser than
-        # Delta, is colored at Delta on G itself before any walk.  A
-        # coloring proves chi' = L = Delta, reason max-degree, with no walk;
-        # a refutation walks G, and at L = Delta the climb goes on from
-        # Delta + 1 with the attempt's nodes (Petersen).  Every
-        # chromatic_index, totalize --witness and search document, errors
-        # included, is the one of the walk alone (no attempt:
-        # WHOLE_DENSE_TRY = 0)
+        # a G whose pre-walk bound is Delta (its vertices with edges are
+        # not whole-dense above Delta), with m within CHI_INDEX_MAX_EDGES
+        # and no odd set its degrees prove denser than Delta, is colored at
+        # Delta on G itself before any walk.  A coloring proves
+        # chi' = L = Delta, reason max-degree, with no walk; a refutation
+        # walks G, and at L = Delta the climb goes on from Delta + 1 with
+        # the attempt's nodes (Petersen).  Every chromatic_index, totalize
+        # --witness and search document, errors included, is the one of
+        # the walk alone (no attempt: FIRST_TRY = 0)
         def settle(oracle, g):
             try:
                 return oracle(g)
@@ -690,7 +700,7 @@ class TestChromaticIndex:
             walks.clear()
             cert, walked, out = docs(g)
             with monkeypatch.context() as plain:
-                plain.setattr(oracles, "WHOLE_DENSE_TRY", 0)
+                plain.setattr(oracles, "FIRST_TRY", 0)
                 assert docs(g)[2] == out
             got[g] = (cert, walked) if isinstance(cert, tuple) else (
                 cert.k, cert.lower_bound_reason, cert.search_nodes, walked
@@ -739,6 +749,46 @@ class TestChromaticIndex:
         ):
             assert oracles._denser_by_degrees(g, g.max_degree())
 
+    def test_core_peels_only_the_padding_of_a_whole_dense_core(self):
+        # V' k-dense at k >= Delta + 2: the core is G[V'], and exactly the
+        # isolated vertices peel, in ascending order
+        rng = random.Random(36)
+        cores = [gen_fat_cycle(5, 4), gen_fat_cycle(3, 6)]
+        cores += [Multigraph(5, complete(5).edges * 3)]
+        cores += [g for g in whole_dense_graphs(36, 40) if g.n < 9]
+        checked = 0
+        for c in cores:
+            k, delta = 2 * c.m // (c.n - 1), c.max_degree()
+            if k < delta + 2:
+                continue
+            g, padding = with_isolated(c, rng)
+            core, peeled, core_ids, core_edge_ids = oracles._core(g, k)
+            assert peeled == tuple(sorted(padding)) == oracles._peel(g, k)
+            live = [v for v in range(g.n) if g.degrees[v]]
+            assert (core, core_ids, core_edge_ids) == g.induced_subgraph(live)
+            assert core.edges == c.edges and core_edge_ids == tuple(range(g.m))
+            checked += 1
+        assert checked >= 10
+
+    def test_core_is_g_itself_when_nothing_can_peel(self):
+        # at k < Delta + 2, or with every degree above k - Delta, the core
+        # is G itself, with nothing peeled and empty maps: the refuted
+        # attempt's rule tells an attempt on G by that identity
+        c5 = gen_fat_cycle(5, 4)  # Delta = 8, every degree 8
+        padded = Multigraph(9, c5.edges)
+        path = Multigraph(4, ((0, 1), (1, 2), (2, 3)))
+        for g, k in ((c5, 10), (c5, 14), (padded, 9), (path, 3), (PETERSEN, 4)):
+            core, *rest = oracles._core(g, k)
+            assert core is g and rest == [(), (), ()]
+        # a pendant path does peel at k = 12 >= Delta + 2: what peels is
+        # _peel's order, and the core is what is left
+        path = tuple((v, v + 1) for v in range(2, 11))
+        g = Multigraph(12, gen_fat_cycle(3, 4).edges + path)
+        core, peeled, core_ids, core_edge_ids = oracles._core(g, 12)
+        assert peeled == oracles._peel(g, 12) and set(peeled) == set(range(3, 12))
+        assert core_ids == (0, 1, 2) and core.edges == gen_fat_cycle(3, 4).edges
+        assert core_edge_ids == tuple(range(12))
+
     @pytest.mark.parametrize(
         ("graph", "config", "expected"),
         [
@@ -759,16 +809,17 @@ class TestChromaticIndex:
                 (10, "exhaustion", 290, 0),
             ),
             # padded cores whose V' is whole-dense but has no host at k
-            # (k < Delta + 2), so the climb colors G itself: C3 and K5
+            # (k < Delta + 2): G itself is colored at k before any walk, the
+            # climb's first step, so neither is walked: C3 and K5
             (
                 Multigraph(6, ((1, 3), (1, 4), (3, 4))),
                 RunConfig(),
-                (3, "density", 4, 1),
+                (3, "density", 4, 0),
             ),
             (
                 with_isolated(complete(5), random.Random(5))[0],
                 RunConfig(),
-                (5, "density", 18, 1),
+                (5, "density", 18, 0),
             ),
             # padded cores whose V' is even, or has fewer than 3 vertices:
             # the degrees prove a 4-vertex core denser than Delta, so it is
@@ -1034,7 +1085,7 @@ class TestWalkSkipsIsolatedVertices:
         assert cert.k == 18 and cert.host is not None
         assert cert.peeled == tuple(range(3, 14))
         assert walks == []
-        monkeypatch.setattr(oracles, "WHOLE_DENSE_TRY", 0)
+        monkeypatch.setattr(oracles, "FIRST_TRY", 0)
         assert chromatic_index(g).to_doc() == cert.to_doc()
         assert len(walks) == 1
         assert walks[0] == [(0, 1, 2), (0, 1), (0,), ()]  # in return order
