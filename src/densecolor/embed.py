@@ -56,23 +56,14 @@ v lie in one block.
 
 Greedy saturation (``_saturate``) adds, among the pairs whose degrees are
 below k - 1 and whose ends lie in different blocks, the one of least
-endpoint degree sum, ties broken lexicographically.  Adding edges only
-raises degrees and merges blocks, so a pair once unaddable stays so until
-an exchange move removes an edge.
-Pair sums only rise, so the least sum s of an addable pair never falls;
-and once uv is added at sum s, a pair of sum s holding u or v had sum
-s - 1 before, below the least, so it is dead for good.  Greedy's picks
-thus come in nondecreasing sum, and those of one sum form a matching in
-lexicographic order.  So ``_saturate`` sweeps one sum s at a time, taking
-each vertex u not yet matched at s in ascending order with the smallest
-v > u of degree s - deg(u) outside u's block: one mask on per-degree
-vertex bitmasks, with no pair scanned.  The starting blocks come from G's
-tight sets, those of the premise walk.  After uv is
-added, the new tight sets are the odd S holding u and v that had
-f(S) = -2.  The host with uv still has density at most k and degrees below
-k, so by the argument above such an S meets each block B in an odd set or
-not at all, and then S + B is tight too: the largest new tight set is a
-union of atoms, an atom being a block or a vertex in no block.  On a union
+endpoint degree sum, ties broken lexicographically, until the host has
+k(n-1)/2 edges or no such pair is left.  The starting blocks come from
+G's tight sets, those of the premise walk.  After uv is added, the new
+tight sets are the odd S holding u and v that had f(S) = -2.  The host
+with uv still has density at most k and degrees below k, so by the
+argument above such an S meets each block B in an odd set or not at all,
+and then S + B is tight too: the largest new tight set is a union of
+atoms, an atom being a block or a vertex in no block.  On a union
 S of t atoms, f(S) = 2E' - k(t - 1), with E' the edges between different
 atoms, since f is 0 on every atom; and |S| is odd exactly when t is.  So
 one walk over the host with each block contracted to a vertex, forced on
@@ -122,6 +113,7 @@ but seeded sweeps of 55,000 random 3-6-vertex cores on random vertex ids
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .coloring import EdgeColoring
 from .config import DEFAULT_CONFIG, RunConfig
@@ -287,52 +279,29 @@ def can_add_edge(
 def _saturate(host: Multigraph, k: int, con: _Contracted) -> list[tuple[int, int]]:
     """Greedy additions to ``host`` (odd n, density at most k, its blocks
     held by ``con``) until it has k(n-1)/2 edges or no pair is addable; see
-    the module docstring for the rule and the sweep.  Returns the added
-    edges.  Each one goes through ``con.grow``, so at a stall ``con`` holds
-    the blocks of the stuck host; the edge that makes the host k-dense
-    skips it, as the whole vertex set is then the one block.
-
-    ``by_deg[t]`` is the bitmask of the vertices of degree t, so u's
-    partner at sum ``level`` is the lowest bit above u of one masked word.
-    No pair sums below the two smallest degrees, so the sweep skips to
-    there.  ``todo`` holds the vertices whose degree d leaves a partner
-    degree level - d below k - 1 that some vertex has; a matched vertex
-    leaves it, as every pair of this sum holding it is dead.
+    the module docstring for the rule.  Returns the added edges.  Each one
+    goes through ``con.grow``, so at a stall ``con`` holds the blocks of the
+    stuck host; the edge that makes the host k-dense skips it, as the whole
+    vertex set is then the one block.
     """
     deg = list(host.degrees)
     missing = k * (host.n - 1) // 2 - host.m
-    by_deg = [0] * k
-    for v, d in enumerate(deg):
-        by_deg[d] |= 1 << v
+    atom = con.atom  # merges update it in place
     added: list[tuple[int, int]] = []
-    atom, members = con.atom, con.members  # merges update these in place
-    level = -1
     while len(added) < missing:
-        first, second = sorted(deg)[:2]
-        level = max(level + 1, first + second)
-        if level > 2 * k - 4:
+        low = [v for v, d in enumerate(deg) if d < k - 1]
+        pairs = [
+            (deg[u] + deg[v], u, v)
+            for u, v in combinations(low, 2)
+            if atom[u] != atom[v]
+        ]
+        if not pairs:
             break
-        live = set(deg) - {k - 1}
-        todo = 0  # the vertices that may start a pair at this level
-        for d in live:
-            if level - d in live:
-                todo |= by_deg[d]
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            u = low.bit_length() - 1
-            free = by_deg[level - deg[u]] & -(low << 1) & ~members[atom[u]]
-            if not free:
-                continue
-            v = (free & -free).bit_length() - 1
-            todo &= ~(1 << v)
-            added.append((u, v))
-            for w in (u, v):
-                by_deg[deg[w]] ^= 1 << w
-                deg[w] += 1
-                by_deg[deg[w]] |= 1 << w
-            if len(added) == missing:
-                break
+        _, u, v = min(pairs)
+        added.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
+        if len(added) < missing:
             con.grow(u, v, k)
     return added
 

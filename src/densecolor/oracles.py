@@ -454,7 +454,7 @@ def _no_host_reason(
     why not.
 
     The host is built on G itself, or, with ``core_n`` given, on G's core
-    of ``core_n`` vertices (``_peel``).  The hypothesis comes first: k
+    of ``core_n`` vertices (``_core``).  The hypothesis comes first: k
     below max(Delta+2, n+1), n the host's own vertex count.  Then the cap:
     the walk of G, or the host's density checks, on n vertices plus a
     parity vertex when n is even, would pass ``density_max_n``.
@@ -472,12 +472,19 @@ def _no_host_reason(
     return None
 
 
-def _peel(graph: Multigraph, k: int) -> tuple[int, ...]:
-    """The vertices of G that the host route at palette k takes off, in
-    peel order: again and again the lowest-index vertex whose degree among
-    the vertices still left is at most k - Delta (see ``chromatic_index``).
-    The vertices never taken off are G's core, the same set in any order."""
+def _core(
+    graph: Multigraph, k: int
+) -> tuple[Multigraph, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """G's core at palette k, the peel order and the core's vertex and
+    edge ids in G (``induced_subgraph``).  Again and again the lowest-index
+    vertex whose degree among the vertices still left is at most k - Delta
+    is taken off (see ``chromatic_index``); the vertices never taken off
+    are the core, the same set in any order.  G itself, with nothing
+    peeled and empty maps, when k < Delta + 2 or no degree is at most
+    k - Delta, so nothing can peel."""
     cap = k - graph.max_degree()
+    if cap < 2 or min(graph.degrees) > cap:
+        return graph, (), (), ()
     deg = list(graph.degrees)
     edges, incidence = graph.edges, graph.incidence
     ready = [v for v, d in enumerate(deg) if d <= cap]  # ascending, so a heap
@@ -494,24 +501,10 @@ def _peel(graph: Multigraph, k: int) -> tuple[int, ...]:
                 deg[w] -= 1
                 if deg[w] == cap:  # pushed once, as it falls to the cap
                     heapq.heappush(ready, w)
-    return tuple(order)
-
-
-def _core(
-    graph: Multigraph, k: int
-) -> tuple[Multigraph, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """G's core at palette k, the peel order (``_peel``) and the core's
-    vertex and edge ids in G (``induced_subgraph``).  G itself, with
-    nothing peeled and empty maps, when k < Delta + 2 or no degree is at
-    most k - Delta, so nothing can peel."""
-    delta = graph.max_degree()
-    if k < delta + 2 or min(graph.degrees) > k - delta:
-        return graph, (), (), ()
-    peeled = _peel(graph, k)
     core, core_ids, core_edge_ids = graph.induced_subgraph(
-        set(range(graph.n)).difference(peeled)
+        [v for v in range(graph.n) if left[v]]
     )
-    return core, peeled, core_ids, core_edge_ids
+    return core, tuple(order), core_ids, core_edge_ids
 
 
 def _add_back(
@@ -640,15 +633,16 @@ def chromatic_index(
     vertices with 2(m - d(R)) > Delta(|V' - R| - 1) is denser than Delta,
     and no Delta-coloring exists.  The test is one sort, with no walk.
     When the attempt finds no coloring G is walked as below.  When it ran
-    on G itself to the end and the walk gives L = b, the climb goes on
-    from b + 1 with the attempt's nodes, since its first step would run
-    that search again.  When it ran out of its nodes, or the walk gives
-    L > b, or it ran on a padded G[V'], it is dropped.  As the attempt is
-    the search that the host route or the climb's first step runs at b,
-    stopped earlier, k, the reason, the witness and ``search_nodes`` are
-    those the walk alone gives, errors included.
+    to the end and the walk gives L = b, the climb goes on from b + 1 with
+    the attempt's nodes, since its first step would run that search again;
+    if the attempt was on the host route at b, so is L = b, with the same
+    core, and that route reads neither.  When it ran out of its nodes, or
+    the walk gives L > b, it is dropped.  As the attempt is the search
+    that the host route or the climb's first step runs at b, stopped
+    earlier, k, the reason, the witness and ``search_nodes`` are those the
+    walk alone gives, errors included.
 
-    Peeling.  With k >= Delta+2, ``_peel`` takes off, lowest index first,
+    Peeling.  With k >= Delta+2, ``_core`` takes off, lowest index first,
     a vertex whose degree d among the vertices still left is at most
     k - Delta; what is never taken off is the core C.  Any total
     k-coloring of the vertices left takes a peeled vertex v back: its
@@ -668,11 +662,11 @@ def chromatic_index(
     With k - Delta >= 2 that bound is below (k - 1)(|S| - 1) once
     |S| >= 3, a contradiction.  So the densest set lies in C, C's L is k
     too, and G's tight sets are C's, which the walk of G has found: C is
-    not walked again.  Peeling costs one comparison when there is nothing
-    to peel (every degree above k - Delta); then C is G, ``_peel`` does
-    not run, and ``_add_back`` takes G's total coloring as the prefix of
-    the host's, with no copy into G-sized arrays and no read of G's
-    incidence.
+    not walked again.  Peeling costs one scan of the degrees when there is
+    nothing to peel (every degree above k - Delta); then C is G, ``_core``
+    returns it as it is, and ``_add_back`` takes G's total coloring as the
+    prefix of the host's, with no copy into G-sized arrays and no read of
+    G's incidence.
     """
     if graph.m == 0:
         return ChromaticCertificate(
@@ -702,8 +696,8 @@ def chromatic_index(
         else:  # walk G, and peel at L
             lower, tight = _density_ceiling(graph, delta) or (delta, [])
             start = lower
-            if lower == bound and tried is not None and core is graph:
-                start, spent = lower + 1, tried  # the attempt refuted L on G
+            if lower == bound and tried is not None:
+                start, spent = lower + 1, tried  # the attempt refuted L
             core, peeled, core_ids, core_edge_ids = _core(graph, lower)
             if peeled:
                 index = {v: i for i, v in enumerate(core_ids)}

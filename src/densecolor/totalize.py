@@ -44,10 +44,10 @@ from .errors import GuaranteeViolationError
 from .multigraph import Multigraph, serialize
 from .oracles import (
     ChromaticCertificate,
+    _core,
     _critical_at,
     _is_dense_whole,
     _no_host_reason,
-    _peel,
     chromatic_index,
 )
 
@@ -220,10 +220,7 @@ def _totalize_with(
     host = chi.host
     delta = graph.max_degree()
     if host is None:
-        core_n = graph.n
-        if k >= delta + 2:
-            core_n -= len(_peel(graph, k))
-        reason = _no_host_reason(graph, k, config, core_n)
+        reason = _no_host_reason(graph, k, config, _core(graph, k)[0].n)
         if reason is not None:
             raise reason
         raise GuaranteeViolationError(

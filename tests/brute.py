@@ -171,6 +171,26 @@ def brute_maximal_k_dense(graph: Multigraph, k: int) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(s)) for s in sets if not any(s < t for t in sets))
 
 
+def brute_peel(graph: Multigraph, k: int) -> tuple[int, ...]:
+    """The host route's peel order at palette k >= Delta + 2 by plain
+    re-scanning: again and again the lowest-index vertex left whose edges
+    to the vertices left, recounted from the edge list, number at most
+    k - Delta."""
+    cap = k - graph.max_degree()
+    left = list(range(graph.n))
+    order: list[int] = []
+    while True:
+        ready = [
+            v
+            for v in left
+            if sum(v in e and e[0] in left and e[1] in left for e in graph.edges) <= cap
+        ]
+        if not ready:
+            return tuple(order)
+        order.append(ready[0])
+        left.remove(ready[0])
+
+
 def _within_density(count: list[list[int]], k: int) -> bool:
     """2|E(S)| <= k(|S|-1) on every odd set S of at least three vertices."""
     n = len(count)

@@ -347,7 +347,7 @@ class TestSaturate:
 
     def test_repeated_rounds_match_min_key_loop(self):
         # even padding pairs up into one matching that greedy adds level
-        # after level, one edge at a time; the sweep must add what the
+        # after level, one edge at a time; greedy must add what the
         # min-key loop adds, and hold the same blocks and pair counts as a
         # recount of the host
         # a 4-vertex core at n = 9 leaves one of its 5 isolated vertices over

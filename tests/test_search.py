@@ -116,6 +116,33 @@ class TestStatuses:
         assert rec.chi_total == rec.chi_prime == 15
 
 
+    @pytest.mark.parametrize(
+        "config", [RunConfig(density_max_n=8), RunConfig(density_max_n=8, node_budget=34)]
+    )
+    def test_hostless_instance_holds_by_the_total_oracle(self, config):
+        # fat triangle (mult 3) plus 6 isolated vertices: the density cap
+        # of 8 leaves it no host, and n + m = 18 is inside the total
+        # oracle's cap, which settles chi'' = chi' = 9 within 34 nodes
+        g = Multigraph(9, gen_fat_cycle(3, 3).edges)
+        rec = search_goldberg([("t3", g)], config).records[0]
+        assert (rec.status, rec.method, rec.chi_prime, rec.chi_total) == (
+            "holds", "total-oracle", 9, 9,
+        )
+        assert rec.detail is None
+
+    @pytest.mark.parametrize("budget", [31, 32, 33])
+    def test_total_oracle_out_of_budget_is_skipped(self, budget):
+        # the same instance: chi' = 9 settles within 31 nodes, but the
+        # total oracle needs 34
+        config = RunConfig(density_max_n=8, node_budget=budget)
+        g = Multigraph(9, gen_fat_cycle(3, 3).edges)
+        rec = search_goldberg([("t3", g)], config).records[0]
+        assert (rec.status, rec.method, rec.chi_prime, rec.chi_total) == (
+            "skipped", "total-oracle", 9, None,
+        )
+        assert rec.detail == f"search budget of {budget} nodes exhausted"
+
+
 class TestViolationPlumbing:
     def test_doctored_oracle_produces_certificate(self, monkeypatch):
         # no real violation is known, so fake one: report the true witness

@@ -619,6 +619,15 @@ class TestPeeling:
         assert cert.g_prime == gen_fat_cycle(3, 4)
         assert is_proper_total_coloring(PENDANT_PATH, cert.coloring)
 
+    def test_cascade_peel_certifies(self):
+        # vertex 3 joined to leaves 4..8 beside fat C3 with mu = 4: 3 peels
+        # once leaf 4 is off, and the triangle's host certifies chi'' = 12
+        g = Multigraph(9, gen_fat_cycle(3, 4).edges + ((3, 4), (3, 5), (3, 6), (3, 7), (3, 8)))
+        cert = totalize(g)
+        assert (cert.k, cert.pipeline.peeled) == (12, (4, 3, 5, 6, 7, 8))
+        assert cert.g_prime == gen_fat_cycle(3, 4)
+        assert is_proper_total_coloring(g, cert.coloring)
+
     def test_peel_order_does_not_depend_on_the_hash_seed(self, tmp_path):
         # fat C3 (mu = 4, cap L - Delta = 4) beside K6 less the edge 7-8 on
         # vertices 3..8: 7 and 8 are at the cap, and 7 goes first; then
