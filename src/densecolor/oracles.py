@@ -476,17 +476,20 @@ def _core(
     graph: Multigraph, k: int
 ) -> tuple[Multigraph, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """G's core at palette k, the peel order and the core's vertex and
-    edge ids in G (``induced_subgraph``).  Again and again the lowest-index
-    vertex whose degree among the vertices still left is at most k - Delta
-    is taken off (see ``chromatic_index``); the vertices never taken off
-    are the core, the same set in any order.  G itself, with nothing
-    peeled and empty maps, when k < Delta + 2 or no degree is at most
-    k - Delta, so nothing can peel."""
+    edge ids in G (as ``induced_subgraph`` gives them).  Again and again
+    the lowest-index vertex whose degree among the vertices still left is
+    at most k - Delta is taken off (see ``chromatic_index``); the vertices
+    never taken off are the core, the same set in any order.  A vertex
+    taken off with no edge left to the others lowers no degree, so its
+    incidence is not read, and peeling only padding never builds G's.
+    The core is copied in one pass over G's edges.  G itself, with
+    nothing peeled and empty maps, when k < Delta + 2 or no degree is at
+    most k - Delta, so nothing can peel."""
     cap = k - graph.max_degree()
     if cap < 2 or min(graph.degrees) > cap:
         return graph, (), (), ()
     deg = list(graph.degrees)
-    edges, incidence = graph.edges, graph.incidence
+    edges = graph.edges
     ready = [v for v, d in enumerate(deg) if d <= cap]  # ascending, so a heap
     left = [True] * graph.n
     order: list[int] = []
@@ -494,17 +497,27 @@ def _core(
         v = heapq.heappop(ready)
         left[v] = False
         order.append(v)
-        for e in incidence[v]:
+        if not deg[v]:  # no edge left to the vertices still in
+            continue
+        for e in graph.incidence[v]:
             u, w = edges[e]
             w = u if w == v else w
             if left[w]:
                 deg[w] -= 1
                 if deg[w] == cap:  # pushed once, as it falls to the cap
                     heapq.heappush(ready, w)
-    core, core_ids, core_edge_ids = graph.induced_subgraph(
-        [v for v in range(graph.n) if left[v]]
-    )
-    return core, tuple(order), core_ids, core_edge_ids
+    core_ids = [v for v in range(graph.n) if left[v]]
+    relabel = [0] * graph.n
+    for i, v in enumerate(core_ids):
+        relabel[v] = i
+    pairs: list[tuple[int, int]] = []
+    core_edge_ids: list[int] = []
+    for e, (u, w) in enumerate(edges):
+        if left[u] and left[w]:
+            pairs.append((relabel[u], relabel[w]))
+            core_edge_ids.append(e)
+    core = Multigraph(len(core_ids), tuple(pairs))
+    return core, tuple(order), tuple(core_ids), tuple(core_edge_ids)
 
 
 def _add_back(
@@ -525,8 +538,11 @@ def _add_back(
     reverse peel order (see ``chromatic_index``).  Each added vertex takes,
     edge by edge, the smallest color free at both ends of its edges to the
     vertices already back, then the smallest color free of those edges and
-    of its neighbours back.  An improper host coloring fails the
-    extension's own check and raises with the host as certificate."""
+    of its neighbours back.  A peeled vertex with no edge in G sees no
+    color, so it comes back with color 1, the greedy's own answer, without
+    a read of its incidence; G's incidence is built only when a peeled
+    vertex has edges.  An improper host coloring fails the extension's own
+    check and raises with the host as certificate."""
     from .totalize import extend_to_total  # totalize imports this module
 
     k = host.coloring.k
@@ -541,7 +557,7 @@ def _add_back(
         return TotalColoring(
             k, core.edge_colors[: graph.m], core.vertex_colors[: graph.n]
         )
-    edges, incidence = graph.edges, graph.incidence
+    edges, deg = graph.edges, graph.degrees
     vertex = [0] * graph.n  # 0 until the vertex is back
     edge = [0] * graph.m  # 0 until the edge is colored
     for v, c in zip(core_ids, core.vertex_colors):
@@ -557,6 +573,10 @@ def _add_back(
         return mask
 
     for v in reversed(peeled):
+        if not deg[v]:  # no edge and no neighbour: no color is seen
+            vertex[v] = 1
+            continue
+        incidence = graph.incidence  # built at the first vertex with edges
         near = 0  # the colors of v's neighbours that are back
         for e in incidence[v]:
             u, w = edges[e]
@@ -602,7 +622,8 @@ def chromatic_index(
     embeds nor colors again, and the route makes one coloring check.
     Every other graph within ``CHI_INDEX_MAX_EDGES`` is searched from L
     upwards; when the returned k exceeds both bounds, infeasibility of k-1
-    was certified by an exhausted backtracking run.
+    was certified by an exhausted backtracking run.  Vizing's bound
+    Delta + mu, which ends that climb, is counted only when it searches.
 
     Before the walk.  Let n <= density_max_n, V' be G's vertices with
     edges and n' = |V'|.  G's bound b is k when V' is k-dense (odd
@@ -653,7 +674,11 @@ def chromatic_index(
     d neighbours, since k = L <= chi' <= floor(3 Delta / 2) (Shannon).  So
     a total k-coloring of C gives one of G, adding the peeled vertices
     back in reverse peel order (``_add_back``).  If G meets the hypothesis
-    so does C, as |C| <= n and Delta(C) <= Delta.
+    so does C, as |C| <= n and Delta(C) <= Delta.  A vertex taken off with
+    no edge left to the vertices still in lowers no degree, and the peel
+    reads no incidence for it; a peeled vertex with no edge in G sees no
+    color and comes back with color 1.  So padding, wherever its vertices
+    sit among G's, peels and comes back without G's incidence being built.
 
     No odd set S with 2|E(S)| > (k - 1)(|S| - 1) holds a peeled vertex.
     Let v be the first of S to be peeled; all of S was left then, so
@@ -734,7 +759,10 @@ def chromatic_index(
             f"chromatic-index search capped at m = {CHI_INDEX_MAX_EDGES}, "
             f"got {graph.m}"
         )
-    upper = delta + graph.multiplicity()  # Vizing's bound for multigraphs
+    if colors is None:  # the climb searches, up to Vizing's bound
+        upper = delta + graph.multiplicity()
+    else:  # the attempt colored G at start
+        upper = start
     for k in range(start, upper + 1):
         if colors is None:  # else the attempt colored G at k
             colors, spent = _color(graph, k, spent, config.node_budget)

@@ -345,6 +345,23 @@ class TestSaturate:
             capped += k - 1 in host.degrees
         assert capped >= 30 and tight >= 20
 
+    def test_a_block_cuts_the_lexicographic_winner(self):
+        # every degree is 4 < k - 1 = 5, so every pair ties at sum 8; the
+        # block {0, 1, 2} cuts (0, 1), the least pair left is (0, 3), and
+        # (1, 4) then makes the host 6-dense.  A key of (sum, v, u) picks
+        # the same pairs here and in every state: for pairs (u0, v0) and
+        # (u1, v1) at the least sum S with u0 < u1 < v1 < v0, (u0, v1) and
+        # (u0, u1) must be cut or above S, and the degree sums give
+        # (u0, v1) + (u1, v0) = (u0, u1) + (v1, v0) = 2S, so a pair above
+        # S leaves its partner below S, and cut; the cuts this needs put
+        # u0 and v0, or u1 and v1, in one block
+        block = ((0, 1),) * 2 + ((0, 2),) * 2 + ((1, 2),) * 2
+        host = Multigraph(5, block + ((3, 4),) * 4)
+        con = _Contracted(host, [[0, 1, 2]])
+        assert con.blocks() == maximal_k_dense_subgraphs(host, 6)
+        added = embed_mod._saturate(host, 6, con)
+        assert added == [(0, 3), (1, 4)] == brute_saturate(host, 6)
+
     def test_repeated_rounds_match_min_key_loop(self):
         # even padding pairs up into one matching that greedy adds level
         # after level, one edge at a time; greedy must add what the

@@ -347,6 +347,23 @@ class TestChromaticIndex:
         assert cert.k == 1 and cert.lower_bound_reason == "max-degree"
         assert peak < 4_000_000
 
+    def test_vizing_bound_only_when_the_climb_searches(self, monkeypatch):
+        # K4 and a 4-cycle with two opposite edges doubled are colored at
+        # Delta before any walk, so the climb searches nothing and needs
+        # no multiplicity; Petersen's climb searches past Delta and reads it
+        def no_multiplicity(self):
+            raise AssertionError("multiplicity read")
+
+        monkeypatch.setattr(Multigraph, "multiplicity", no_multiplicity)
+        light = Multigraph(4, ((0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 0)))
+        for g, nodes in ((complete(4), 7), (light, 7)):
+            cert = chromatic_index(g)
+            got = (cert.k, cert.lower_bound_reason, cert.search_nodes)
+            assert got == (3, "max-degree", nodes)
+            assert is_proper_edge_coloring(g, cert.witness)
+        with pytest.raises(AssertionError, match="multiplicity read"):
+            chromatic_index(PETERSEN)
+
     def test_c5_needs_three(self):
         assert brute_chromatic_index(C5) == 3
         cert = chromatic_index(C5)
@@ -825,6 +842,56 @@ class TestChromaticIndex:
                     assert (core, core_ids, core_edge_ids) == g.induced_subgraph(left)
                 cascades += any(g.degrees[v] > k - delta for v in peeled)
         assert cascades >= 200
+
+    def test_edgeless_vertices_peel_and_come_back_without_incidence(self):
+        # fat cycles with paths apart from them and pendant chains hung on
+        # them, and isolated vertices, on shuffled labels: a vertex whose
+        # neighbours all went first pops with no edge left, and an
+        # isolated one has none at all; the order, the core and the
+        # total coloring are those of the plain rules, every isolated
+        # vertex comes back with color 1, and padding alone builds no
+        # incidence of G
+        rng = random.Random(35)
+        emptied = isolated = padded = 0
+        for _ in range(120):
+            c, mu = rng.choice(((3, 3), (3, 4), (3, 5), (5, 5), (5, 6)))
+            edges = list(gen_fat_cycle(c, mu).edges)
+            n = c
+            for _ in range(rng.randint(0, 2)):  # a path apart from the core
+                length = rng.randint(2, 4)
+                edges += [(v, v + 1) for v in range(n, n + length - 1)]
+                n += length
+            for u in rng.sample(range(c), rng.randint(0, 2)):  # chains on the core
+                length = rng.randint(1, 3)
+                edges += [(u, n)]
+                edges += [(v, v + 1) for v in range(n, n + length - 1)]
+                n += length
+            padding = rng.randint(0, 3)
+            label = list(range(n + padding))
+            rng.shuffle(label)
+            g = Multigraph(n + padding, tuple((label[u], label[v]) for u, v in edges))
+            cert = chromatic_index(g)
+            assert cert.host is not None
+            k = cert.k
+            core, peeled, core_ids, core_edge_ids = oracles._core(g, k)
+            assert peeled == cert.peeled == brute_peel(g, k)
+            if peeled:
+                left = [v for v in range(g.n) if v not in peeled]
+                assert (core, core_ids, core_edge_ids) == g.induced_subgraph(left)
+            gone = set()
+            for v in peeled:
+                gone.add(v)
+                if g.degrees[v] and all(set(e) <= gone for e in g.edges if v in e):
+                    emptied += 1  # its neighbours all went first
+            for v in peeled:
+                if not g.degrees[v]:
+                    isolated += 1
+                    assert cert.total.vertex_colors[v] == 1
+            assert oracles._checked(g, cert.total) is cert.total
+            if peeled and not any(g.degrees[v] for v in peeled):
+                assert "incidence" not in vars(g)
+                padded += 1
+        assert emptied >= 100 and isolated >= 80 and padded >= 5
 
     @pytest.mark.parametrize(
         ("graph", "config", "expected"),
