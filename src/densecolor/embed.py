@@ -34,14 +34,17 @@ The premise, density(G) <= k, and G's tight sets come from one walk of G,
 Delta and passes the sets it keeps, so on its route the embedding does
 not walk G.  A G whose vertices with edges, V', are k-dense, and whose
 G[V'] ``chromatic_index`` has k-colored before any walk, is not walked
-at all: it embeds the core G[V'], passing its one block, V', and as the
-core already has k(|V'|-1)/2 edges nothing is added.  A direct call
-makes the walk from k - 1: None means no odd set reaches k, so there is
-no tight set; a ceiling above k breaks the premise; else the kept sets,
-those of density exactly k, are the tight sets.  The parity vertex changes none of this: an odd S holding it has
-ratio 2|E(S')|/|S'| < k, with S' the rest of S, as every degree is below
-k, so it lies in no tight set.  When n is odd the embedding starts from G
-itself.
+at all.  Nor is a core that is already k-dense embedded, after that
+attempt or after the walk: with its one block, the whole vertex set,
+``embed_k_dense`` would add nothing, so ``chromatic_index`` builds the
+same host, the core itself, and its report (no parity vertex, no edge,
+no move) without the call.  A direct call makes the walk from k - 1: None
+means no odd set reaches k, so there is no tight set; a ceiling above k
+breaks the premise; else the kept sets, those of density exactly k, are
+the tight sets.  The parity vertex changes none of this: an odd S
+holding it has ratio 2|E(S')|/|S'| < k, with S' the rest of S, as every
+degree is below k, so it lies in no tight set.  When n is odd the
+embedding starts from G itself.
 
 Tight sets.  Call an odd set S, |S| >= 3, tight (k-dense) when
 f(S) = 2|E(S)| - k(|S|-1) = 0; f is even, and at most 0 while the density

@@ -12,9 +12,11 @@ check) goes through one pruned lexicographic walk, ``_walk_odd_sets``.
 ``chromatic_index``'s host route first peels G (``_core``): vertices of
 degree at most k - Delta come off, the core that is left is embedded and
 colored, and the peeled vertices go back into a total k-coloring greedily
-(``_add_back``).  Before its one walk of G it colors G at a bound b <= L
-that needs no walk: b = k when G's vertices with edges are k-dense at
-k > Delta, padded or not, else b = Delta.  The search is the one the
+(``_add_back``).  A core that is already k-dense is its own host, so
+the route embeds, through ``embed.embed_k_dense``, only a core short of
+edges or of even order.  Before its one walk of G it colors G at a bound
+b <= L that needs no walk: b = k when G's vertices with edges are k-dense
+at k > Delta, padded or not, else b = Delta.  The search is the one the
 route at b would run, under a small node limit, and a coloring settles
 chi' = b.  The rule, its exceptions and their proofs are in
 ``chromatic_index``.
@@ -194,19 +196,25 @@ def _walk_odd_sets(
     den * (t(w) + d(w)) - num, stays below ``slack``.  Reads only ``n``,
     ``degrees`` and ``adjacency_counts``; vertices are not range-checked.
 
+    Parity.  On an odd S, |S| - 1 is even, so the value
+    den * 2e - num * (|S| - 1) is even, and a hit's value reaches need,
+    ``slack`` rounded up to even (2 at slack 1, 0 at slack 0).  So no hit
+    is left already when that bound stays below need, and the cuts below
+    compare with need where the hit test compares with ``slack``.
+
     The same sum also cuts single branches.  With g(w) =
     den * (t(w) + d(w)) - num, every P + R has value
     den * 2|E(P + R)| - num * (|P + R| - 1) <= B + sum over R of g(w),
     where B = den * 2|E(P)| - num * (|P| - 1); the bound above is B plus
-    the positive g(w), and when it reaches ``slack`` let
-    spare = bound - ``slack`` >= 0.  The child that adds v walks the sets
+    the positive g(w), and when it reaches need let
+    spare = bound - need >= 0.  The child that adds v walks the sets
     P + v + R, R among the later candidates.
 
     - A child v with g(v) < -spare holds no hit: g(v) < 0 is not in the
-      bound, so each of its sets has value at most bound + g(v) < slack.
+      bound, so each of its sets has value at most bound + g(v) < need.
       It is skipped.
     - A candidate w with g(w) > spare is in every hit below P: a set
-      without w has value at most bound - g(w) < slack, as g(w) > 0 is in
+      without w has value at most bound - g(w) < need, as g(w) > 0 is in
       the bound.  The children after w never add w, so the loop stops
       after w's child.
     - Once P, the child's v and the candidates after v are fewer than
@@ -245,6 +253,7 @@ def _walk_odd_sets(
     # pair counts are symmetric: sum the forced vertices' own rows
     to_subset = [sum(col) for col in zip([0] * graph.n, *(cnt[w] for w in subset))]
     last = len(candidates)
+    need = slack + (slack & 1)  # a hit's value is even, so it reaches this
 
     def walk(idx: int, size: int, inner: int) -> bool:
         nonlocal num, den
@@ -264,7 +273,7 @@ def _walk_odd_sets(
             if x > cut:
                 top += x
                 picked += 1
-        spare = at_den * top - at_num * (size - 1 + picked) - slack
+        spare = at_den * top - at_num * (size - 1 + picked) - need
         if spare < 0:
             return False
         # from i = last + size - 2 on, P, v and the later candidates are < 3
@@ -531,7 +540,8 @@ def _add_back(
     and taken to G.  With nothing peeled, G is the core and its vertex and
     edge ids are a prefix of the host's, so its coloring is the prefix of
     the host's; ``core_ids`` and ``core_edge_ids`` are then ignored (the
-    caller passes them empty) and G's incidence is not read.
+    caller passes them empty) and G's incidence is not read; when G is
+    the host itself, its total coloring is the extension, with no copy.
     Otherwise the coloring is restricted to the core, whose vertex ``i`` is
     G's ``core_ids[i]`` and edge ``j`` G's ``core_edge_ids[j]`` (a prefix of
     the host's ids), and the peeled vertices are added back greedily in
@@ -543,17 +553,17 @@ def _add_back(
     a read of its incidence; G's incidence is built only when a peeled
     vertex has edges.  An improper host coloring fails the extension's own
     check and raises with the host as certificate."""
-    from .totalize import extend_to_total  # totalize imports this module
-
     k = host.coloring.k
     try:
-        core = extend_to_total(host.g_prime, host.coloring, k)
+        core = totalize.extend_to_total(host.g_prime, host.coloring, k)
     except ValueError:
         raise GuaranteeViolationError(
             "solver produced an improper coloring; this is a bug",
             certificate=serialize(host.g_prime),
         ) from None
     if not peeled:
+        if host.g_prime is graph:  # G is its own host
+            return core
         return TotalColoring(
             k, core.edge_colors[: graph.m], core.vertex_colors[: graph.n]
         )
@@ -643,10 +653,9 @@ def chromatic_index(
     other n' - 1 vertices of V' have degree sum 2m - d(v) <= Delta(n' - 1)
     and n' >= 3, and taking off an isolated vertex lowers no degree.  So
     the core is G[V'], with the isolated vertices peeled in ascending
-    order, and it is its own host, as ``embed_k_dense`` with the one
-    block V' adds no edge: ``_color`` picks ``_dense_class_search`` on
-    it, and the walk would give L = b, this core and a host that search
-    colors from 0 nodes.
+    order, and it is b-dense: ``_color`` picks ``_dense_class_search`` on
+    it, and the walk would give L = b, this core and a host (the core
+    itself, below) that search colors from 0 nodes.
     G is not tried at b = Delta when its degrees already prove L > Delta
     (``_denser_by_degrees``): for any R of V', e(V' - R) >= m - d(R), as
     each edge that V' - R loses has an end in R; so with R the j
@@ -662,6 +671,17 @@ def chromatic_index(
     that the host route or the climb's first step runs at b, stopped
     earlier, k, the reason, the witness and ``search_nodes`` are those the
     walk alone gives, errors included.
+
+    Own hosts.  On either path, a core C that is k-dense at the route's
+    k (``_is_dense_whole``) is its own host: the route builds the host
+    C, with the report of no parity vertex, no added edge and no move,
+    that ``embed_k_dense(C, k, tight_sets=[V(C)])`` returns, without
+    calling it.  That call would check ``_no_host_reason`` on C, which
+    passes as the route's check on G at |C| did, C's Delta and order
+    being no larger, and then add nothing to a graph with k(|C| - 1)/2
+    edges and odd |C|.  So ``embed_k_dense`` runs only for a core short
+    of edges or of even order.  With nothing peeled that host is G
+    itself, and ``_add_back`` returns the extension of its coloring.
 
     Peeling.  With k >= Delta+2, ``_core`` takes off, lowest index first,
     a vertex whose degree d among the vertices still left is at most
@@ -729,9 +749,13 @@ def chromatic_index(
                 tight = [[index[v] for v in subset] for subset in tight]
             route = _no_host_reason(graph, lower, config, core.n) is None
         if route:
-            from .embed import DenseHost, embed_k_dense  # embed imports this module
-
-            g_prime, report = embed_k_dense(core, lower, config, tight_sets=tight)
+            if _is_dense_whole(core, lower):  # the core is its own host
+                g_prime = core
+                report = embed.EmbeddingReport(False, (), (), core.n, core.m, lower)
+            else:
+                g_prime, report = embed.embed_k_dense(
+                    core, lower, config, tight_sets=tight
+                )
             if colors is None:
                 colors, spent = _color(g_prime, lower, 0, config.node_budget)
             if colors is None:
@@ -740,7 +764,7 @@ def chromatic_index(
                     "this contradicts the density identity (or is a bug)",
                     certificate=serialize(g_prime),
                 )
-            host = DenseHost(g_prime, report, EdgeColoring(lower, tuple(colors)))
+            host = embed.DenseHost(g_prime, report, EdgeColoring(lower, tuple(colors)))
             total = _checked(
                 graph, _add_back(graph, peeled, core_ids, core_edge_ids, host)
             )
@@ -793,7 +817,11 @@ def _dense_class_search(
     form an id prefix (undo is LIFO).  After c classes, un_deg[v] <= k - c
     (checked at c = 0 and at each class boundary); as
     un_deg[v] = deg(v) - c + a when a of them missed v, this caps a at
-    k - deg(v), as any k-coloring must.
+    k - deg(v), as any k-coloring must.  A boundary checks one vertex:
+    before class c every un_deg is at most k - c + 1, each vertex the
+    class covers loses one, and a vertex it misses was loose (below), so
+    at most k - c already.  With no vertex missed, the n - 1 vertices its
+    (n-1)/2 edges cover pass, and only the one left uncovered is read.
 
     A class grows from its most constrained vertex.  An uncovered vertex v
     has a choice for each uncovered partner it still shares an edge with,
@@ -894,8 +922,11 @@ def _dense_class_search(
                 covered |= 1 << ~choice
                 missed = True
             if count == size:
-                # everything below the anchor is already assigned
-                if max(un_deg) <= k - color and not (
+                # everything below the anchor is already assigned; unless a
+                # vertex was missed, only the one left uncovered can break
+                # the degree bound
+                uncovered = (everyone ^ covered).bit_length() - 1
+                if (missed or un_deg[uncovered] <= k - color) and not (
                     spent > walk_after and rest_too_dense(color)
                 ):
                     choice = None
@@ -1184,13 +1215,23 @@ def gs_verify(
 
 
 def _critical_at(graph: Multigraph, k: int, config: RunConfig) -> bool:
-    """``is_edge_critical`` for a graph whose chromatic index k is known."""
+    """``is_edge_critical`` for a graph whose chromatic index k is known.
+    Deleting any edge of a parallel class leaves the same multigraph up to
+    edge ids, so each class is tried once, at its lowest id, in id order."""
+    lowest: dict[tuple[int, int], int] = {}
+    for eid, (u, v) in enumerate(graph.edges):
+        lowest.setdefault((u, v) if u < v else (v, u), eid)
     return all(
         chromatic_index(graph.without_edge(eid), config).k < k
-        for eid in range(graph.m)
+        for eid in lowest.values()
     )
 
 
 def is_edge_critical(graph: Multigraph, config: RunConfig = DEFAULT_CONFIG) -> bool:
     """True when deleting any single edge lowers the chromatic index."""
     return _critical_at(graph, chromatic_index(graph, config).k, config)
+
+
+# bound last, as embed and totalize import this module; calls look up
+# their functions as attributes, so a replaced function is the one called
+from . import embed, totalize  # noqa: E402

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .coloring import (
     EdgeColoring,
@@ -39,7 +40,6 @@ from .coloring import (
     is_proper_total_coloring,
 )
 from .config import DEFAULT_CONFIG, RunConfig
-from .embed import EmbeddingReport
 from .errors import GuaranteeViolationError
 from .multigraph import Multigraph, serialize
 from .oracles import (
@@ -50,6 +50,9 @@ from .oracles import (
     _no_host_reason,
     chromatic_index,
 )
+
+if TYPE_CHECKING:  # embed imports the oracles, which import this module
+    from .embed import EmbeddingReport
 
 __all__ = [
     "PipelineRecord",

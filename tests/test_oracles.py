@@ -19,10 +19,12 @@ from densecolor import (
     can_add_edge,
     chromatic_index,
     complete,
+    corollary_applicable,
     cycle,
     density,
     disjoint_union,
     embed_k_dense,
+    extend_to_total,
     find_k_edge_coloring,
     gen_fat_cycle,
     gen_random_multigraph,
@@ -167,6 +169,38 @@ def padded_core_graphs(seed: int, count: int) -> tuple[Multigraph, ...]:
             c = rng.choice((3, 5, 7))
             core = gen_random_multigraph(c, rng.randint(c, 3 * c), 4, rng.getrandbits(32))
         out.append(with_isolated(core, rng)[0])
+    return tuple(out)
+
+
+def hosted_dense_graphs(seed: int, count: int) -> tuple[Multigraph, ...]:
+    """Seeded multigraphs k-dense on their whole vertex set that are their
+    own hosts: n in {3, 5, 7}, k in 2n..2n + 5, so k >= n + 1, with every
+    degree at most k - 2 and no odd set denser than k, placed at random on
+    pairs of multiplicity below a cap, redrawn when placement gets stuck."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((3, 5, 7))
+        k = rng.randint(2 * n, 2 * n + 5)
+        cap = rng.choice((2, 3, k))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        deg, edges = [0] * n, []
+        for _ in range(k * (n - 1) // 2):
+            free = [
+                (u, v)
+                for u, v in pairs
+                if max(deg[u], deg[v]) < k - 2 and edges.count((u, v)) < cap
+            ]
+            if not free:
+                break
+            u, v = rng.choice(free)
+            deg[u] += 1
+            deg[v] += 1
+            edges.append((u, v))
+        else:
+            g = Multigraph(n, tuple(edges))
+            if oracles._density_ceiling(g, k) is None:
+                out.append(g)
     return tuple(out)
 
 
@@ -968,6 +1002,54 @@ class TestChromaticIndex:
                 chromatic_index(g, RunConfig(node_budget=5))
             assert walks == [g]
 
+    @pytest.mark.parametrize("attempt", [True, False], ids=["attempt", "walk"])
+    def test_a_dense_core_is_its_own_host(self, monkeypatch, attempt):
+        # a core k-dense at L = k is its own host: chromatic_index builds
+        # the host that embed_k_dense with the one block gives it, nothing
+        # added, without calling it.  G is the core, the core padded at the
+        # end or among its ids, or the core beside a path on shuffled
+        # labels, which is walked and peels to the core; with FIRST_TRY = 0
+        # every G is walked.  An unpadded G is its own host, and its total
+        # coloring is the extension of the host's coloring
+        rng = random.Random(37)
+        embed = embed_mod.embed_k_dense
+        cases = []
+        for core in hosted_dense_graphs(37, 60):
+            k = 2 * core.m // (core.n - 1)
+            padded = Multigraph(core.n + rng.randint(1, 3), core.edges)
+            length = rng.randint(2, 4)
+            n = core.n + length
+            label = list(range(n))
+            rng.shuffle(label)
+            path = tuple((v, v + 1) for v in range(core.n, n - 1))
+            beside = Multigraph(
+                n, tuple((label[u], label[v]) for u, v in core.edges + path)
+            )
+            for g in (core, padded, with_isolated(core, rng)[0], beside):
+                core_of_g = oracles._core(g, k)[0]
+                host = embed(core_of_g, k, tight_sets=[list(range(core.n))])
+                cases.append((g, k, host, g is beside))
+        if not attempt:
+            monkeypatch.setattr(oracles, "FIRST_TRY", 0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("embed_k_dense called")
+
+        monkeypatch.setattr(embed_mod, "embed_k_dense", refuse)
+        walks = counted_walks(monkeypatch)
+        for g, k, (g_prime, report), walked in cases:
+            walks.clear()
+            cert = chromatic_index(g)
+            assert walks == ([g] if walked or not attempt else [])
+            assert (cert.k, cert.lower_bound_reason) == (k, "density")
+            assert cert.host.g_prime == g_prime
+            assert cert.host.report.to_doc() == report.to_doc()
+            assert totalize(g).pipeline.embedding == report
+            if not cert.peeled:
+                assert cert.host.g_prime is g
+                assert cert.total == extend_to_total(g, cert.host.coloring, k)
+        assert len(cases) == 240
+
     def test_density_prune_cuts_a_class_search_exactly(self, monkeypatch):
         # a four-vertex core padded to n = 9 with L = ceil(rho) = 13: the
         # host's class search passes the walk's node threshold, and after
@@ -1290,6 +1372,15 @@ class TestWalkBranchCuts:
                 hits += len(calls)
         assert walks >= 7_000 and hits >= 4_000
 
+    def test_parity_bound_on_cycles(self):
+        # an odd set's value den * 2e - num(|S| - 1) is even, so a hit at
+        # slack 1 has value at least 2: the ceiling walk of a long cycle
+        # from 2, where every branch's bound sits at 1, visits 2n nodes
+        # (1,372 and 5,247 without the parity bound)
+        for n, nodes in ((51, 100), (101, 200)):
+            walk = node_count(oracles._walk_odd_sets, cycle(n), 2, 1, 1, rise(n, 2))
+            assert walk == nodes
+
     def test_fewer_nodes_than_the_reference_walk(self):
         # density on a sparse random multigraph at n = 17 walks from
         # threshold 0, the walk's deepest use; the cuts halve its nodes
@@ -1333,6 +1424,45 @@ class TestEdgeCritical:
 
     def test_t2_is_critical(self):
         assert is_edge_critical(T2)
+
+    def test_one_check_per_parallel_class(self, monkeypatch):
+        # deleting any edge of a parallel class leaves the same multigraph
+        # up to edge ids: fat C3 with mu = 8 takes one chromatic_index call
+        # for G and one per class, not one per edge
+        calls = []
+        real = oracles.chromatic_index
+
+        def counted(graph, config=RunConfig()):
+            calls.append(graph)
+            return real(graph, config)
+
+        monkeypatch.setattr(oracles, "chromatic_index", counted)
+        g = gen_fat_cycle(3, 8)
+        assert is_edge_critical(g)
+        assert len(calls) == 4
+        assert calls[1:] == [g.without_edge(e) for e in (0, 8, 16)]
+
+    def test_matches_the_per_edge_definition(self):
+        # on seeded multigraphs with twins in either orientation, the
+        # answer of is_edge_critical and corollary_applicable's criticality
+        # is that of deleting each edge id in turn
+        rng = random.Random(39)
+        seen = {True: 0, False: 0}
+        for _ in range(150):
+            n = rng.randint(2, 5)
+            cap = rng.randint(1, 4)
+            m = rng.randint(1, min(9, cap * n * (n - 1) // 2))
+            base = gen_random_multigraph(n, m, cap, rng.getrandbits(32))
+            g = Multigraph(n, tuple(e if rng.random() < 0.5 else e[::-1] for e in base.edges))
+            k = chromatic_index(g).k
+            expected = all(
+                chromatic_index(g.without_edge(e)).k < k for e in range(g.m)
+            )
+            assert is_edge_critical(g) == expected
+            report = corollary_applicable(g, range(n))
+            assert report.subgraph_is_critical == (expected if k >= g.max_degree() + 2 else None)
+            seen[expected] += 1
+        assert seen[True] >= 20 and seen[False] >= 20
 
 
 class TestRandomizedCrossValidation:
@@ -1473,6 +1603,31 @@ class TestFeasibilitySearch:
             if len(edges) == 3 * k:
                 outcomes.append(check(Multigraph(7, tuple(edges)), k))
         assert outcomes.count(True) >= 40 and outcomes.count(False) >= 5
+
+    def test_class_search_totals_on_a_dense_sweep(self):
+        # a class boundary tests only the vertex the class left uncovered:
+        # over 3,000 k-dense graphs at n = 3, 5, 7 and 9 (some with no
+        # k-coloring) under limits small enough that some searches run
+        # out, the nodes, colorings, refutations and budget errors are
+        # those of the search that scanned every degree at each boundary
+        rng = random.Random(38)
+        graphs = whole_dense_graphs(38, 3000)
+        nodes = weight = refuted = exhausted = 0
+        for g in graphs:
+            k = 2 * g.m // (g.n - 1)
+            limit = rng.choice((20, 60, 200, 1000, 5000))
+            try:
+                colors, spent = oracles._dense_class_search(g, k, 0, limit)
+            except BudgetExceededError:
+                exhausted += 1
+                continue
+            nodes += spent
+            if colors is None:
+                refuted += 1
+            else:
+                weight += sum(i * c for i, c in enumerate(colors, 1))
+        assert {g.n for g in graphs} == {3, 5, 7, 9}
+        assert (nodes, weight, refuted, exhausted) == (88_900, 6_910_368, 125, 542)
 
 
 class TestDensityCapLimit:

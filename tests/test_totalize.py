@@ -711,3 +711,17 @@ class TestCorollary:
             "threshold": "2",
             "size_ok": True,
         }
+
+
+class TestImports:
+    @pytest.mark.parametrize("module", ["oracles", "embed", "totalize", "search", "cli"])
+    def test_each_module_imports_first(self, module):
+        # the oracles bind embed and totalize once they are complete, and
+        # both import the oracles: whichever comes first in a fresh
+        # interpreter, the cycle closes
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import densecolor.{module}"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
