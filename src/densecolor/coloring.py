@@ -238,12 +238,13 @@ def coloring_from_doc(doc: dict) -> EdgeColoring | TotalColoring:
     try:
         k = int(doc["k"])
         edge_entries = list(doc["edges"])
+        vertex_entries = list(doc["vertices"]) if "vertices" in doc else None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed coloring document: {exc}") from None
     edge_colors = _colors_by_index(edge_entries, "id", "edges")
-    if "vertices" not in doc:
+    if vertex_entries is None:
         return EdgeColoring(k, edge_colors)
-    vertex_colors = _colors_by_index(list(doc["vertices"]), "v", "vertices")
+    vertex_colors = _colors_by_index(vertex_entries, "v", "vertices")
     return TotalColoring(k, edge_colors, vertex_colors)
 
 

@@ -22,7 +22,9 @@ chi' = b.  The rule, its exceptions and their proofs are in
 ``chromatic_index``.
 
 Every returned number comes with a machine-checkable witness, which the
-oracle that makes it checks once (``_checked``), and every
+step that builds it checks once (``_checked``; on the host route,
+``totalize.extend_to_total`` when G is its own host and
+``totalize.restrict_total`` when G is an id-prefix of its host), and every
 "no smaller palette exists" claim is certified by an exhausted search (or by
 a bound that makes the search unnecessary: the max degree or the density).
 Caps and the node budget are explicit errors, never silent truncation.
@@ -536,12 +538,12 @@ def _add_back(
     core_edge_ids: tuple[int, ...],
     host: DenseHost,
 ) -> TotalColoring:
-    """A total k-coloring of G: the host's coloring extended to a total one
-    and taken to G.  With nothing peeled, G is the core and its vertex and
-    edge ids are a prefix of the host's, so its coloring is the prefix of
-    the host's; ``core_ids`` and ``core_edge_ids`` are then ignored (the
-    caller passes them empty) and G's incidence is not read; when G is
-    the host itself, its total coloring is the extension, with no copy.
+    """A total k-coloring of G, checked by the step that builds it: the
+    host's coloring extended to a total one and taken to G.  With nothing
+    peeled G's ids are a prefix of the host's, and its coloring is the
+    extension when G is the host, else ``totalize.restrict_total`` of it;
+    ``core_ids`` and ``core_edge_ids`` are then ignored (the caller passes
+    them empty) and G's incidence is not read.
     Otherwise the coloring is restricted to the core, whose vertex ``i`` is
     G's ``core_ids[i]`` and edge ``j`` G's ``core_edge_ids[j]`` (a prefix of
     the host's ids), and the peeled vertices are added back greedily in
@@ -551,8 +553,8 @@ def _add_back(
     of its neighbours back.  A peeled vertex with no edge in G sees no
     color, so it comes back with color 1, the greedy's own answer, without
     a read of its incidence; G's incidence is built only when a peeled
-    vertex has edges.  An improper host coloring fails the extension's own
-    check and raises with the host as certificate."""
+    vertex has edges, and ``_checked`` checks the result.  An improper
+    host coloring fails the extension's check and raises with the host."""
     k = host.coloring.k
     try:
         core = totalize.extend_to_total(host.g_prime, host.coloring, k)
@@ -564,9 +566,7 @@ def _add_back(
     if not peeled:
         if host.g_prime is graph:  # G is its own host
             return core
-        return TotalColoring(
-            k, core.edge_colors[: graph.m], core.vertex_colors[: graph.n]
-        )
+        return totalize.restrict_total(host.g_prime, core, graph)
     edges, deg = graph.edges, graph.degrees
     vertex = [0] * graph.n  # 0 until the vertex is back
     edge = [0] * graph.m  # 0 until the edge is colored
@@ -597,7 +597,7 @@ def _add_back(
                 near |= 1 << vertex[w]
         seen = present(v) | near
         vertex[v] = (~seen & (seen + 1)).bit_length() - 1
-    return TotalColoring(k, tuple(edge), tuple(vertex))
+    return _checked(graph, TotalColoring(k, tuple(edge), tuple(vertex)))
 
 
 CHI_INDEX_MAX_EDGES = 40  # exhaustive chromatic-index search cap (m)
@@ -629,7 +629,7 @@ def chromatic_index(
     that saturation starts from, so the embedding walks no more.  The
     certificate keeps that host with its coloring (``host``) and the
     checked total coloring of G (``total``), so ``totalize`` neither
-    embeds nor colors again, and the route makes one coloring check.
+    embeds, colors nor checks again: ``_add_back`` has checked it.
     Every other graph within ``CHI_INDEX_MAX_EDGES`` is searched from L
     upwards; when the returned k exceeds both bounds, infeasibility of k-1
     was certified by an exhausted backtracking run.  Vizing's bound
@@ -709,9 +709,9 @@ def chromatic_index(
     too, and G's tight sets are C's, which the walk of G has found: C is
     not walked again.  Peeling costs one scan of the degrees when there is
     nothing to peel (every degree above k - Delta); then C is G, ``_core``
-    returns it as it is, and ``_add_back`` takes G's total coloring as the
-    prefix of the host's, with no copy into G-sized arrays and no read of
-    G's incidence.
+    returns it as it is, and ``_add_back`` restricts the host's total
+    coloring to G, an id-prefix of the host (``totalize.restrict_total``),
+    with no read of G's incidence.
     """
     if graph.m == 0:
         return ChromaticCertificate(
@@ -765,9 +765,7 @@ def chromatic_index(
                     certificate=serialize(g_prime),
                 )
             host = embed.DenseHost(g_prime, report, EdgeColoring(lower, tuple(colors)))
-            total = _checked(
-                graph, _add_back(graph, peeled, core_ids, core_edge_ids, host)
-            )
+            total = _add_back(graph, peeled, core_ids, core_edge_ids, host)
             return ChromaticCertificate(
                 "chromatic-index",
                 lower,

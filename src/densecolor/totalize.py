@@ -13,11 +13,11 @@ first peels G: vertices of degree at most k - Delta come off,
 k = L = max(Delta, ceil(rho)), and what is left is G's core C (G itself
 when nothing peels).  It embeds C at L whenever L meets the hypothesis on
 C, k >= max(Delta+2, |C|+1), colors the host, extends the coloring with
-``extend_to_total``, restricts it to C, adds the peeled vertices back
-greedily and checks the total coloring of G once; the certificate keeps
-the host, its coloring and that total coloring, which the pipeline takes
-as it is.  ``restrict_total`` stays public for restricting a host's total
-coloring by hand; the pipeline does not call it.  So the pipeline needs
+``extend_to_total`` and takes it to G: as it is when G is its own host,
+through ``restrict_total`` when G is an id-prefix of the host, else
+adding the peeled vertices back; the step that builds G's total coloring
+checks it once.  The certificate keeps the host, its coloring and that
+total coloring, which the pipeline takes as it is.  So the pipeline needs
 |C| + 1 <= k where the theorem needs n + 1 <= k.  By Goldberg-Seymour
 chi'(G) = L whenever chi'(G) meets the hypothesis, so an input without a
 host is refused: ``HypothesisNotMetError`` carries the exact chi'(G) of

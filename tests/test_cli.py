@@ -270,6 +270,19 @@ class TestVerifyCommand:
         result = run_cli("verify", str(graph_path), str(coloring_path))
         assert result.returncode == 4
 
+    def test_malformed_coloring_exit_code(self, tmp_path):
+        # vertices that are not a list are an input error, not a traceback
+        graph_path = tmp_path / "g.mg"
+        graph_path.write_text("p multigraph 2 1\ne 1 2\n")
+        coloring_path = tmp_path / "c.json"
+        coloring_path.write_text(
+            json.dumps({"k": 3, "edges": [{"id": 0, "color": 1}], "vertices": None})
+        )
+        result = run_cli("verify", str(graph_path), str(coloring_path))
+        assert result.returncode == 4
+        assert "Traceback" not in result.stderr
+        assert "malformed coloring document" in result.stderr
+
 
 class TestGenCommand:
     def test_fixture(self):

@@ -282,3 +282,9 @@ class TestSerialization:
         doc = {"k": 2, "edges": [{"id": 0, "color": 1}, {"id": 0, "color": 2}]}
         with pytest.raises(ValueError, match="duplicate"):
             coloring_from_doc(doc)
+
+    @pytest.mark.parametrize("vertices", [None, 7], ids=["null", "number"])
+    def test_vertices_not_a_list_rejected(self, vertices):
+        doc = {"k": 2, "edges": [{"id": 0, "color": 1}], "vertices": vertices}
+        with pytest.raises(ValueError, match="malformed coloring document"):
+            coloring_from_doc(doc)

@@ -277,7 +277,7 @@ class TestStalls:
             assert find_k_edge_coloring(g_prime, k, config) is not None
         assert moves >= 1
 
-    def test_sweep_matches_brute_greedy(self):
+    def test_greedy_matches_brute_greedy(self):
         # the block bookkeeping picks the pairs that recounting every odd
         # set picks; about 4 % of these cores stall
         rng = random.Random(9)
@@ -330,7 +330,7 @@ def hub_entry_state(rng):
 
 
 class TestSaturate:
-    def test_sweep_matches_min_key_loop_from_any_entry_state(self):
+    def test_greedy_matches_min_key_loop_from_any_entry_state(self):
         rng = random.Random(16)
         capped = tight = 0
         for _ in range(60):

@@ -458,7 +458,8 @@ class TestTotalize:
     @staticmethod
     def count_checks(monkeypatch, g):
         """totalize(g), with the graphs of its properness checks (and
-        whether each was of a total coloring) and of its extensions."""
+        whether each was of a total coloring), of its extensions and of
+        its restrictions (as host and subgraph)."""
         checks = []
         clash_free = coloring_mod._clash_free
 
@@ -475,21 +476,35 @@ class TestTotalize:
             return extend(graph, phi, k)
 
         monkeypatch.setattr(totalize_mod, "extend_to_total", counted_extend)
-        return totalize(g), checks, extended
+        restricted = []
+        restrict = totalize_mod.restrict_total
+
+        def counted_restrict(g_prime, psi, graph):
+            restricted.append((g_prime, graph))
+            return restrict(g_prime, psi, graph)
+
+        monkeypatch.setattr(totalize_mod, "restrict_total", counted_restrict)
+        return totalize(g), checks, extended, restricted
 
     @pytest.mark.parametrize(
-        "graph",
-        [gen_fat_cycle(5, 5), Multigraph(9, gen_fat_cycle(3, 4).edges)],
-        ids=["nothing-to-peel", "peeled"],
+        "graph, own, restricts",
+        [
+            (gen_fat_cycle(5, 4), True, False),  # 10-dense
+            (gen_fat_cycle(5, 5), False, True),  # the host gains an edge
+            (Multigraph(9, gen_fat_cycle(3, 4).edges), False, False),
+        ],
+        ids=["own-host", "nothing-to-peel", "peeled"],
     )
-    def test_each_coloring_checked_once(self, monkeypatch, graph):
-        # the host coloring in the extension pass, then G's total coloring,
-        # restricted from the host's and with any peeled vertices back, in
-        # chromatic_index; its edge part is the chi' witness, and totalize
-        # takes it as it is
-        cert, checks, extended = self.count_checks(monkeypatch, graph)
-        assert checks == [(graph, True)]
+    def test_each_coloring_checked_once(self, monkeypatch, graph, own, restricts):
+        # the extension checks the host coloring and its extension, which is
+        # G's total coloring when G is its own host; otherwise restrict_total
+        # (nothing peeled) or the add-back (peeled vertices back) checks G's.
+        # Its edge part is the chi' witness, and totalize takes it as it is
+        cert, checks, extended, restricted = self.count_checks(monkeypatch, graph)
         assert extended == [cert.g_prime]
+        assert (cert.g_prime is graph) == own
+        assert checks == ([] if own else [(graph, True)])
+        assert restricted == ([(cert.g_prime, graph)] if restricts else [])
 
     def test_matches_exhaustive_total_oracle(self):
         for name in ("t2", "t2-k1", "t2-2k1"):
