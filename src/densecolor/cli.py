@@ -255,6 +255,15 @@ def _read_corpus(path: str) -> list[tuple[str, Multigraph]]:
 
 def cmd_search(args: argparse.Namespace) -> int:
     config = _config_from(args)
+    for flag, least in (
+        ("--random-count", 0),
+        ("--random-n", 2),
+        ("--random-m", 0),
+        ("--random-mult-cap", 1),
+    ):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     instances: list[tuple[str, Multigraph]] = []
     if args.corpus is not None:
         instances.extend(_read_corpus(args.corpus))

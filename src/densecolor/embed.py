@@ -1,24 +1,12 @@
 """Embed a qualifying multigraph into a k-dense supergraph.
 
 Given k >= max(Delta(G)+2, n+1) with density(G) <= k (the theorem's k is
-chi'(G)), constructs a supergraph G' on an odd vertex count with exactly
-k(n'-1)/2 edges, maximum degree at most k-1 and density at most k, keeping
-G's vertex and edge ids as a prefix.  A k-edge-coloring of G', restricted
-to G, settles chi'(G') = chi'(G) = k whenever k is a lower bound on
-chi'(G).  Only ``oracles.chromatic_index``, on its host route, embeds
-and colors, and it embeds G's core (G less the low-degree vertices it
-peels); every other embedding is a direct library call, and the pipeline
-takes its host from that certificate.  The ``embed`` command prints that
-host when nothing peels, as it is then G's own, and otherwise embeds G
-itself, padding and all.  ``embed_k_dense``
-raises the error of ``oracles._no_host_reason``, the one test of the two
-preconditions (the hypothesis and the density cap) that also picks
-``chromatic_index``'s route, and so says why an input has no host.  The
-construction has one path: a parity vertex when n is even, greedy
-saturation, and exchange moves when greedy is stuck (drop one previously
-added edge whose ends avoid every maximal k-dense set, add two edges
-toward deficient vertices).  A host that neither step can extend raises
-``GuaranteeViolationError`` with that host as certificate, at every n.
+chi'(G)), ``embed_k_dense`` constructs a supergraph G' on an odd vertex
+count with exactly k(n'-1)/2 edges, maximum degree at most k-1 and
+density at most k, keeping G's vertex and edge ids as a prefix.  A
+k-edge-coloring of G', restricted to G, settles chi'(G') = chi'(G) = k
+whenever k is a lower bound on chi'(G).  Its docstring lists the steps
+and what it takes of its caller; this one proves the rules they apply.
 
 Throughout, feasibility of adding an edge uv means: both endpoint degrees
 stay below k, and no odd vertex set exceeds density k afterwards.
@@ -28,23 +16,6 @@ violating set.  The walk's pruning never drops a hit, so its answers are
 those of plain enumeration.  The embedding walks only to find the tight
 sets (the blocks below); it decides feasibility, and an exchange move's
 vertices, from the blocks and the degrees.
-
-The premise, density(G) <= k, and G's tight sets come from one walk of G,
-``oracles._density_ceiling``.  ``chromatic_index`` makes that walk from
-Delta and passes the sets it keeps, so on its route the embedding does
-not walk G.  A G whose vertices with edges, V', are k-dense, and whose
-G[V'] ``chromatic_index`` has k-colored before any walk, is not walked
-at all.  Nor is a core that is already k-dense embedded, after that
-attempt or after the walk: with its one block, the whole vertex set,
-``embed_k_dense`` would add nothing, so ``chromatic_index`` builds the
-same host, the core itself, and its report (no parity vertex, no edge,
-no move) without the call.  A direct call makes the walk from k - 1: None
-means no odd set reaches k, so there is no tight set; a ceiling above k
-breaks the premise; else the kept sets, those of density exactly k, are
-the tight sets.  The parity vertex changes none of this: an odd S
-holding it has ratio 2|E(S')|/|S'| < k, with S' the rest of S, as every
-degree is below k, so it lies in no tight set.  When n is odd the
-embedding starts from G itself.
 
 Tight sets.  Call an odd set S, |S| >= 3, tight (k-dense) when
 f(S) = 2|E(S)| - k(|S|-1) = 0; f is even, and at most 0 while the density
@@ -351,13 +322,19 @@ def embed_k_dense(
 ) -> tuple[Multigraph, EmbeddingReport]:
     """Construct a k-dense supergraph of ``graph`` with maximum degree < k.
 
-    Checks k >= max(Delta + 2, n + 1) and density(graph) <= k; the caller's
-    k is otherwise taken as given.  The density check is one walk of G
-    (``oracles._density_ceiling``) that also finds G's tight sets.  A
+    Checks k >= max(Delta + 2, n + 1) (``oracles._no_host_reason``, with
+    the density cap) and density(graph) <= k; the caller's k is otherwise
+    taken as given.  The premise and G's tight sets come from one walk.  A
     caller that has proved density(graph) <= k passes ``tight_sets`` and
     the walk is skipped: every odd set of density exactly k, or only the
     maximal ones, the blocks, as saturation starts from the blocks and
-    joins overlapping sets into them.  Steps:
+    joins overlapping sets into them.  Otherwise the call walks from
+    k - 1 (``oracles._density_ceiling``): None means no odd set reaches
+    k, so there is no tight set; a ceiling above k breaks the premise and
+    raises ``ValueError``; else the kept sets, those of density exactly
+    k, are the tight sets.  The parity vertex changes none of this: an
+    odd S holding it has ratio 2|E(S')|/|S'| < k, with S' the rest of S,
+    as every degree is below k, so it lies in no tight set.  Steps:
 
     1. If n is even, append one isolated vertex (highest index); else
        start from ``graph`` itself.

@@ -91,16 +91,28 @@ class Multigraph:
         original index of H's vertex ``i`` (ascending) and ``edge_ids[j]``
         the original id of H's edge ``j``.
         """
-        inside = self._vertex_set(vertices)
-        vertex_ids = tuple(sorted(inside))
-        relabel = {old: new for new, old in enumerate(vertex_ids)}
+        keep = [False] * self.n
+        for v in self._vertex_set(vertices):
+            keep[v] = True
+        return self._kept(keep)
+
+    def _kept(
+        self, keep: list[bool]
+    ) -> tuple["Multigraph", tuple[int, ...], tuple[int, ...]]:
+        """``induced_subgraph`` on the vertices v with ``keep[v]``, one flag
+        per vertex and no check: one pass over the edges."""
+        vertex_ids = [v for v in range(self.n) if keep[v]]
+        relabel = [0] * self.n
+        for i, v in enumerate(vertex_ids):
+            relabel[v] = i
         pairs: list[tuple[int, int]] = []
         edge_ids: list[int] = []
         for eid, (u, v) in enumerate(self.edges):
-            if u in inside and v in inside:
+            if keep[u] and keep[v]:
                 pairs.append((relabel[u], relabel[v]))
                 edge_ids.append(eid)
-        return Multigraph(len(vertex_ids), tuple(pairs)), vertex_ids, tuple(edge_ids)
+        sub = Multigraph(len(vertex_ids), tuple(pairs))
+        return sub, tuple(vertex_ids), tuple(edge_ids)
 
     def boundary_edges(self, vertices: Iterable[int]) -> frozenset[int]:
         """Ids of edges with exactly one end in the given vertex set."""

@@ -9,25 +9,15 @@ graphs with chi' > Delta + 1.
 Every odd-set question (density, k-dense sets, the embedding's feasibility
 check) goes through one pruned lexicographic walk, ``_walk_odd_sets``.
 
-``chromatic_index``'s host route first peels G (``_core``): vertices of
-degree at most k - Delta come off, the core that is left is embedded and
-colored, and the peeled vertices go back into a total k-coloring greedily
-(``_add_back``).  A core that is already k-dense is its own host, so
-the route embeds, through ``embed.embed_k_dense``, only a core short of
-edges or of even order.  Before its one walk of G it colors G at a bound
-b <= L that needs no walk: b = k when G's vertices with edges are k-dense
-at k > Delta, padded or not, else b = Delta.  The search is the one the
-route at b would run, under a small node limit, and a coloring settles
-chi' = b.  The rule, its exceptions and their proofs are in
-``chromatic_index``.
+``chromatic_index`` holds the host route, and the proof of each of its
+rules (the pre-walk attempt, own hosts, peeling).
 
 Every returned number comes with a machine-checkable witness, which the
-step that builds it checks once (``_checked``; on the host route,
-``totalize.extend_to_total`` when G is its own host and
-``totalize.restrict_total`` when G is an id-prefix of its host), and every
-"no smaller palette exists" claim is certified by an exhausted search (or by
-a bound that makes the search unnecessary: the max degree or the density).
-Caps and the node budget are explicit errors, never silent truncation.
+step that builds it checks once (``_checked``, or on the host route the
+step ``_add_back`` names), and every "no smaller palette exists" claim is
+certified by an exhausted search (or by a bound that makes the search
+unnecessary: the max degree or the density).  Caps and the node budget
+are explicit errors, never silent truncation.
 """
 
 from __future__ import annotations
@@ -493,7 +483,7 @@ def _core(
     never taken off are the core, the same set in any order.  A vertex
     taken off with no edge left to the others lowers no degree, so its
     incidence is not read, and peeling only padding never builds G's.
-    The core is copied in one pass over G's edges.  G itself, with
+    The core is copied by ``Multigraph._kept``.  G itself, with
     nothing peeled and empty maps, when k < Delta + 2 or no degree is at
     most k - Delta, so nothing can peel."""
     cap = k - graph.max_degree()
@@ -517,18 +507,8 @@ def _core(
                 deg[w] -= 1
                 if deg[w] == cap:  # pushed once, as it falls to the cap
                     heapq.heappush(ready, w)
-    core_ids = [v for v in range(graph.n) if left[v]]
-    relabel = [0] * graph.n
-    for i, v in enumerate(core_ids):
-        relabel[v] = i
-    pairs: list[tuple[int, int]] = []
-    core_edge_ids: list[int] = []
-    for e, (u, w) in enumerate(edges):
-        if left[u] and left[w]:
-            pairs.append((relabel[u], relabel[w]))
-            core_edge_ids.append(e)
-    core = Multigraph(len(core_ids), tuple(pairs))
-    return core, tuple(order), tuple(core_ids), tuple(core_edge_ids)
+    core, core_ids, core_edge_ids = graph._kept(left)
+    return core, tuple(order), core_ids, core_edge_ids
 
 
 def _add_back(
@@ -538,23 +518,32 @@ def _add_back(
     core_edge_ids: tuple[int, ...],
     host: DenseHost,
 ) -> TotalColoring:
-    """A total k-coloring of G, checked by the step that builds it: the
-    host's coloring extended to a total one and taken to G.  With nothing
-    peeled G's ids are a prefix of the host's, and its coloring is the
-    extension when G is the host, else ``totalize.restrict_total`` of it;
-    ``core_ids`` and ``core_edge_ids`` are then ignored (the caller passes
-    them empty) and G's incidence is not read.
-    Otherwise the coloring is restricted to the core, whose vertex ``i`` is
-    G's ``core_ids[i]`` and edge ``j`` G's ``core_edge_ids[j]`` (a prefix of
-    the host's ids), and the peeled vertices are added back greedily in
-    reverse peel order (see ``chromatic_index``).  Each added vertex takes,
-    edge by edge, the smallest color free at both ends of its edges to the
-    vertices already back, then the smallest color free of those edges and
-    of its neighbours back.  A peeled vertex with no edge in G sees no
-    color, so it comes back with color 1, the greedy's own answer, without
-    a read of its incidence; G's incidence is built only when a peeled
-    vertex has edges, and ``_checked`` checks the result.  An improper
-    host coloring fails the extension's check and raises with the host."""
+    """A total k-coloring of G from the host's k-edge-coloring, checked
+    once, by the step that builds it.  ``totalize.extend_to_total``
+    extends the host's coloring to a total one and checks both; an
+    improper host coloring raises with the host.  G's coloring is then
+    built in one of three ways:
+
+    - G is its own host: it is the extension, which ``extend_to_total``
+      has checked.
+    - Nothing peeled, and the host is larger: G's ids are a prefix of the
+      host's, and ``totalize.restrict_total`` cuts its coloring from the
+      extension and checks it.
+    - Peeled vertices come back: the extension is restricted to the core,
+      whose vertex ``i`` is G's ``core_ids[i]`` and edge ``j`` G's
+      ``core_edge_ids[j]`` (a prefix of the host's ids), the peeled
+      vertices are added back greedily in reverse peel order (the bound
+      that leaves each a free color is proved in ``chromatic_index``), and
+      ``_checked`` checks the result.
+
+    With nothing peeled ``core_ids`` and ``core_edge_ids`` are ignored
+    (the caller passes them empty) and G's incidence is not read.  Each
+    added vertex takes, edge by edge, the smallest color free at both
+    ends of its edges to the vertices already back, then the smallest
+    color free of those edges and of its neighbours back.  A peeled
+    vertex with no edge in G sees no color, so it comes back with color
+    1, the greedy's own answer, without a read of its incidence; G's
+    incidence is built only when a peeled vertex has edges."""
     k = host.coloring.k
     try:
         core = totalize.extend_to_total(host.g_prime, host.coloring, k)
@@ -627,9 +616,9 @@ def chromatic_index(
     attains the bound.
     The walk has proved density <= k and found G's tight sets, the blocks
     that saturation starts from, so the embedding walks no more.  The
-    certificate keeps that host with its coloring (``host``) and the
-    checked total coloring of G (``total``), so ``totalize`` neither
-    embeds, colors nor checks again: ``_add_back`` has checked it.
+    certificate keeps that host with its coloring (``host``) and the total
+    coloring of G that ``_add_back`` built and checked (``total``), so
+    ``totalize`` neither embeds, colors nor checks again.
     Every other graph within ``CHI_INDEX_MAX_EDGES`` is searched from L
     upwards; when the returned k exceeds both bounds, infeasibility of k-1
     was certified by an exhausted backtracking run.  Vizing's bound
@@ -657,11 +646,7 @@ def chromatic_index(
     it, and the walk would give L = b, this core and a host (the core
     itself, below) that search colors from 0 nodes.
     G is not tried at b = Delta when its degrees already prove L > Delta
-    (``_denser_by_degrees``): for any R of V', e(V' - R) >= m - d(R), as
-    each edge that V' - R loses has an end in R; so with R the j
-    lowest-degree vertices of V', an odd V' - R of at least three
-    vertices with 2(m - d(R)) > Delta(|V' - R| - 1) is denser than Delta,
-    and no Delta-coloring exists.  The test is one sort, with no walk.
+    (``_denser_by_degrees``), as no Delta-coloring exists then.
     When the attempt finds no coloring G is walked as below.  When it ran
     to the end and the walk gives L = b, the climb goes on from b + 1 with
     the attempt's nodes, since its first step would run that search again;
@@ -680,8 +665,7 @@ def chromatic_index(
     passes as the route's check on G at |C| did, C's Delta and order
     being no larger, and then add nothing to a graph with k(|C| - 1)/2
     edges and odd |C|.  So ``embed_k_dense`` runs only for a core short
-    of edges or of even order.  With nothing peeled that host is G
-    itself, and ``_add_back`` returns the extension of its coloring.
+    of edges or of even order.
 
     Peeling.  With k >= Delta+2, ``_core`` takes off, lowest index first,
     a vertex whose degree d among the vertices still left is at most
@@ -694,11 +678,7 @@ def chromatic_index(
     d neighbours, since k = L <= chi' <= floor(3 Delta / 2) (Shannon).  So
     a total k-coloring of C gives one of G, adding the peeled vertices
     back in reverse peel order (``_add_back``).  If G meets the hypothesis
-    so does C, as |C| <= n and Delta(C) <= Delta.  A vertex taken off with
-    no edge left to the vertices still in lowers no degree, and the peel
-    reads no incidence for it; a peeled vertex with no edge in G sees no
-    color and comes back with color 1.  So padding, wherever its vertices
-    sit among G's, peels and comes back without G's incidence being built.
+    so does C, as |C| <= n and Delta(C) <= Delta.
 
     No odd set S with 2|E(S)| > (k - 1)(|S| - 1) holds a peeled vertex.
     Let v be the first of S to be peeled; all of S was left then, so
@@ -708,10 +688,8 @@ def chromatic_index(
     |S| >= 3, a contradiction.  So the densest set lies in C, C's L is k
     too, and G's tight sets are C's, which the walk of G has found: C is
     not walked again.  Peeling costs one scan of the degrees when there is
-    nothing to peel (every degree above k - Delta); then C is G, ``_core``
-    returns it as it is, and ``_add_back`` restricts the host's total
-    coloring to G, an id-prefix of the host (``totalize.restrict_total``),
-    with no read of G's incidence.
+    nothing to peel (every degree above k - Delta); then C is G, and
+    ``_core`` returns it as it is.
     """
     if graph.m == 0:
         return ChromaticCertificate(
@@ -736,8 +714,8 @@ def chromatic_index(
                 colors, tried = _color(core, bound, 0, limit)
             except BudgetExceededError:
                 pass  # out of nodes: the attempt is dropped
-        if colors is not None:  # L = bound; on the host route V' is the one block
-            lower, start, spent, tight = bound, bound, tried, [list(range(core.n))]
+        if colors is not None:  # L = bound; on the host route the core is its own host
+            lower, start, spent = bound, bound, tried
         else:  # walk G, and peel at L
             lower, tight = _density_ceiling(graph, delta) or (delta, [])
             start = lower
@@ -1216,12 +1194,11 @@ def _critical_at(graph: Multigraph, k: int, config: RunConfig) -> bool:
     """``is_edge_critical`` for a graph whose chromatic index k is known.
     Deleting any edge of a parallel class leaves the same multigraph up to
     edge ids, so each class is tried once, at its lowest id, in id order."""
-    lowest: dict[tuple[int, int], int] = {}
-    for eid, (u, v) in enumerate(graph.edges):
-        lowest.setdefault((u, v) if u < v else (v, u), eid)
+    pred = _parallel_pred(graph.edges)
     return all(
         chromatic_index(graph.without_edge(eid), config).k < k
-        for eid in lowest.values()
+        for eid in range(graph.m)
+        if pred[eid] < 0
     )
 
 

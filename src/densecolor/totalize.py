@@ -7,23 +7,20 @@ smallest missing color (the k-dense structure makes the missing sets
 pairwise disjoint), and restricts back to G, so the result witnesses
 chi''(G) = chi'(G) = k.
 
-All four steps run inside ``chromatic_index``, the one producer of the
-hosts and of the total colorings the pipeline returns.  Its host route
-first peels G: vertices of degree at most k - Delta come off,
-k = L = max(Delta, ceil(rho)), and what is left is G's core C (G itself
-when nothing peels).  It embeds C at L whenever L meets the hypothesis on
-C, k >= max(Delta+2, |C|+1), colors the host, extends the coloring with
-``extend_to_total`` and takes it to G: as it is when G is its own host,
-through ``restrict_total`` when G is an id-prefix of the host, else
-adding the peeled vertices back; the step that builds G's total coloring
-checks it once.  The certificate keeps the host, its coloring and that
-total coloring, which the pipeline takes as it is.  So the pipeline needs
-|C| + 1 <= k where the theorem needs n + 1 <= k.  By Goldberg-Seymour
-chi'(G) = L whenever chi'(G) meets the hypothesis, so an input without a
-host is refused: ``HypothesisNotMetError`` carries the exact chi'(G) of
-the search and the core's n + 1, ``InstanceTooLargeError`` names the
-density cap, and an input that meets both is a counterexample (or a bug)
-and raises ``GuaranteeViolationError`` carrying G.
+All four steps run inside ``oracles.chromatic_index``, whose docstring
+proves its host route, peeling G to its core C included, and
+``oracles._add_back`` builds and checks G's total coloring; the pipeline
+takes the certificate's host and total coloring as they are.  So the
+pipeline needs |C| + 1 <= k where the theorem needs n + 1 <= k.
+
+By Goldberg-Seymour chi'(G) = max(Delta, ceil(rho)) whenever chi'(G)
+meets the hypothesis, so an input without a host is refused:
+``HypothesisNotMetError`` carries the exact chi'(G) of the search and
+the core's n + 1, ``InstanceTooLargeError`` names the density cap, and
+an input that meets both is a counterexample (or a bug) and raises
+``GuaranteeViolationError`` carrying G.  The same error carries the host
+when no k-edge-coloring of it is found.  Every oracle and embedding
+error propagates.
 """
 
 from __future__ import annotations
@@ -197,13 +194,8 @@ def totalize(
 
     ``chromatic_index`` settles chi'(G) and, on its host route, returns
     the host with its coloring and the checked total coloring of G built
-    from them, so the call embeds once, colors once and checks once.
-
-    Raises HypothesisNotMetError when chi'(G) < max(Delta+2, n+1),
-    InstanceTooLargeError when the host would pass ``density_max_n``, and
-    GuaranteeViolationError, carrying the host, when no k-edge-coloring of
-    the host is found, or carrying G, when G has no host yet meets both;
-    all oracle and embedding errors propagate.
+    from them, so the call embeds once, colors once and checks once.  The
+    errors it raises are listed in the module docstring.
     """
     chi = chromatic_index(graph, config)
     return _totalize_with(graph, chi, config)

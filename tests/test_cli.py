@@ -371,6 +371,25 @@ class TestSearchCommand:
         assert serial.returncode == pooled.returncode == 0
         assert serial.stdout == pooled.stdout
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--random-count", "3", "--random-n", "1"], "--random-n must be at least 2, got 1"),
+            (
+                ["--random-count", "3", "--random-mult-cap", "0"],
+                "--random-mult-cap must be at least 1, got 0",
+            ),
+            (["--random-count", "3", "--random-m", "-1"], "--random-m must be at least 0, got -1"),
+            # a negative count would otherwise read as no source at all
+            (["--random-count", "-2"], "--random-count must be at least 0, got -2"),
+        ],
+    )
+    def test_random_source_flags_out_of_range_exit_4(self, flags, message, capsys):
+        assert main(["search", *flags]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestDeepHosts:
     """Fat triangles with about 500 to 1,200 edges: the class search takes
